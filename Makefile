@@ -41,9 +41,11 @@ bench-json:
 # A cheap CI guard: the benchmark harness itself must stay runnable.
 # Small scale, one iteration each — measures nothing, catches rot.
 # Points the harness at the shared trace cache when one was warmed.
+# The second leg runs the workload-generation layer benchmark once.
 TRACE_CACHE ?= .trace-cache
 bench-smoke:
 	COSMOS_BENCH_SCALE=small COSMOS_TRACE_CACHE=$(TRACE_CACHE) $(GO) test -bench . -benchtime 1x -run '^$$' .
+	$(GO) test -bench AppendAccesses -benchtime 1x -run '^$$' ./internal/workload
 
 # Simulate and cache every benchmark trace once (small scale for CI);
 # subsequent tables/bench runs pointed at TRACE_CACHE load instead of

@@ -1,6 +1,10 @@
 package workload
 
-import "github.com/cosmos-coherence/cosmos/internal/coherence"
+import (
+	"slices"
+
+	"github.com/cosmos-coherence/cosmos/internal/coherence"
+)
 
 // DefaultBlockSize and DefaultPageSize match Table 3's machine and the
 // round-robin page homing of Section 5.1; all workload generators lay
@@ -54,6 +58,18 @@ type AppBT struct {
 	private     []Region
 	cold        coldRegion
 	seed        uint64
+
+	// facesOwned and facesRead index faces by owner and by neighbour,
+	// edgesRead indexes edges by reader, and falseOf indexes the
+	// false-shared regions by every processor touching them. Edge p is
+	// owned by processor p, so owned edges need no index.
+	facesOwned procIndex
+	facesRead  procIndex
+	edgesRead  procIndex
+	falseOf    procIndex
+	// orderBuf is per-instance scratch for the sweep permutations and
+	// recurring traversal orders.
+	orderBuf []int
 }
 
 type appbtFace struct {
@@ -100,7 +116,7 @@ func NewAppBT(procs int, scale Scale) *AppBT {
 		}
 		a.edges = append(a.edges, appbtEdge{
 			owner:   p,
-			readers: pickDistinct(layout, procs, n, p),
+			readers: pickDistinctInto(make([]int, 0, n), layout, procs, n, p),
 			blocks:  arena.Alloc(edgeBlocks),
 		})
 	}
@@ -120,6 +136,32 @@ func NewAppBT(procs int, scale Scale) *AppBT {
 		a.private[p] = arena.Alloc(privBlocks)
 	}
 	a.cold = newColdRegion(arena, coldBlocks, procs)
+
+	var owned, read []procRef
+	for fi, f := range a.faces {
+		owned = append(owned, procRef{p: int32(f.owner), item: int32(fi)})
+		read = append(read, procRef{p: int32(f.neighbor), item: int32(fi)})
+	}
+	a.facesOwned = newProcIndex(procs, owned)
+	a.facesRead = newProcIndex(procs, read)
+	read = read[:0]
+	for ei, e := range a.edges {
+		read = appendRefs(read, ei, e.readers)
+	}
+	a.edgesRead = newProcIndex(procs, read)
+	read = read[:0]
+	for fsi, f := range a.falseShared {
+		// The owner and readers are distinct processors (neighbours on
+		// the x axis and the one px further on), except on grids too
+		// small for the third to differ: list each processor once.
+		read = append(read, procRef{p: int32(f.owner), item: int32(fsi)})
+		for ri, q := range f.readers {
+			if q != f.owner && !slices.Contains(f.readers[:ri], q) {
+				read = append(read, procRef{p: int32(q), item: int32(fsi)})
+			}
+		}
+	}
+	a.falseOf = newProcIndex(procs, read)
 	return a
 }
 
@@ -183,28 +225,26 @@ func (a *AppBT) PhasesPerIteration() int { return 2 }
 
 // Accesses implements App.
 func (a *AppBT) Accesses(p, phase int) []Access {
+	return a.AppendAccesses(nil, p, phase)
+}
+
+// AppendAccesses implements Appender.
+func (a *AppBT) AppendAccesses(seq []Access, p, phase int) []Access {
 	iter, sub := phase/2, phase%2
-	var seq []Access
 
 	if sub == 0 {
 		// Compute phase: update own boundary blocks — read then write
 		// each block (this read-before-write is what makes the
 		// half-migratory optimization hurt appbt, Section 6.1).
-		for _, f := range a.faces {
-			if f.owner != p {
-				continue
-			}
-			for b := 0; b < f.blocks.Blocks(); b++ {
-				seq = append(seq, Read(f.blocks.Block(b)), Write(f.blocks.Block(b)))
+		for _, fi := range a.facesOwned.of(p) {
+			f := a.faces[fi].blocks
+			for b := 0; b < f.Blocks(); b++ {
+				seq = append(seq, Read(f.Block(b)), Write(f.Block(b)))
 			}
 		}
-		for _, e := range a.edges {
-			if e.owner != p {
-				continue
-			}
-			for b := 0; b < e.blocks.Blocks(); b++ {
-				seq = append(seq, Read(e.blocks.Block(b)), Write(e.blocks.Block(b)))
-			}
+		e := a.edges[p].blocks
+		for b := 0; b < e.Blocks(); b++ {
+			seq = append(seq, Read(e.Block(b)), Write(e.Block(b)))
 		}
 		// False sharing: both ends of the pair touch "their halves" of
 		// the same blocks in the same phase. Which words an iteration
@@ -216,20 +256,15 @@ func (a *AppBT) Accesses(p, phase int) []Access {
 		// oscillation Section 6.1 blames for appbt's low-accuracy
 		// upgrade_request -> inval_ro_response directory arc, which
 		// neither history depth nor filters repair.
-		for fsi, f := range a.falseShared {
-			mine := f.owner == p
-			for _, q := range f.readers {
-				mine = mine || q == p
-			}
-			if !mine {
-				continue
-			}
-			r := newRNG(a.seed ^ 0xf5 ^ uint64(fsi)<<24 ^ uint64(p)<<12 ^ uint64(iter))
-			for _, b := range r.perm(f.blocks.Blocks()) {
+		for _, fsi := range a.falseOf.of(p) {
+			f := a.falseShared[fsi].blocks
+			r := seededRNG(a.seed ^ 0xf5 ^ uint64(fsi)<<24 ^ uint64(p)<<12 ^ uint64(iter))
+			a.orderBuf = r.permInto(a.orderBuf[:0], f.Blocks())
+			for _, b := range a.orderBuf {
 				if r.float() < 0.55 {
-					seq = append(seq, Read(f.blocks.Block(b)), Write(f.blocks.Block(b)))
+					seq = append(seq, Read(f.Block(b)), Write(f.Block(b)))
 				} else {
-					seq = append(seq, Read(f.blocks.Block(b)))
+					seq = append(seq, Read(f.Block(b)))
 				}
 			}
 		}
@@ -237,8 +272,7 @@ func (a *AppBT) Accesses(p, phase int) []Access {
 		for b := 0; b < a.private[p].Blocks(); b++ {
 			seq = append(seq, Read(a.private[p].Block(b)), Write(a.private[p].Block(b)))
 		}
-		seq = append(seq, a.cold.reads(p, phase)...)
-		return seq
+		return a.cold.appendReads(seq, p, phase)
 	}
 
 	// Exchange phase: read ghost copies of neighbours' face and edge
@@ -246,24 +280,18 @@ func (a *AppBT) Accesses(p, phase int) []Access {
 	// recurring perturbations (alternating sweep directions), so
 	// request races at the directories repeat rather than being fresh
 	// noise.
-	for fi, f := range a.faces {
-		if f.neighbor != p {
-			continue
-		}
-		order := recurringOrder(a.seed, uint64(fi), iter, f.blocks.Blocks(), 3, 0.8)
-		for _, b := range order {
-			seq = append(seq, Read(f.blocks.Block(b)))
+	for _, fi := range a.facesRead.of(p) {
+		f := a.faces[fi].blocks
+		a.orderBuf = recurringOrderInto(a.orderBuf[:0], a.seed, uint64(fi), iter, f.Blocks(), 3, 0.8)
+		for _, b := range a.orderBuf {
+			seq = append(seq, Read(f.Block(b)))
 		}
 	}
-	for ei, e := range a.edges {
-		for _, q := range e.readers {
-			if q != p {
-				continue
-			}
-			order := recurringOrder(a.seed^uint64(p)<<44, 0x770+uint64(ei), iter, e.blocks.Blocks(), 4, 0.6)
-			for _, b := range order {
-				seq = append(seq, Read(e.blocks.Block(b)))
-			}
+	for _, ei := range a.edgesRead.of(p) {
+		e := a.edges[ei].blocks
+		a.orderBuf = recurringOrderInto(a.orderBuf[:0], a.seed^uint64(p)<<44, 0x770+uint64(ei), iter, e.Blocks(), 4, 0.6)
+		for _, b := range a.orderBuf {
+			seq = append(seq, Read(e.Block(b)))
 		}
 	}
 	return seq

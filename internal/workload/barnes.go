@@ -24,15 +24,17 @@ type Barnes struct {
 	seed  uint64
 
 	bodies Region
-	// bodyOwner[i] owns body block i; bodyReaders[i] read it.
-	bodyOwner   []int
-	bodyReaders [][]int
+	// ownedBodies and bodiesOf index body blocks by their owner and by
+	// their readers.
+	ownedBodies procIndex
+	bodiesOf    procIndex
 
 	pool Region // address pool for tree cells
-	// cellOwner/cellReaders describe *logical* cells; assignment maps
-	// logical cell -> pool slot, reshuffled per iteration.
-	cellOwner   []int
-	cellReaders [][]int
+	// ownedCells and cellsOf index *logical* cells by their owner and
+	// by their readers; assignment maps logical cell -> pool slot,
+	// reshuffled per iteration.
+	ownedCells procIndex
+	cellsOf    procIndex
 
 	cold coldRegion
 
@@ -40,6 +42,11 @@ type Barnes struct {
 	// assignments[iter] is materialized lazily and memoized because
 	// each iteration's permutation derives from the previous one.
 	assignments [][]int
+
+	// orderBuf and late are per-instance scratch for the traversal
+	// order and the deferred body reads.
+	orderBuf []int
+	late     []Access
 }
 
 // NewBarnes builds the generator.
@@ -62,25 +69,32 @@ func NewBarnes(procs int, scale Scale) *Barnes {
 	b.cold = newColdRegion(arena, coldBlocks, procs)
 
 	layout := newRNG(b.seed)
-	b.bodyOwner = make([]int, bodies)
-	b.bodyReaders = make([][]int, bodies)
+	var owners, readers []procRef
+	var pick []int
 	for i := 0; i < bodies; i++ {
-		b.bodyOwner[i] = i * procs / bodies // spatial partition
+		owner := i * procs / bodies // spatial partition
+		owners = append(owners, procRef{p: int32(owner), item: int32(i)})
 		// Gravity is long-range but locally dominated: 2-4 readers.
-		b.bodyReaders[i] = pickDistinct(layout, procs, 2+layout.intn(3), b.bodyOwner[i])
+		pick = pickDistinctInto(pick[:0], layout, procs, 2+layout.intn(3), owner)
+		readers = appendRefs(readers, i, pick)
 	}
-	b.cellOwner = make([]int, cells)
-	b.cellReaders = make([][]int, cells)
+	b.ownedBodies = newProcIndex(procs, owners)
+	b.bodiesOf = newProcIndex(procs, readers)
+	owners, readers = owners[:0], readers[:0]
 	for i := 0; i < cells; i++ {
-		b.cellOwner[i] = layout.intn(procs)
+		owner := layout.intn(procs)
+		owners = append(owners, procRef{p: int32(owner), item: int32(i)})
 		// Internal cells near the root are read by many processors;
 		// deep cells by few. Skew accordingly.
 		n := 2 + layout.intn(4)
 		if i < cells/8 { // "near the root"
 			n = 2 + layout.intn(procs/2)
 		}
-		b.cellReaders[i] = pickDistinct(layout, procs, n, b.cellOwner[i])
+		pick = pickDistinctInto(pick[:0], layout, procs, n, owner)
+		readers = appendRefs(readers, i, pick)
 	}
+	b.ownedCells = newProcIndex(procs, owners)
+	b.cellsOf = newProcIndex(procs, readers)
 
 	// Initial identity assignment of logical cells to pool slots.
 	ident := make([]int, cells)
@@ -91,21 +105,11 @@ func NewBarnes(procs int, scale Scale) *Barnes {
 	return b
 }
 
-// pickDistinct returns n distinct processors != exclude (n capped at
-// procs-1).
-func pickDistinct(r *rng, procs, n, exclude int) []int {
-	if n > procs-1 {
-		n = procs - 1
-	}
-	return pickDistinctInto(make([]int, 0, n), r, procs, n, exclude)
-}
-
-// pickDistinctInto is pickDistinct appending into a reusable buffer:
-// identical rejection-sampling draws (a duplicate or excluded pick
-// consumes the same RNG value and retries), so it yields the identical
-// selection without the per-call slice and set allocations. Membership
-// is checked by scanning the picks so far, which beats a map for the
-// small n the generators use.
+// pickDistinctInto appends n distinct processors != exclude (n capped
+// at procs-1) to buf, by rejection sampling: a duplicate or excluded
+// pick consumes its RNG value and retries. Membership is checked by
+// scanning the picks so far, which beats a map for the small n the
+// generators use.
 func pickDistinctInto(buf []int, r *rng, procs, n, exclude int) []int {
 	if n > procs-1 {
 		n = procs - 1
@@ -166,19 +170,20 @@ func (b *Barnes) PhasesPerIteration() int { return 3 }
 
 // Accesses implements App.
 func (b *Barnes) Accesses(p, phase int) []Access {
+	return b.AppendAccesses(nil, p, phase)
+}
+
+// AppendAccesses implements Appender.
+func (b *Barnes) AppendAccesses(seq []Access, p, phase int) []Access {
 	iter, sub := phase/3, phase%3
 	assign := b.assignment(iter)
-	var seq []Access
 
 	switch sub {
 	case 0:
-		seq = append(seq, b.cold.reads(p, phase)...)
+		seq = b.cold.appendReads(seq, p, phase)
 		// Tree build: owners write their logical cells at this
 		// iteration's (freshly reassigned) addresses.
-		for c, owner := range b.cellOwner {
-			if owner != p {
-				continue
-			}
+		for _, c := range b.ownedCells.of(p) {
 			addr := b.pool.Block(assign[c])
 			seq = append(seq, Read(addr), Write(addr))
 		}
@@ -189,26 +194,10 @@ func (b *Barnes) Accesses(p, phase int) []Access {
 		// the visit order over *logical* cells and over bodies recurs
 		// across iterations even while the cells' addresses move under
 		// the predictor's feet.
-		var cellReads []Access
-		for c, readers := range b.cellReaders {
-			for _, q := range readers {
-				if q == p {
-					cellReads = append(cellReads, Read(b.pool.Block(assign[c])))
-					break
-				}
-			}
-		}
-		var bodyReadIdx []int
-		for i, readers := range b.bodyReaders {
-			for _, q := range readers {
-				if q == p {
-					bodyReadIdx = append(bodyReadIdx, i)
-					break
-				}
-			}
-		}
-		for _, i := range recurringOrder(b.seed^0xce11, uint64(p), iter, len(cellReads), 4, 0.7) {
-			seq = append(seq, cellReads[i])
+		cells := b.cellsOf.of(p)
+		b.orderBuf = recurringOrderInto(b.orderBuf[:0], b.seed^0xce11, uint64(p), iter, len(cells), 4, 0.7)
+		for _, i := range b.orderBuf {
+			seq = append(seq, Read(b.pool.Block(assign[cells[i]])))
 		}
 		// Body reads happen in two passes. Whether a block's read is
 		// deferred to the late pass is a property of the *block* and of
@@ -216,24 +205,23 @@ func (b *Barnes) Accesses(p, phase int) []Access {
 		// body's readers arrive at its directory in one of a few
 		// strictly recurring orders: ambiguous to a depth-1 predictor,
 		// learnable with more history (the Table 5 depth gain).
-		var late []Access
-		for _, i := range bodyReadIdx {
-			pi := int(newRNG(b.seed^0xbead^uint64(i)<<8^uint64(iter%4)).next() % 3)
+		late := b.late[:0]
+		for _, i := range b.bodiesOf.of(p) {
+			sched := seededRNG(b.seed ^ 0xbead ^ uint64(i)<<8 ^ uint64(iter%4))
+			pi := int(sched.next() % 3)
 			if pi != 0 && (p+pi)%2 == 0 {
-				late = append(late, Read(b.bodies.Block(i)))
+				late = append(late, Read(b.bodies.Block(int(i))))
 				continue
 			}
-			seq = append(seq, Read(b.bodies.Block(i)))
+			seq = append(seq, Read(b.bodies.Block(int(i))))
 		}
 		seq = append(seq, late...)
+		b.late = late
 
 	case 2:
 		// Update own bodies (position/velocity integration).
-		for i, owner := range b.bodyOwner {
-			if owner != p {
-				continue
-			}
-			seq = append(seq, Read(b.bodies.Block(i)), Write(b.bodies.Block(i)))
+		for _, i := range b.ownedBodies.of(p) {
+			seq = append(seq, Read(b.bodies.Block(int(i))), Write(b.bodies.Block(int(i))))
 		}
 	}
 	return seq

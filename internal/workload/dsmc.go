@@ -1,5 +1,7 @@
 package workload
 
+import "slices"
+
 // DSMC reproduces the sharing behaviour of dsmc, the discrete
 // simulation Monte Carlo gas dynamics code (Section 5.2):
 //
@@ -43,17 +45,18 @@ type DSMC struct {
 
 	settleIters int
 
-	// flowsBySrc/flowsByDst index flows by endpoint (ascending flow
-	// index, preserving the flows-slice iteration order), so a phase
-	// visits only its own processor's flows instead of scanning all
-	// O(procs) of them.
-	flowsBySrc [][]int32
-	flowsByDst [][]int32
-	// orderBuf and pickBuf are per-instance scratch for the recurring
-	// traversal orders and metadata reader picks; an App instance
-	// belongs to one machine, which generates phases one at a time.
+	// flowsBySrc/flowsByDst index flows by endpoint, contendedOf
+	// indexes contended regions by contender, and metaOf[w] indexes the
+	// metadata blocks each processor reads in warm-up iteration w, so a
+	// phase visits only its own processor's share instead of scanning
+	// all of them.
+	flowsBySrc  procIndex
+	flowsByDst  procIndex
+	contendedOf procIndex
+	metaOf      [2]procIndex
+	// orderBuf is per-instance scratch for the recurring traversal
+	// orders.
 	orderBuf []int
-	pickBuf  []int
 }
 
 type dsmcFlow struct {
@@ -86,19 +89,39 @@ func NewDSMC(procs int, scale Scale) *DSMC {
 			d.flows = append(d.flows, dsmcFlow{src: p, dst: dst, blocks: arena.Alloc(flowBlocks)})
 		}
 	}
+	var contended []procRef
 	for i := 0; i < contendRegions; i++ {
 		d.contended = append(d.contended, arena.Alloc(contendBlocks))
-		d.contenders = append(d.contenders, pickDistinct(layout, procs, 3, -1))
+		d.contenders = append(d.contenders, pickDistinctInto(make([]int, 0, 3), layout, procs, 3, -1))
+		contended = appendRefs(contended, i, d.contenders[i])
 	}
+	d.contendedOf = newProcIndex(procs, contended)
 	d.metadata = arena.Alloc(metaBlocks)
 	coldBlocks := map[Scale]int{ScaleSmall: 8, ScaleMedium: 512, ScaleFull: 4800}[scale]
 	d.cold = newColdRegion(arena, coldBlocks, procs)
-	d.flowsBySrc = make([][]int32, procs)
-	d.flowsByDst = make([][]int32, procs)
+	var src, dst []procRef
 	for fi, f := range d.flows {
-		d.flowsBySrc[f.src] = append(d.flowsBySrc[f.src], int32(fi))
-		d.flowsByDst[f.dst] = append(d.flowsByDst[f.dst], int32(fi))
+		src = append(src, procRef{p: int32(f.src), item: int32(fi)})
+		dst = append(dst, procRef{p: int32(f.dst), item: int32(fi)})
 	}
+	d.flowsBySrc = newProcIndex(procs, src)
+	d.flowsByDst = newProcIndex(procs, dst)
+	// Metadata: the static grid's cell descriptors are each read once
+	// by the 2-4 processors whose partitions border the cell, while the
+	// simulation warms up. The readers' first touches are spread over
+	// the two warm-up iterations so their requests do not all race.
+	var meta [2][]procRef
+	var pick []int
+	for b := 0; b < metaBlocks; b++ {
+		r := seededRNG(d.seed ^ 0x3e7a ^ uint64(b))
+		pick = pickDistinctInto(pick[:0], &r, procs, 2+b%3, -1)
+		for ri, q := range pick {
+			w := (ri + b) % 2
+			meta[w] = append(meta[w], procRef{p: int32(q), item: int32(b)})
+		}
+	}
+	d.metaOf[0] = newProcIndex(procs, meta[0])
+	d.metaOf[1] = newProcIndex(procs, meta[1])
 	return d
 }
 
@@ -167,7 +190,7 @@ func (d *DSMC) AppendAccesses(seq []Access, p, phase int) []Access {
 		seq = d.cold.appendReads(seq, p, phase)
 		// Send phase: write outgoing buffers (write-first: no read —
 		// this is why half-migratory helps dsmc, Section 6.1).
-		for _, fi := range d.flowsBySrc[p] {
+		for _, fi := range d.flowsBySrc.of(p) {
 			f := d.flows[fi]
 			for b := 0; b < f.blocks.Blocks(); b++ {
 				if d.transfers(int(fi), b, iter) {
@@ -181,16 +204,13 @@ func (d *DSMC) AppendAccesses(seq []Access, p, phase int) []Access {
 		// directory patterns are ones history depth can learn
 		// (Section 6.1: "Cosmos learns to isolate these cases using
 		// either more history information or via noise filters").
-		for i, reg := range d.contended {
-			for ci, q := range d.contenders[i] {
-				if q != p {
-					continue
-				}
-				if r.float() < d.contendProb*float64(len(d.contenders[i])) {
-					d.orderBuf = recurringOrderInto(d.orderBuf[:0], d.seed, uint64(i)<<8|uint64(ci), iter, reg.Blocks(), 3, 0.6)
-					for _, b := range d.orderBuf {
-						seq = append(seq, Read(reg.Block(b)), Write(reg.Block(b)))
-					}
+		for _, i := range d.contendedOf.of(p) {
+			reg, contenders := d.contended[i], d.contenders[i]
+			if r.float() < d.contendProb*float64(len(contenders)) {
+				ci := slices.Index(contenders, p)
+				d.orderBuf = recurringOrderInto(d.orderBuf[:0], d.seed, uint64(i)<<8|uint64(ci), iter, reg.Blocks(), 3, 0.6)
+				for _, b := range d.orderBuf {
+					seq = append(seq, Read(reg.Block(b)), Write(reg.Block(b)))
 				}
 			}
 		}
@@ -199,7 +219,7 @@ func (d *DSMC) AppendAccesses(seq []Access, p, phase int) []Access {
 
 	// Receive phase: read the buffers that transferred this iteration,
 	// in the consumer's sweep order (with recurring perturbations).
-	for _, fi := range d.flowsByDst[p] {
+	for _, fi := range d.flowsByDst.of(p) {
 		f := d.flows[fi]
 		d.orderBuf = recurringOrderInto(d.orderBuf[:0], d.seed, uint64(fi), iter, f.blocks.Blocks(), 3, 0.85)
 		for _, b := range d.orderBuf {
@@ -208,26 +228,14 @@ func (d *DSMC) AppendAccesses(seq []Access, p, phase int) []Access {
 			}
 		}
 	}
-	// Metadata: the static grid's cell descriptors are each read once
-	// by the 2-4 processors whose partitions border the cell, while the
-	// simulation warms up, then never touched again. These blocks
-	// accumulate 2-4 directory references: enough for a small PHT at
-	// MHR depth 1 but not at depths 3-4, which is why dsmc's PHT/MHR
-	// ratio *falls* as depth grows (Table 7's footnote).
+	// Metadata: read during the two warm-up iterations, then never
+	// touched again. These blocks accumulate 2-4 directory references:
+	// enough for a small PHT at MHR depth 1 but not at depths 3-4,
+	// which is why dsmc's PHT/MHR ratio *falls* as depth grows (Table
+	// 7's footnote).
 	if iter < 2 {
-		for b := 0; b < d.metadata.Blocks(); b++ {
-			pick := seededRNG(d.seed ^ 0x3e7a ^ uint64(b))
-			d.pickBuf = pickDistinctInto(d.pickBuf[:0], &pick, d.procs, 2+b%3, -1)
-			for ri, q := range d.pickBuf {
-				if q != p {
-					continue
-				}
-				// Spread the readers' first touches over the two
-				// warm-up iterations so their requests do not all race.
-				if (ri+b)%2 == iter {
-					seq = append(seq, Read(d.metadata.Block(b)))
-				}
-			}
+		for _, b := range d.metaOf[iter].of(p) {
+			seq = append(seq, Read(d.metadata.Block(int(b))))
 		}
 	}
 	return seq

@@ -82,12 +82,6 @@ func newColdRegion(a *Arena, blocks, procs int) coldRegion {
 	return coldRegion{blocks: a.Alloc(blocks), procs: procs}
 }
 
-// reads returns processor p's cold reads for the given phase (empty
-// except in phase 0).
-func (c coldRegion) reads(p, phase int) []Access {
-	return c.appendReads(nil, p, phase)
-}
-
 // appendReads appends processor p's cold reads for the phase to dst
 // (a no-op except in phase 0).
 func (c coldRegion) appendReads(dst []Access, p, phase int) []Access {

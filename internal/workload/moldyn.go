@@ -28,12 +28,28 @@ type Moldyn struct {
 	rebuildEvery int
 
 	coordOwner []int
-	cold       coldRegion
+	// ownCoords indexes coordinate blocks by owner.
+	ownCoords procIndex
+	cold      coldRegion
+
+	// coordsOf and forceOf index one interaction-list epoch's
+	// coordinate consumers and force contributors by processor;
+	// epochBuilt names the epoch they hold (-1 before the first build).
+	// The machine asks for phases in order, so each epoch is built once.
+	epochBuilt int
+	coordsOf   procIndex
+	forceOf    procIndex
+	// refs, pickBuf, orderBuf and mineBuf are per-instance scratch for
+	// the epoch build, the traversal order, and the lock-order swaps.
+	refs     []procRef
+	pickBuf  []int
+	orderBuf []int
+	mineBuf  []int32
 }
 
 // NewMoldyn builds the generator.
 func NewMoldyn(procs int, scale Scale) *Moldyn {
-	m := &Moldyn{procs: procs, seed: 0x30e1d, rebuildEvery: 20}
+	m := &Moldyn{procs: procs, seed: 0x30e1d, rebuildEvery: 20, epochBuilt: -1}
 	var forceBlocks, coordBlocks int
 	switch scale {
 	case ScaleSmall:
@@ -48,9 +64,12 @@ func NewMoldyn(procs int, scale Scale) *Moldyn {
 	m.force = arena.Alloc(forceBlocks)
 	m.coords = arena.Alloc(coordBlocks)
 	m.coordOwner = make([]int, coordBlocks)
+	owned := make([]procRef, coordBlocks)
 	for i := range m.coordOwner {
 		m.coordOwner[i] = i * procs / coordBlocks
+		owned[i] = procRef{p: int32(m.coordOwner[i]), item: int32(i)}
 	}
+	m.ownCoords = newProcIndex(procs, owned)
 	coldBlocks := map[Scale]int{ScaleSmall: 8, ScaleMedium: 1024, ScaleFull: 39600}[scale]
 	m.cold = newColdRegion(arena, coldBlocks, procs)
 	return m
@@ -59,21 +78,43 @@ func NewMoldyn(procs int, scale Scale) *Moldyn {
 // epoch returns the interaction-list epoch of an iteration.
 func (m *Moldyn) epoch(iter int) int { return iter / m.rebuildEvery }
 
-// forceContributors returns the processors that update force block b
-// during the given epoch, in their canonical (lock-acquisition) order.
-func (m *Moldyn) forceContributors(b, epoch int) []int {
-	r := newRNG(m.seed ^ 0xf0ece ^ uint64(b)<<16 ^ uint64(epoch))
+// forceContributorsInto appends the processors that update force block
+// b during the given epoch to buf, in their canonical
+// (lock-acquisition) order.
+func (m *Moldyn) forceContributorsInto(buf []int, b, epoch int) []int {
+	r := seededRNG(m.seed ^ 0xf0ece ^ uint64(b)<<16 ^ uint64(epoch))
 	n := 2 + r.intn(4) // 2..5 contributors per force block
-	return pickDistinct(r, m.procs, n, -1)
+	return pickDistinctInto(buf, &r, m.procs, n, -1)
 }
 
-// coordConsumers returns the processors that read coordinate block b
-// during the given epoch. Sizes are drawn so the mean is ~4.9
+// coordConsumersInto appends the processors that read coordinate block
+// b during the given epoch to buf. Sizes are drawn so the mean is ~4.9
 // consumers, the figure Section 6.1 reports.
-func (m *Moldyn) coordConsumers(b, epoch int) []int {
-	r := newRNG(m.seed ^ 0xc003d ^ uint64(b)<<16 ^ uint64(epoch))
+func (m *Moldyn) coordConsumersInto(buf []int, b, epoch int) []int {
+	r := seededRNG(m.seed ^ 0xc003d ^ uint64(b)<<16 ^ uint64(epoch))
 	n := 3 + r.intn(5) // 3..7, mean 5, close to 4.9
-	return pickDistinct(r, m.procs, n, m.coordOwner[b])
+	return pickDistinctInto(buf, &r, m.procs, n, m.coordOwner[b])
+}
+
+// buildEpoch indexes the interaction list of epoch ep by processor,
+// unless it is the epoch already built.
+func (m *Moldyn) buildEpoch(ep int) {
+	if m.epochBuilt == ep {
+		return
+	}
+	m.refs = m.refs[:0]
+	for b := 0; b < m.coords.Blocks(); b++ {
+		m.pickBuf = m.coordConsumersInto(m.pickBuf[:0], b, ep)
+		m.refs = appendRefs(m.refs, b, m.pickBuf)
+	}
+	m.coordsOf.build(m.procs, m.refs)
+	m.refs = m.refs[:0]
+	for b := 0; b < m.force.Blocks(); b++ {
+		m.pickBuf = m.forceContributorsInto(m.pickBuf[:0], b, ep)
+		m.refs = appendRefs(m.refs, b, m.pickBuf)
+	}
+	m.forceOf.build(m.procs, m.refs)
+	m.epochBuilt = ep
 }
 
 // Name implements App.
@@ -92,65 +133,52 @@ func (m *Moldyn) PhasesPerIteration() int { return 2 }
 
 // Accesses implements App.
 func (m *Moldyn) Accesses(p, phase int) []Access {
+	return m.AppendAccesses(nil, p, phase)
+}
+
+// AppendAccesses implements Appender.
+func (m *Moldyn) AppendAccesses(seq []Access, p, phase int) []Access {
 	iter, sub := phase/2, phase%2
-	ep := m.epoch(iter)
-	r := newRNG(m.seed ^ uint64(p)<<24 ^ uint64(phase)<<3)
-	var seq []Access
 
 	if sub == 0 {
-		seq = append(seq, m.cold.reads(p, phase)...)
+		ep := m.epoch(iter)
+		m.buildEpoch(ep)
+		seq = m.cold.appendReads(seq, p, phase)
 		// Read the coordinates this processor's interactions need
 		// (producer-consumer consumer side). The interaction list fixes
 		// the traversal order for a whole epoch, so back-to-back
 		// get_ro_requests arrive at the directories "with high
 		// predictability" (Section 6.1); the order re-draws when the
 		// list is rebuilt.
-		var coordReads []Access
-		for b := 0; b < m.coords.Blocks(); b++ {
-			for _, q := range m.coordConsumers(b, ep) {
-				if q == p {
-					coordReads = append(coordReads, Read(m.coords.Block(b)))
-					break
-				}
-			}
-		}
-		order := recurringOrder(m.seed^uint64(ep)<<40, uint64(p), iter, len(coordReads), 3, 0.85)
-		for _, i := range order {
-			seq = append(seq, coordReads[i])
+		coords := m.coordsOf.of(p)
+		m.orderBuf = recurringOrderInto(m.orderBuf[:0], m.seed^uint64(ep)<<40, uint64(p), iter, len(coords), 3, 0.85)
+		for _, i := range m.orderBuf {
+			seq = append(seq, Read(m.coords.Block(int(coords[i]))))
 		}
 
 		// Force reduction: read-modify-write each force block this
 		// processor contributes to, inside a critical section. Program
 		// order over blocks, with an occasional locally swapped pair so
 		// lock-acquisition order is not perfectly repeatable.
-		var mine []int
-		for b := 0; b < m.force.Blocks(); b++ {
-			for _, q := range m.forceContributors(b, ep) {
-				if q == p {
-					mine = append(mine, b)
-					break
-				}
-			}
-		}
+		r := seededRNG(m.seed ^ uint64(p)<<24 ^ uint64(phase)<<3)
+		mine := append(m.mineBuf[:0], m.forceOf.of(p)...)
 		for i := 0; i+1 < len(mine); i++ {
 			if r.float() < 0.1 {
 				mine[i], mine[i+1] = mine[i+1], mine[i]
 			}
 		}
 		for _, b := range mine {
-			seq = append(seq, Read(m.force.Block(b)), Write(m.force.Block(b)))
+			seq = append(seq, Read(m.force.Block(int(b))), Write(m.force.Block(int(b))))
 		}
+		m.mineBuf = mine
 		return seq
 	}
 
 	// Position integration: the owner updates its coordinate blocks
 	// (reads the old position first — the producer read that makes
 	// moldyn's producer look migratory at the cache, Section 6.1).
-	for b, owner := range m.coordOwner {
-		if owner != p {
-			continue
-		}
-		seq = append(seq, Read(m.coords.Block(b)), Write(m.coords.Block(b)))
+	for _, b := range m.ownCoords.of(p) {
+		seq = append(seq, Read(m.coords.Block(int(b))), Write(m.coords.Block(int(b))))
 	}
 	return seq
 }

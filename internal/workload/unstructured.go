@@ -27,15 +27,22 @@ type Unstructured struct {
 	seed  uint64
 
 	nodes Region
-	// owner[b] owns mesh-node block b; sharers[b] are the processors
-	// whose partitions share edges/faces with it (migratory
-	// contributors in phase 1, consumers in phase 2).
+	// owner[b] owns mesh-node block b. nodesOf indexes, by processor,
+	// the blocks whose sharers include it: the owner and the
+	// processors whose partitions share edges/faces with the node
+	// (migratory contributors in phase 1, consumers in phase 2).
 	owner   []int
-	sharers [][]int
+	nodesOf procIndex
 
 	// edgePriv: per-processor private edge data (silent after warmup).
 	edgePriv []Region
 	cold     coldRegion
+
+	// mineBuf, readBuf and orderBuf are per-instance scratch for the
+	// lock-order swaps, the consumer reads, and their traversal order.
+	mineBuf  []int32
+	readBuf  []int32
+	orderBuf []int
 }
 
 // NewUnstructured builds the generator.
@@ -55,15 +62,17 @@ func NewUnstructured(procs int, scale Scale) *Unstructured {
 	u.nodes = arena.Alloc(nodeBlocks)
 	layout := newRNG(u.seed)
 	u.owner = make([]int, nodeBlocks)
-	u.sharers = make([][]int, nodeBlocks)
+	var sharers []procRef
+	var pick []int
 	for b := 0; b < nodeBlocks; b++ {
 		// Recursive coordinate bisection gives spatially contiguous
 		// partitions; boundary nodes touch 2-4 partitions.
 		u.owner[b] = b * procs / nodeBlocks
 		n := 2 + layout.intn(3) // 2..4, mean 3; owner included below
-		set := pickDistinct(layout, procs, n-1, u.owner[b])
-		u.sharers[b] = append([]int{u.owner[b]}, set...)
+		pick = pickDistinctInto(append(pick[:0], u.owner[b]), layout, procs, n-1, u.owner[b])
+		sharers = appendRefs(sharers, b, pick)
 	}
+	u.nodesOf = newProcIndex(procs, sharers)
 	u.edgePriv = make([]Region, procs)
 	for p := range u.edgePriv {
 		u.edgePriv[p] = arena.Alloc(privBlocks)
@@ -89,35 +98,31 @@ func (u *Unstructured) PhasesPerIteration() int { return 3 }
 
 // Accesses implements App.
 func (u *Unstructured) Accesses(p, phase int) []Access {
-	sub := phase % 3
-	r := newRNG(u.seed ^ uint64(p)<<24 ^ uint64(phase)<<5)
-	var seq []Access
+	return u.AppendAccesses(nil, p, phase)
+}
 
+// AppendAccesses implements Appender.
+func (u *Unstructured) AppendAccesses(seq []Access, p, phase int) []Access {
 	// mine: the shared node blocks this processor touches.
-	var mine []int
-	for b := 0; b < u.nodes.Blocks(); b++ {
-		for _, q := range u.sharers[b] {
-			if q == p {
-				mine = append(mine, b)
-				break
-			}
-		}
-	}
+	mine := u.nodesOf.of(p)
 
-	switch sub {
+	switch phase % 3 {
 	case 0:
-		seq = append(seq, u.cold.reads(p, phase)...)
+		seq = u.cold.appendReads(seq, p, phase)
 		// Edge loop: migratory read-modify-write of every shared node
 		// block this processor touches, in program order over the mesh
 		// with occasional lock-order inversions.
-		for i := 0; i+1 < len(mine); i++ {
+		r := seededRNG(u.seed ^ uint64(p)<<24 ^ uint64(phase)<<5)
+		swapped := append(u.mineBuf[:0], mine...)
+		for i := 0; i+1 < len(swapped); i++ {
 			if r.float() < 0.05 {
-				mine[i], mine[i+1] = mine[i+1], mine[i]
+				swapped[i], swapped[i+1] = swapped[i+1], swapped[i]
 			}
 		}
-		for _, b := range mine {
-			seq = append(seq, Read(u.nodes.Block(b)), Write(u.nodes.Block(b)))
+		for _, b := range swapped {
+			seq = append(seq, Read(u.nodes.Block(int(b))), Write(u.nodes.Block(int(b))))
 		}
+		u.mineBuf = swapped
 		// Private edge work inside the same phase.
 		for b := 0; b < u.edgePriv[p].Blocks(); b++ {
 			seq = append(seq, Read(u.edgePriv[p].Block(b)), Write(u.edgePriv[p].Block(b)))
@@ -128,22 +133,23 @@ func (u *Unstructured) Accesses(p, phase int) []Access {
 		// reading it first (the producer is itself a consumer).
 		for _, b := range mine {
 			if u.owner[b] == p {
-				seq = append(seq, Read(u.nodes.Block(b)), Write(u.nodes.Block(b)))
+				seq = append(seq, Read(u.nodes.Block(int(b))), Write(u.nodes.Block(int(b))))
 			}
 		}
 
 	case 2:
 		// Node loop, consumer half: neighbours read the recomputed
 		// nodes in their (recurring) mesh traversal order.
-		var reads []Access
+		reads := u.readBuf[:0]
 		for _, b := range mine {
 			if u.owner[b] != p {
-				reads = append(reads, Read(u.nodes.Block(b)))
+				reads = append(reads, b)
 			}
 		}
-		order := recurringOrder(u.seed, uint64(p), phase, len(reads), 3, 0.9)
-		for _, i := range order {
-			seq = append(seq, reads[i])
+		u.readBuf = reads
+		u.orderBuf = recurringOrderInto(u.orderBuf[:0], u.seed, uint64(p), phase, len(reads), 3, 0.9)
+		for _, i := range u.orderBuf {
+			seq = append(seq, Read(u.nodes.Block(int(reads[i]))))
 		}
 	}
 	return seq

@@ -26,6 +26,13 @@ type Access struct {
 // App is a workload: a fixed number of processors iterating over
 // barrier-separated phases.
 //
+// Every paper generator (appbt, barnes, dsmc, moldyn, unstructured)
+// also implements Appender, and its Accesses is a wrapper over
+// AppendAccesses. Their instances hold per-instance scratch buffers and
+// memoized layout state (moldyn's current interaction-list epoch,
+// barnes' tree assignments), so an instance belongs to one machine and
+// is not safe for concurrent use; build one per goroutine.
+//
 // The machine's unit of progress is a *phase* (all processors run
 // their access sequence, then synchronize). One application-level
 // iteration — the unit Tables 4 and 8 count — may span several phases:
@@ -59,7 +66,14 @@ func AppIterations(a App) int {
 // so a caller replaying phases (the machine's issue loop) can recycle
 // one buffer per processor instead of allocating a fresh slice every
 // (processor, phase) pair. The appended contents must be identical to
-// what Accesses returns for the same arguments.
+// what Accesses returns for the same arguments, in any call order.
+//
+// Every paper generator implements it. Each indexes its sharing sets by
+// processor, so a call costs O(the processor's own accesses) rather
+// than a scan of every block's sharers, and once its scratch has grown
+// a sweep over all (processor, phase) pairs allocates nothing. The
+// scratch and memo live in the instance: concurrent calls on one
+// instance race.
 type Appender interface {
 	AppendAccesses(dst []Access, p, iter int) []Access
 }
@@ -141,15 +155,9 @@ func (r *rng) float() float64 {
 	return float64(r.next()>>11) / (1 << 53)
 }
 
-// perm returns a deterministic pseudo-random permutation of [0, n).
-func (r *rng) perm(n int) []int {
-	return r.permInto(make([]int, 0, n), n)
-}
-
 // permInto appends a deterministic pseudo-random permutation of [0, n)
-// to buf, drawing exactly the values perm draws, so callers with a
-// reusable buffer generate the identical permutation without the
-// per-call allocation.
+// to buf (a Fisher-Yates shuffle drawing n-1 values), so callers with
+// a reusable buffer generate it without a per-call allocation.
 func (r *rng) permInto(buf []int, n int) []int {
 	start := len(buf)
 	for i := 0; i < n; i++ {
@@ -163,21 +171,15 @@ func (r *rng) permInto(buf []int, n int) []int {
 	return buf
 }
 
-// recurringOrder returns one of k recurring traversal orders of [0, n)
-// for a given stream identity and iteration. Real codes traverse their
-// data in program order; races and work imbalance perturb the order,
-// but the perturbations *recur* rather than being fresh randomness —
-// which is why Cosmos' history depth can adapt to them (Section 6.2:
-// "history information allows Cosmos to learn from and adapt to the
-// noise"). Variant 0 (the dominant program order) is used with
-// probability base; otherwise one of the k-1 recurring alternates.
-func recurringOrder(seed uint64, id uint64, iter, n, k int, base float64) []int {
-	return recurringOrderInto(nil, seed, id, iter, n, k, base)
-}
-
-// recurringOrderInto is recurringOrder appending into a reusable
-// buffer: identical RNG draws, identical order, no allocation once the
-// buffer has grown to n.
+// recurringOrderInto appends to buf one of k recurring traversal
+// orders of [0, n) for a given stream identity and iteration. Real
+// codes traverse their data in program order; races and work imbalance
+// perturb the order, but the perturbations *recur* rather than being
+// fresh randomness — which is why Cosmos' history depth can adapt to
+// them (Section 6.2: "history information allows Cosmos to learn from
+// and adapt to the noise"). Variant 0 (the dominant program order) is
+// used with probability base; otherwise one of the k-1 recurring
+// alternates. Once buf has grown to n it does not allocate.
 func recurringOrderInto(buf []int, seed uint64, id uint64, iter, n, k int, base float64) []int {
 	pick := seededRNG(seed ^ 0x0bde ^ id<<20 ^ uint64(iter)*0x9e37)
 	v := 0
@@ -188,24 +190,36 @@ func recurringOrderInto(buf []int, seed uint64, id uint64, iter, n, k int, base 
 	return order.permInto(buf, n)
 }
 
+// paperApps names the five paper benchmarks' constructors, in the order
+// the paper's tables list them.
+var paperApps = []struct {
+	name  string
+	build func(procs int, scale Scale) App
+}{
+	{"appbt", func(procs int, scale Scale) App { return NewAppBT(procs, scale) }},
+	{"barnes", func(procs int, scale Scale) App { return NewBarnes(procs, scale) }},
+	{"dsmc", func(procs int, scale Scale) App { return NewDSMC(procs, scale) }},
+	{"moldyn", func(procs int, scale Scale) App { return NewMoldyn(procs, scale) }},
+	{"unstructured", func(procs int, scale Scale) App { return NewUnstructured(procs, scale) }},
+}
+
 // Registry returns the five paper benchmarks at the given scale for a
 // machine with procs processors, in the order the paper's tables list
 // them: appbt, barnes, dsmc, moldyn, unstructured.
 func Registry(procs int, scale Scale) []App {
-	return []App{
-		NewAppBT(procs, scale),
-		NewBarnes(procs, scale),
-		NewDSMC(procs, scale),
-		NewMoldyn(procs, scale),
-		NewUnstructured(procs, scale),
+	apps := make([]App, len(paperApps))
+	for i, a := range paperApps {
+		apps[i] = a.build(procs, scale)
 	}
+	return apps
 }
 
 // ByName returns the named benchmark or an error listing valid names.
+// It builds only the named generator.
 func ByName(name string, procs int, scale Scale) (App, error) {
-	for _, a := range Registry(procs, scale) {
-		if a.Name() == name {
-			return a, nil
+	for _, a := range paperApps {
+		if a.name == name {
+			return a.build(procs, scale), nil
 		}
 	}
 	return nil, fmt.Errorf("workload: unknown benchmark %q (want appbt, barnes, dsmc, moldyn, or unstructured)", name)

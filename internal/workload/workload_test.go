@@ -307,19 +307,22 @@ func TestGridNeighbors(t *testing.T) {
 
 func TestPickDistinct(t *testing.T) {
 	r := newRNG(7)
-	got := pickDistinct(r, 8, 3, 5)
-	if len(got) != 3 {
-		t.Fatalf("pickDistinct returned %v", got)
+	prefix := []int{5, 5}
+	got := pickDistinctInto(prefix, r, 8, 3, 5)
+	if len(got) != 5 || got[0] != 5 || got[1] != 5 {
+		t.Fatalf("pickDistinctInto lost its prefix: %v", got)
 	}
+	// The prefix is not part of the distinct set: only the new picks
+	// must be distinct and differ from exclude.
 	seen := map[int]bool{}
-	for _, p := range got {
+	for _, p := range got[2:] {
 		if p == 5 || p < 0 || p >= 8 || seen[p] {
 			t.Fatalf("bad pick %v", got)
 		}
 		seen[p] = true
 	}
 	// n capped at procs-1.
-	if got := pickDistinct(r, 4, 10, 0); len(got) != 3 {
+	if got := pickDistinctInto(nil, r, 4, 10, 0); len(got) != 3 {
 		t.Errorf("cap failed: %v", got)
 	}
 }
@@ -347,7 +350,7 @@ func TestRNG(t *testing.T) {
 func TestRNGPermProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%32) + 1
-		p := newRNG(seed).perm(n)
+		p := newRNG(seed).permInto(nil, n)
 		if len(p) != n {
 			return false
 		}
@@ -388,7 +391,7 @@ func TestRecurringOrder(t *testing.T) {
 		return string(b)
 	}
 	for iter := 0; iter < 300; iter++ {
-		o := recurringOrder(42, 7, iter, n, k, 0.7)
+		o := recurringOrderInto(nil, 42, 7, iter, n, k, 0.7)
 		seen := make([]bool, n)
 		for _, v := range o {
 			if v < 0 || v >= n || seen[v] {
@@ -412,8 +415,8 @@ func TestRecurringOrder(t *testing.T) {
 		t.Errorf("dominant order only %d/300", max)
 	}
 	// Same (seed, id, iter) always yields the same order.
-	a := recurringOrder(42, 7, 5, n, k, 0.7)
-	b := recurringOrder(42, 7, 5, n, k, 0.7)
+	a := recurringOrderInto(nil, 42, 7, 5, n, k, 0.7)
+	b := recurringOrderInto(nil, 42, 7, 5, n, k, 0.7)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("recurringOrder not deterministic")
