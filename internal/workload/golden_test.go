@@ -36,11 +36,10 @@ var goldenCells = []struct {
 func streamDigest(app App) (string, int) {
 	h := sha256.New()
 	var buf [9]byte
-	var seq []Access
 	total := 0
 	for phase := 0; phase < app.Iterations(); phase++ {
 		for p := 0; p < app.Procs(); p++ {
-			seq = append(seq[:0], app.Accesses(p, phase)...)
+			seq := app.Accesses(p, phase)
 			binary.LittleEndian.PutUint64(buf[:8], uint64(len(seq)))
 			h.Write(buf[:8])
 			for _, a := range seq {
