@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
@@ -43,7 +44,11 @@ func TestByteIdenticalRuns(t *testing.T) {
 // pool must produce exactly the same bytes. Everything the command
 // prints flows through run's writer — tables, figures, and every
 // extra — so any scheduling dependence anywhere in the experiment
-// drivers shows up here.
+// drivers shows up here. The serial render is also compared with
+// testdata/small.golden, so a change that shifts every width alike
+// still shows. Regenerate the golden file only for an intended change:
+//
+//	go run ./cmd/cosmos-tables -scale small -workers 1 > cmd/cosmos-tables/testdata/small.golden
 func TestOutputWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders the full small-scale evaluation three times")
@@ -58,6 +63,13 @@ func TestOutputWorkerInvariance(t *testing.T) {
 	serial := render("1")
 	if len(serial) == 0 {
 		t.Fatal("empty output")
+	}
+	golden, err := os.ReadFile("testdata/small.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(golden, serial) {
+		t.Errorf("serial output differs from testdata/small.golden at %s", firstDiff(golden, serial))
 	}
 	parallel1 := render("8")
 	parallel2 := render("8")
