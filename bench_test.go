@@ -404,21 +404,21 @@ func BenchmarkSimulation(b *testing.B) {
 	}
 }
 
-// BenchmarkEngine measures the event queue in isolation: one At (push)
-// plus its share of Step (pop) per op, over a queue held at a steady
-// depth of 1024 pending events — the regime the protocol keeps the
-// heap in. The typed inline heap must run this allocation-free.
+// BenchmarkEngine measures the event queue in isolation: one Post
+// plus its share of Step (pop and dispatch) per op, over a queue held
+// at a steady depth of 1024 pending events — the regime the protocol
+// keeps the scheduler in. It must run allocation-free.
 func BenchmarkEngine(b *testing.B) {
 	var e sim.Engine
-	nop := func() {}
+	nop := e.RegisterHandler(func(sim.EventRec) {})
 	const depth = 1024
 	for i := 0; i < depth; i++ {
-		e.At(sim.Time(i), nop)
+		e.Post(sim.Time(i), sim.EventRec{Kind: nop})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.At(e.Now()+sim.Time(i%64), nop)
+		e.Post(e.Now()+sim.Time(i%64), sim.EventRec{Kind: nop})
 		e.Step()
 	}
 }

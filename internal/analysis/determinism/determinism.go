@@ -55,8 +55,8 @@ var sinkMethods = map[string]string{
 	"Send":        "sends a message",
 	"SendPacket":  "sends a packet",
 	"Deliver":     "delivers a message",
-	"At":          "schedules an event",
-	"After":       "schedules an event",
+	"Post":        "schedules an event",
+	"PostAfter":   "schedules an event",
 	"Access":      "issues a memory access",
 	"Write":       "writes output",
 	"WriteString": "writes output",

@@ -15,9 +15,10 @@ type msg struct{ addr uint64 }
 
 type wire struct{ sent []msg }
 
-func (w *wire) Send(m msg)               { w.sent = append(w.sent, m) }
-func (w *wire) Deliver(m msg)            {}
-func (w *wire) After(d uint64, f func()) {}
+func (w *wire) Send(m msg)                { w.sent = append(w.sent, m) }
+func (w *wire) Deliver(m msg)             {}
+func (w *wire) Post(at uint64, m msg)     {}
+func (w *wire) PostAfter(d uint64, m msg) {}
 
 func wallClock() (time.Time, time.Duration) {
 	now := time.Now()    // want `wall-clock read time\.Now`
@@ -46,8 +47,11 @@ func sendInMapOrder(w *wire, pending map[uint64]msg) {
 	for a := range pending { // want `map iteration order reaches Deliver`
 		w.Deliver(msg{addr: a})
 	}
-	for a := range pending { // want `map iteration order reaches After`
-		w.After(a, func() {})
+	for a, m := range pending { // want `map iteration order reaches Post`
+		w.Post(a, m)
+	}
+	for a, m := range pending { // want `map iteration order reaches PostAfter`
+		w.PostAfter(a, m)
 	}
 }
 

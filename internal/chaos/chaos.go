@@ -275,9 +275,10 @@ func randomScript(r *rand.Rand, cfg Config) (*workload.Script, []coherence.Addr)
 // entry mid-transaction detonates the protocol's own handler
 // assertions before the monitor's next sweep, and the point of the
 // self-check is to watch the *monitor* catch silent disagreement — so
-// if every pool block is mid-transaction it retries a little later
-// (deterministically), giving up after a bounded number of attempts.
-func corrupt(m *machine.Machine, cfg Config, addrs []coherence.Addr, attempts int) {
+// if every pool block is mid-transaction it asks to be retried a
+// little later (deterministically) by returning true, until no attempts
+// remain.
+func corrupt(m *machine.Machine, cfg Config, addrs []coherence.Addr, attempts int) (retry bool) {
 	stable := func(e stache.EntryInfo) bool {
 		if cfg.Corrupt == CorruptSpecDangling {
 			// A planted speculative reader beside an exclusive owner
@@ -301,8 +302,7 @@ func corrupt(m *machine.Machine, cfg Config, addrs []coherence.Addr, attempts in
 		}
 	}
 	if !found && cfg.Corrupt != CorruptCacheWriter && attempts > 0 {
-		m.Engine().After(200, func() { corrupt(m, cfg, addrs, attempts-1) })
-		return
+		return true
 	}
 	geom := m.Geometry()
 	home := geom.Home(target)
@@ -349,12 +349,11 @@ func corrupt(m *machine.Machine, cfg Config, addrs []coherence.Addr, attempts in
 			planted = true
 			break
 		}
-		if !planted && attempts > 0 {
-			m.Engine().After(200, func() { corrupt(m, cfg, addrs, attempts-1) })
-		}
+		return !planted && attempts > 0
 	default:
 		panic(fmt.Sprintf("chaos: unknown corrupt mode %q", cfg.Corrupt))
 	}
+	return false
 }
 
 // RunSeed executes one fuzz run. It is a pure function of (cfg, seed):
@@ -436,7 +435,15 @@ func RunSeed(cfg Config, seed int64) (res Result) {
 		})
 	}
 	if cfg.Corrupt != CorruptNone {
-		m.Engine().After(sim.Time(cfg.CorruptAtNs), func() { corrupt(m, cfg, addrs, 64) })
+		// Each event carries the attempts left in Seq; a retry fires
+		// 200ns later with one fewer.
+		var kind sim.EventKind
+		kind = m.Engine().RegisterHandler(func(rec sim.EventRec) {
+			if corrupt(m, cfg, addrs, int(rec.Seq)) {
+				m.Engine().PostAfter(200, sim.EventRec{Kind: kind, Seq: rec.Seq - 1})
+			}
+		})
+		m.Engine().PostAfter(sim.Time(cfg.CorruptAtNs), sim.EventRec{Kind: kind, Seq: 64})
 	}
 
 	err = m.Run(cfg.MaxEvents)

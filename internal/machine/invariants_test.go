@@ -328,12 +328,13 @@ func TestMonitorRunSurfacesViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Engine().After(5000, func() {
+	corrupt := m.Engine().RegisterHandler(func(sim.EventRec) {
 		for _, e := range m.Directory(1).Entries() {
 			m.Directory(1).CorruptOwner(e.Addr, 3)
 			return
 		}
 	})
+	m.Engine().PostAfter(5000, sim.EventRec{Kind: corrupt})
 	err = m.Run(50_000_000)
 	if err == nil {
 		t.Fatal("corruption went undetected")

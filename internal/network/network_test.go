@@ -228,11 +228,10 @@ func TestJitterReordersRawWire(t *testing.T) {
 	var got []uint64
 	nw.Bind(1, func(m coherence.Msg) { got = append(got, uint64(m.Addr)) })
 	nw.Bind(0, func(coherence.Msg) {})
+	send := e.RegisterHandler(func(rec sim.EventRec) { nw.Send(rec.Msg) })
 	for i := uint64(1); i <= 100; i++ {
-		i := i
-		e.At(sim.Time(i*10), func() {
-			nw.Send(coherence.Msg{Src: 0, Dst: 1, Type: coherence.GetROReq, Addr: coherence.Addr(i * 64)})
-		})
+		e.Post(sim.Time(i*10), sim.EventRec{Kind: send,
+			Msg: coherence.Msg{Src: 0, Dst: 1, Type: coherence.GetROReq, Addr: coherence.Addr(i * 64)}})
 	}
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)

@@ -28,11 +28,10 @@ func harness(t *testing.T, plan faults.Plan, maxRetries int) (*sim.Engine, *netw
 // sendStream schedules n messages on src->dst, one every gap ns, with
 // the index encoded in the address.
 func sendStream(e *sim.Engine, tr *Transport, src, dst coherence.NodeID, n int, gap sim.Time) {
+	send := e.RegisterHandler(func(rec sim.EventRec) { tr.Send(rec.Msg) })
 	for i := 0; i < n; i++ {
-		i := i
-		e.At(sim.Time(i)*gap, func() {
-			tr.Send(coherence.Msg{Src: src, Dst: dst, Type: coherence.GetROReq, Addr: coherence.Addr((i + 1) * 64)})
-		})
+		e.Post(sim.Time(i)*gap, sim.EventRec{Kind: send,
+			Msg: coherence.Msg{Src: src, Dst: dst, Type: coherence.GetROReq, Addr: coherence.Addr((i + 1) * 64)}})
 	}
 }
 
@@ -244,9 +243,8 @@ func deadLinkHarness(t *testing.T, timeout, cap sim.Time, maxRetries int) (*sim.
 	tr := New(engine, nw, cfg)
 	tr.Bind(0, func(coherence.Msg) {})
 	tr.Bind(1, func(coherence.Msg) {})
-	engine.At(0, func() {
-		tr.Send(coherence.Msg{Src: 0, Dst: 1, Type: coherence.GetROReq, Addr: 64})
-	})
+	send := engine.RegisterHandler(func(rec sim.EventRec) { tr.Send(rec.Msg) })
+	engine.Post(0, sim.EventRec{Kind: send, Msg: coherence.Msg{Src: 0, Dst: 1, Type: coherence.GetROReq, Addr: 64}})
 	if _, err := engine.Run(0); err != nil {
 		t.Fatal(err)
 	}

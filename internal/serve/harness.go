@@ -88,9 +88,10 @@ type Client struct {
 	gap    sim.Time
 	err    error
 
-	eng    *sim.Engine
-	tr     *reliable.Transport
-	server coherence.NodeID
+	eng      *sim.Engine
+	tr       *reliable.Transport
+	sendKind sim.EventKind
+	server   coherence.NodeID
 }
 
 // Err returns the client's first protocol violation, if any.
@@ -103,9 +104,10 @@ func (c *Client) Done() bool {
 }
 
 // attach wires the client to a (possibly fresh) engine and transport
-// and schedules its sender.
-func (c *Client) attach(eng *sim.Engine, tr *reliable.Transport) {
-	c.eng, c.tr = eng, tr
+// and schedules its sender. sendKind is the engine's pacer handler,
+// which routes each event to the client named by its Src.
+func (c *Client) attach(eng *sim.Engine, tr *reliable.Transport, sendKind sim.EventKind) {
+	c.eng, c.tr, c.sendKind = eng, tr, sendKind
 	tr.Bind(coherence.NodeID(c.ID), c.onMsg)
 	c.scheduleSend()
 }
@@ -114,19 +116,22 @@ func (c *Client) scheduleSend() {
 	if c.sent >= len(c.obs) {
 		return
 	}
-	c.eng.After(c.gap, func() {
-		if c.sent >= len(c.obs) {
-			return
-		}
-		o := c.obs[c.sent]
-		for len(c.sendAt) <= c.sent {
-			c.sendAt = append(c.sendAt, 0)
-		}
-		c.sendAt[c.sent] = c.eng.Now()
-		c.tr.Send(obsMsg(coherence.NodeID(c.ID), c.server, o.Addr, o.Tup))
-		c.sent++
-		c.scheduleSend()
-	})
+	c.eng.PostAfter(c.gap, sim.EventRec{Kind: c.sendKind, Src: coherence.NodeID(c.ID)})
+}
+
+// send puts the next observation on the wire and paces the one after.
+func (c *Client) send() {
+	if c.sent >= len(c.obs) {
+		return
+	}
+	o := c.obs[c.sent]
+	for len(c.sendAt) <= c.sent {
+		c.sendAt = append(c.sendAt, 0)
+	}
+	c.sendAt[c.sent] = c.eng.Now()
+	c.tr.Send(obsMsg(coherence.NodeID(c.ID), c.server, o.Addr, o.Tup))
+	c.sent++
+	c.scheduleSend()
 }
 
 func (c *Client) onMsg(m coherence.Msg) {
@@ -221,13 +226,14 @@ func (c *Cluster) start() error {
 		return err
 	}
 	c.Eng, c.Tr, c.Srv = eng, tr, srv
+	sendKind := eng.RegisterHandler(func(rec sim.EventRec) { c.Clients[rec.Src].send() })
 	for _, cl := range c.Clients {
 		cursor, err := srv.Resync(cl.ID, uint64(len(cl.Recv)))
 		if err != nil {
 			return err
 		}
 		cl.sent = int(cursor)
-		cl.attach(eng, tr)
+		cl.attach(eng, tr, sendKind)
 	}
 	return nil
 }

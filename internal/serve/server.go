@@ -105,12 +105,10 @@ type Server struct {
 	onFailure func(error)
 	stats     Stats
 
-	// processEv and watchdogEv hold the worker and watchdog steps as
-	// prebuilt events: scheduling a bound method (s.process) mints a
-	// fresh closure per call, which the per-entry kick path would pay
-	// on every observation.
-	processEv  sim.Event
-	watchdogEv sim.Event
+	// processKind and watchdogKind route the worker and watchdog
+	// steps, registered once on the server's engine.
+	processKind  sim.EventKind
+	watchdogKind sim.EventKind
 }
 
 // walSyncEvery is how many appended records ride between fsyncs: the
@@ -126,8 +124,8 @@ func New(eng *sim.Engine, tr *reliable.Transport, store *Store, cfg Config) (*Se
 		return nil, err
 	}
 	s := &Server{cfg: cfg, eng: eng, tr: tr, store: store}
-	s.processEv = s.process
-	s.watchdogEv = s.watchdog
+	s.processKind = eng.RegisterHandler(func(sim.EventRec) { s.process() })
+	s.watchdogKind = eng.RegisterHandler(func(sim.EventRec) { s.watchdog() })
 	s.stats.Shed = make([]uint64, cfg.Streams)
 	s.stats.TimedOut = make([]uint64, cfg.Streams)
 	s.stats.Dropped = make([]uint64, cfg.Streams)
@@ -422,7 +420,7 @@ func (s *Server) kick() {
 		return
 	}
 	s.busy = true
-	s.eng.After(s.cfg.ProcessNs, s.processEv)
+	s.eng.PostAfter(s.cfg.ProcessNs, sim.EventRec{Kind: s.processKind})
 }
 
 // process serves the queue head.
@@ -495,7 +493,7 @@ func (s *Server) armWatchdog() {
 	}
 	s.watchdogArmed = true
 	s.lastProgress = s.processed
-	s.eng.After(s.cfg.WatchdogNs, s.watchdogEv)
+	s.eng.PostAfter(s.cfg.WatchdogNs, sim.EventRec{Kind: s.watchdogKind})
 }
 
 func (s *Server) watchdog() {

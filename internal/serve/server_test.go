@@ -136,7 +136,7 @@ func TestRecoveredStateIsByteIdentical(t *testing.T) {
 
 // rawHarness builds an engine/wire/transport/server stack without
 // harness clients, for tests that drive crafted frames directly.
-func rawHarness(t *testing.T, cfg Config, clients int) (*sim.Engine, *reliable.Transport, *Server) {
+func rawHarness(t *testing.T, cfg Config, clients int) (*sim.Engine, *reliable.Transport, *Server, sim.EventKind) {
 	t.Helper()
 	simCfg := sim.DefaultConfig()
 	simCfg.Nodes = clients + 1
@@ -146,6 +146,7 @@ func rawHarness(t *testing.T, cfg Config, clients int) (*sim.Engine, *reliable.T
 		t.Fatal(err)
 	}
 	tr := reliable.New(eng, nw, simCfg)
+	send := eng.RegisterHandler(func(rec sim.EventRec) { tr.Send(rec.Msg) })
 	for i := 0; i < clients; i++ {
 		tr.Bind(coherence.NodeID(i), func(coherence.Msg) {})
 	}
@@ -159,14 +160,18 @@ func rawHarness(t *testing.T, cfg Config, clients int) (*sim.Engine, *reliable.T
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, tr, srv
+	return eng, tr, srv, send
 }
 
-func sendObs(eng *sim.Engine, tr *reliable.Transport, at sim.Time, stream int, server coherence.NodeID, addr coherence.Addr) {
-	eng.At(at, func() {
-		tr.Send(obsMsg(coherence.NodeID(stream), server, addr,
-			coherence.Tuple{Sender: 1, Type: coherence.GetROReq}))
-	})
+// sendAt posts msg onto the transport at simulated time at, through
+// the send kind rawHarness registered.
+func sendAt(eng *sim.Engine, send sim.EventKind, at sim.Time, msg coherence.Msg) {
+	eng.Post(at, sim.EventRec{Kind: send, Msg: msg})
+}
+
+func sendObs(eng *sim.Engine, send sim.EventKind, at sim.Time, stream int, server coherence.NodeID, addr coherence.Addr) {
+	sendAt(eng, send, at, obsMsg(coherence.NodeID(stream), server, addr,
+		coherence.Tuple{Sender: 1, Type: coherence.GetROReq}))
 }
 
 // TestBackpressureShedsDeterministically floods a tiny queue from
@@ -178,17 +183,17 @@ func TestBackpressureShedsDeterministically(t *testing.T) {
 	run := func() (Stats, error) {
 		cfg := Config{Predictor: testPredictor, MaxQueue: 4,
 			ProcessNs: 100_000, Priority: []int{2, 1, 0}}
-		eng, tr, srv := rawHarness(t, cfg, 3)
+		eng, _, srv, send := rawHarness(t, cfg, 3)
 		// 4 observations per stream, arriving interleaved long before
 		// anything is processed: 12 arrivals into a queue of 4.
 		for i := 0; i < 4; i++ {
 			for s := 0; s < 3; s++ {
-				sendObs(eng, tr, sim.Time(100*(3*i+s)+1), s, srv.cfg.Node, coherence.Addr(64*i))
+				sendObs(eng, send, sim.Time(100*(3*i+s)+1), s, srv.cfg.Node, coherence.Addr(64*i))
 			}
 		}
 		// A query from the highest-priority stream while the queue is
 		// full of observations: it must be shed, not an observation.
-		eng.At(2_000, func() { tr.Send(queryMsg(0, srv.cfg.Node, 0)) })
+		sendAt(eng, send, 2_000, queryMsg(0, srv.cfg.Node, 0))
 		if _, err := eng.Run(0); err != nil {
 			return Stats{}, err
 		}
@@ -232,9 +237,9 @@ func TestBackpressureShedsDeterministically(t *testing.T) {
 // Resync and serves correctly from its durable cursor.
 func TestShedThenResyncRecoversStream(t *testing.T) {
 	cfg := Config{Predictor: testPredictor, MaxQueue: 1, ProcessNs: 10_000}
-	eng, tr, srv := rawHarness(t, cfg, 1)
+	eng, _, srv, send := rawHarness(t, cfg, 1)
 	for i := 0; i < 4; i++ {
-		sendObs(eng, tr, sim.Time(100*(i+1)), 0, srv.cfg.Node, 0)
+		sendObs(eng, send, sim.Time(100*(i+1)), 0, srv.cfg.Node, 0)
 	}
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
@@ -250,7 +255,7 @@ func TestShedThenResyncRecoversStream(t *testing.T) {
 	if srv.Lagging(0) {
 		t.Fatal("Resync left the stream lagging")
 	}
-	sendObs(eng, tr, eng.Now()+100, 0, srv.cfg.Node, 64)
+	sendObs(eng, send, eng.Now()+100, 0, srv.cfg.Node, 64)
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +269,11 @@ func TestShedThenResyncRecoversStream(t *testing.T) {
 func TestDeadlineTimesOutStaleWork(t *testing.T) {
 	cfg := Config{Predictor: testPredictor, MaxQueue: 16,
 		ProcessNs: 5_000, DeadlineNs: 6_000}
-	eng, tr, srv := rawHarness(t, cfg, 1)
+	eng, _, srv, send := rawHarness(t, cfg, 1)
 	// Four near-simultaneous observations: by the time the third would
 	// be served (t≈15000) it has waited 3×ProcessNs > DeadlineNs.
 	for i := 0; i < 4; i++ {
-		sendObs(eng, tr, sim.Time(100+sim.Time(i)), 0, srv.cfg.Node, coherence.Addr(64*i))
+		sendObs(eng, send, sim.Time(100+sim.Time(i)), 0, srv.cfg.Node, coherence.Addr(64*i))
 	}
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
@@ -291,17 +296,17 @@ func TestDeadlineTimesOutStaleWork(t *testing.T) {
 func TestTimeoutDropsQueuedObservations(t *testing.T) {
 	cfg := Config{Predictor: testPredictor, MaxQueue: 16,
 		ProcessNs: 5_000, DeadlineNs: 12_000}
-	eng, tr, srv := rawHarness(t, cfg, 1)
+	eng, _, srv, send := rawHarness(t, cfg, 1)
 	// A burst of four: entries 0 and 1 are served within the deadline,
 	// entry 2 times out at the head (waited ~15000 > 12000) and sets
 	// lagging, entry 3 expires behind it.
 	for i := 0; i < 4; i++ {
-		sendObs(eng, tr, sim.Time(100+sim.Time(i)), 0, srv.cfg.Node, coherence.Addr(64*i))
+		sendObs(eng, send, sim.Time(100+sim.Time(i)), 0, srv.cfg.Node, coherence.Addr(64*i))
 	}
 	// Entry 4 arrives late enough to still be fresh (~6000ns old) when
 	// it reaches the head at t≈25000: without the lagging check it would
 	// be applied over the hole entry 2 left.
-	sendObs(eng, tr, 19_000, 0, srv.cfg.Node, coherence.Addr(256))
+	sendObs(eng, send, 19_000, 0, srv.cfg.Node, coherence.Addr(256))
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -327,11 +332,11 @@ func TestTimeoutDropsQueuedObservations(t *testing.T) {
 // after the hole drop.
 func TestShedKeepsPreBreakObservations(t *testing.T) {
 	cfg := Config{Predictor: testPredictor, MaxQueue: 2, ProcessNs: 10_000}
-	eng, tr, srv := rawHarness(t, cfg, 1)
-	sendObs(eng, tr, 100, 0, srv.cfg.Node, 0)      // applies from the head
-	sendObs(eng, tr, 200, 0, srv.cfg.Node, 64)     // queued before the break
-	sendObs(eng, tr, 300, 0, srv.cfg.Node, 128)    // overflows: shed, the hole
-	sendObs(eng, tr, 25_000, 0, srv.cfg.Node, 192) // post-break arrival: dropped
+	eng, _, srv, send := rawHarness(t, cfg, 1)
+	sendObs(eng, send, 100, 0, srv.cfg.Node, 0)      // applies from the head
+	sendObs(eng, send, 200, 0, srv.cfg.Node, 64)     // queued before the break
+	sendObs(eng, send, 300, 0, srv.cfg.Node, 128)    // overflows: shed, the hole
+	sendObs(eng, send, 25_000, 0, srv.cfg.Node, 192) // post-break arrival: dropped
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -356,15 +361,15 @@ func TestShedKeepsPreBreakObservations(t *testing.T) {
 func TestTimedOutQueryAnswersWithTimeoutFrame(t *testing.T) {
 	cfg := Config{Predictor: testPredictor, MaxQueue: 16,
 		ProcessNs: 5_000, DeadlineNs: 6_000}
-	eng, tr, srv := rawHarness(t, cfg, 1)
+	eng, tr, srv, send := rawHarness(t, cfg, 1)
 	var grants []coherence.MsgType
 	tr.Bind(0, func(m coherence.Msg) { grants = append(grants, m.Grant) })
 	// Three observations ahead of the query: by the time the query
 	// reaches the head it has waited ~20000ns, far past the deadline.
 	for i := 0; i < 3; i++ {
-		sendObs(eng, tr, sim.Time(100+sim.Time(i)), 0, srv.cfg.Node, coherence.Addr(64*i))
+		sendObs(eng, send, sim.Time(100+sim.Time(i)), 0, srv.cfg.Node, coherence.Addr(64*i))
 	}
-	eng.At(110, func() { tr.Send(queryMsg(0, srv.cfg.Node, 0)) })
+	sendAt(eng, send, 110, queryMsg(0, srv.cfg.Node, 0))
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -405,11 +410,11 @@ func TestConfigRejectsOutOfRangePriority(t *testing.T) {
 // diagnose dump instead of hanging.
 func TestWatchdogReportsStall(t *testing.T) {
 	cfg := Config{Predictor: testPredictor, WatchdogNs: 50_000}
-	eng, tr, srv := rawHarness(t, cfg, 1)
+	eng, _, srv, send := rawHarness(t, cfg, 1)
 	var cbErr error
 	srv.OnFailure(func(err error) { cbErr = err })
 	srv.stalled = true // the test hook: freeze the worker
-	sendObs(eng, tr, 100, 0, srv.cfg.Node, 0)
+	sendObs(eng, send, 100, 0, srv.cfg.Node, 0)
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -424,8 +429,8 @@ func TestWatchdogReportsStall(t *testing.T) {
 	}
 	// The watchdog must not keep a healthy drained server alive: a
 	// fresh server that finishes its work lets the engine go quiet.
-	eng2, tr2, srv2 := rawHarness(t, cfg, 1)
-	sendObs(eng2, tr2, 100, 0, srv2.cfg.Node, 0)
+	eng2, _, srv2, send2 := rawHarness(t, cfg, 1)
+	sendObs(eng2, send2, 100, 0, srv2.cfg.Node, 0)
 	if _, err := eng2.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -440,10 +445,10 @@ func TestWatchdogReportsStall(t *testing.T) {
 // (Found by the chaos sweep: seed 96 of the first 100.)
 func TestAckAheadOfRecoveredCursorClamps(t *testing.T) {
 	cfg := Config{Predictor: testPredictor}
-	eng, tr, srv := rawHarness(t, cfg, 1)
-	sendObs(eng, tr, 100, 0, srv.cfg.Node, 0)
-	sendObs(eng, tr, 200, 0, srv.cfg.Node, 64)
-	eng.At(1_000, func() { tr.Send(ackMsg(0, srv.cfg.Node, 5)) })
+	eng, _, srv, send := rawHarness(t, cfg, 1)
+	sendObs(eng, send, 100, 0, srv.cfg.Node, 0)
+	sendObs(eng, send, 200, 0, srv.cfg.Node, 64)
+	sendAt(eng, send, 1_000, ackMsg(0, srv.cfg.Node, 5))
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +461,7 @@ func TestAckAheadOfRecoveredCursorClamps(t *testing.T) {
 	}
 	// The next applied observation retains its response again (acked
 	// was clamped to 2, not left at 5).
-	sendObs(eng, tr, eng.Now()+100, 0, srv.cfg.Node, 128)
+	sendObs(eng, send, eng.Now()+100, 0, srv.cfg.Node, 128)
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +474,7 @@ func TestAckAheadOfRecoveredCursorClamps(t *testing.T) {
 // mutating predictor state.
 func TestQueryAnswersWithoutObserving(t *testing.T) {
 	cfg := Config{Predictor: testPredictor}
-	eng, tr, srv := rawHarness(t, cfg, 1)
+	eng, tr, srv, send := rawHarness(t, cfg, 1)
 	var got []Response
 	tr.Bind(0, func(m coherence.Msg) {
 		r, isQuery := decodeResponse(m)
@@ -479,11 +484,11 @@ func TestQueryAnswersWithoutObserving(t *testing.T) {
 	})
 	// Three identical observations: with Depth 2 the third installs
 	// the PHT entry for the now-current history, making 0 predictable.
-	sendObs(eng, tr, 100, 0, srv.cfg.Node, 0)
-	sendObs(eng, tr, 200, 0, srv.cfg.Node, 0)
-	sendObs(eng, tr, 300, 0, srv.cfg.Node, 0)
-	eng.At(1_000, func() { tr.Send(queryMsg(0, srv.cfg.Node, 0)) })
-	eng.At(1_100, func() { tr.Send(queryMsg(0, srv.cfg.Node, 4096)) })
+	sendObs(eng, send, 100, 0, srv.cfg.Node, 0)
+	sendObs(eng, send, 200, 0, srv.cfg.Node, 0)
+	sendObs(eng, send, 300, 0, srv.cfg.Node, 0)
+	sendAt(eng, send, 1_000, queryMsg(0, srv.cfg.Node, 0))
+	sendAt(eng, send, 1_100, queryMsg(0, srv.cfg.Node, 4096))
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}

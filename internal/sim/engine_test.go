@@ -1,27 +1,34 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// logKind registers a handler on e that appends each event's Seq to
+// *log, the common recording idiom of these tests.
+func logKind(e *Engine, log *[]uint64) EventKind {
+	return e.RegisterHandler(func(rec EventRec) { *log = append(*log, rec.Seq) })
+}
 
 func TestEngineOrdersByTime(t *testing.T) {
 	var e Engine
-	var got []int
-	e.At(30, func() { got = append(got, 3) })
-	e.At(10, func() { got = append(got, 1) })
-	e.At(20, func() { got = append(got, 2) })
+	var got []uint64
+	k := logKind(&e, &got)
+	e.Post(30, EventRec{Kind: k, Seq: 3})
+	e.Post(10, EventRec{Kind: k, Seq: 1})
+	e.Post(20, EventRec{Kind: k, Seq: 2})
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	want := []int{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
-		}
+	if fmt.Sprint(got) != "[1 2 3]" {
+		t.Fatalf("order = %v, want [1 2 3]", got)
 	}
 	if e.Now() != 30 {
 		t.Errorf("Now() = %v, want 30ns", e.Now())
@@ -31,16 +38,16 @@ func TestEngineOrdersByTime(t *testing.T) {
 func TestEngineFIFOAtSameInstant(t *testing.T) {
 	// Events at the same timestamp must fire in scheduling order.
 	var e Engine
-	var got []int
+	var got []uint64
+	k := logKind(&e, &got)
 	for i := 0; i < 100; i++ {
-		i := i
-		e.At(5, func() { got = append(got, i) })
+		e.Post(5, EventRec{Kind: k, Seq: uint64(i)})
 	}
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range got {
-		if v != i {
+		if v != uint64(i) {
 			t.Fatalf("same-instant events reordered: got[%d] = %d", i, v)
 		}
 	}
@@ -49,11 +56,13 @@ func TestEngineFIFOAtSameInstant(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	var e Engine
 	var trace []Time
-	e.At(10, func() {
+	leaf := e.RegisterHandler(func(EventRec) { trace = append(trace, e.Now()) })
+	root := e.RegisterHandler(func(EventRec) {
 		trace = append(trace, e.Now())
-		e.After(5, func() { trace = append(trace, e.Now()) })
-		e.After(0, func() { trace = append(trace, e.Now()) })
+		e.PostAfter(5, EventRec{Kind: leaf})
+		e.PostAfter(0, EventRec{Kind: leaf})
 	})
+	e.Post(10, EventRec{Kind: root})
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -70,25 +79,32 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
 	var e Engine
-	e.At(10, func() {
+	nop := e.RegisterHandler(func(EventRec) {})
+	k := e.RegisterHandler(func(EventRec) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
+		e.Post(5, EventRec{Kind: nop})
 	})
+	e.Post(10, EventRec{Kind: k})
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// tickKind registers a self-perpetuating event that reposts itself
+// every period nanoseconds: it would run forever without a budget.
+func tickKind(e *Engine, period Time) EventKind {
+	var k EventKind
+	k = e.RegisterHandler(func(EventRec) { e.PostAfter(period, EventRec{Kind: k}) })
+	return k
+}
+
 func TestEngineBudget(t *testing.T) {
 	var e Engine
-	// A self-perpetuating event: would run forever without a budget.
-	var tick func()
-	tick = func() { e.After(1, tick) }
-	e.At(0, tick)
+	e.Post(0, EventRec{Kind: tickKind(&e, 1)})
 	fired, err := e.Run(100)
 	if err == nil {
 		t.Fatal("expected budget-exhausted error")
@@ -101,13 +117,14 @@ func TestEngineBudget(t *testing.T) {
 func TestEngineHalt(t *testing.T) {
 	var e Engine
 	count := 0
+	k := e.RegisterHandler(func(EventRec) {
+		count++
+		if count == 3 {
+			e.Halt()
+		}
+	})
 	for i := 0; i < 10; i++ {
-		e.At(Time(i), func() {
-			count++
-			if count == 3 {
-				e.Halt()
-			}
-		})
+		e.Post(Time(i), EventRec{Kind: k})
 	}
 	fired, err := e.Run(0)
 	if err != nil {
@@ -123,10 +140,10 @@ func TestEngineHalt(t *testing.T) {
 
 func TestEngineRunUntil(t *testing.T) {
 	var e Engine
-	var got []Time
+	var got []uint64
+	k := logKind(&e, &got)
 	for _, at := range []Time{5, 10, 15, 20} {
-		at := at
-		e.At(at, func() { got = append(got, at) })
+		e.Post(at, EventRec{Kind: k, Seq: uint64(at)})
 	}
 	e.RunUntil(12)
 	if len(got) != 2 || got[0] != 5 || got[1] != 10 {
@@ -155,12 +172,12 @@ func TestEngineRandomizedOrdering(t *testing.T) {
 		var e Engine
 		type key struct {
 			at  Time
-			ins int
+			ins uint64
 		}
 		var fired []key
+		k := e.RegisterHandler(func(rec EventRec) { fired = append(fired, key{e.Now(), rec.Seq}) })
 		for i, raw := range times {
-			at, i := Time(raw), i
-			e.At(at, func() { fired = append(fired, key{at, i}) })
+			e.Post(Time(raw), EventRec{Kind: k, Seq: uint64(i)})
 		}
 		if _, err := e.Run(0); err != nil {
 			return false
@@ -174,6 +191,65 @@ func TestEngineRandomizedOrdering(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEngineSteadyStateAllocFree pins the event core's allocation
+// claim: once the queue holds a steady population, Post plus Step
+// allocates nothing. 1024 periodic events, four per instant (a full
+// slotCap0 slot), each repost themselves on firing: most 256ns out on
+// the wheel, every sixteenth past the horizon into the overflow heap.
+// AllocsPerRun's first call is the warm-up that grows the heap to its
+// steady size; the measured call then fires 64Ki events, so a single
+// allocation anywhere among them fails the test.
+func TestEngineSteadyStateAllocFree(t *testing.T) {
+	var e Engine
+	var k EventKind
+	k = e.RegisterHandler(func(rec EventRec) {
+		delay := Time(256)
+		if rec.Seq%16 == 0 {
+			delay = 2 * wheelSpan
+		}
+		e.PostAfter(delay, EventRec{Kind: k, Seq: rec.Seq})
+	})
+	for i := 0; i < 1024; i++ {
+		e.Post(Time(i/4), EventRec{Kind: k, Seq: uint64(i)})
+	}
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1<<16; i++ {
+			e.Step()
+		}
+	}); allocs != 0 {
+		t.Errorf("64Ki steady-state Step+Post pairs allocated %v times, want 0", allocs)
+	}
+}
+
+// TestItemIsPointerFree pins the scheduler entry's layout: 64 bytes
+// with no pointer field, so the collector never scans the wheel slab
+// or the overflow heap.
+func TestItemIsPointerFree(t *testing.T) {
+	if size := unsafe.Sizeof(item{}); size != 64 {
+		t.Errorf("item is %d bytes, want 64", size)
+	}
+	var walk func(reflect.Type) bool
+	walk = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan,
+			reflect.Func, reflect.Interface, reflect.Slice, reflect.String:
+			return true
+		case reflect.Array:
+			return walk(ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if walk(ty.Field(i).Type) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	if walk(reflect.TypeOf(item{})) {
+		t.Error("item holds a pointer-bearing field")
 	}
 }
 
@@ -256,9 +332,7 @@ func TestMessageLatency(t *testing.T) {
 
 func TestEngineBudgetErrorDiagnostics(t *testing.T) {
 	var e Engine
-	var tick func()
-	tick = func() { e.After(7, tick) }
-	e.At(0, tick)
+	e.Post(0, EventRec{Kind: tickKind(&e, 7)})
 	_, err := e.Run(10)
 	if err == nil {
 		t.Fatal("expected budget-exhausted error")
@@ -284,8 +358,9 @@ func TestEngineNextAt(t *testing.T) {
 	if _, ok := e.NextAt(); ok {
 		t.Error("NextAt on an empty queue reports ok")
 	}
-	e.At(30, func() {})
-	e.At(10, func() {})
+	nop := e.RegisterHandler(func(EventRec) {})
+	e.Post(30, EventRec{Kind: nop})
+	e.Post(10, EventRec{Kind: nop})
 	if at, ok := e.NextAt(); !ok || at != 10 {
 		t.Errorf("NextAt = %v,%v, want 10,true", at, ok)
 	}
@@ -293,7 +368,8 @@ func TestEngineNextAt(t *testing.T) {
 
 func TestEngineTopLevelPastSchedulingPanics(t *testing.T) {
 	var e Engine
-	e.At(10, func() {})
+	nop := e.RegisterHandler(func(EventRec) {})
+	e.Post(10, EventRec{Kind: nop})
 	if !e.Step() {
 		t.Fatal("Step fired nothing")
 	}
@@ -302,14 +378,15 @@ func TestEngineTopLevelPastSchedulingPanics(t *testing.T) {
 			t.Error("scheduling at t=5 with now=10 did not panic")
 		}
 	}()
-	e.At(5, func() {})
+	e.Post(5, EventRec{Kind: nop})
 }
 
 func TestEngineRunUntilPastDeadlineDrains(t *testing.T) {
 	var e Engine
 	fired := 0
+	k := e.RegisterHandler(func(EventRec) { fired++ })
 	for _, at := range []Time{5, 10, 15} {
-		e.At(at, func() { fired++ })
+		e.Post(at, EventRec{Kind: k})
 	}
 	// A deadline beyond every queued event drains the queue and then
 	// advances the clock to the deadline, not just to the last event.

@@ -6,20 +6,20 @@ import (
 	"testing/quick"
 )
 
-// firingLog runs the same scheduling script against a wheel engine and
-// a heap-only engine and returns both firing orders, rendered as
+// firingLogs runs the same scheduling script against a wheel engine
+// and a heap-only engine and returns both firing orders, rendered as
 // "(id@time)" strings so mismatches read directly in failures. The
-// script receives the engine and a record function it must call from
-// every event.
-func firingLogs(t *testing.T, script func(e *Engine, record func(id int))) (wheel, heap string) {
+// script receives the engine and a registered kind whose events log
+// their Seq as the id.
+func firingLogs(t *testing.T, script func(e *Engine, record EventKind)) (wheel, heap string) {
 	t.Helper()
 	run := func(heapOnly bool) string {
 		e := &Engine{}
 		e.SetHeapOnly(heapOnly)
 		var log []string
-		script(e, func(id int) {
-			log = append(log, fmt.Sprintf("(%d@%d)", id, uint64(e.Now())))
-		})
+		script(e, e.RegisterHandler(func(rec EventRec) {
+			log = append(log, fmt.Sprintf("(%d@%d)", rec.Seq, uint64(e.Now())))
+		}))
 		for e.Step() {
 		}
 		return fmt.Sprint(log)
@@ -34,12 +34,11 @@ func firingLogs(t *testing.T, script func(e *Engine, record func(id int))) (whee
 // range is inside wheelSpan, half beyond it.
 func TestWheelHeapEquivalenceRandom(t *testing.T) {
 	f := func(times []uint16) bool {
-		script := func(e *Engine, record func(int)) {
+		script := func(e *Engine, record EventKind) {
 			for i, at := range times {
-				id := i
 				// uint16 tops out at 65535, 16x the wheel span, so
 				// both routes are exercised.
-				e.At(Time(at), func() { record(id) })
+				e.Post(Time(at), EventRec{Kind: record, Seq: uint64(i)})
 			}
 		}
 		wheel, heap := firingLogs(t, script)
@@ -54,10 +53,10 @@ func TestWheelHeapEquivalenceRandom(t *testing.T) {
 // now+wheelSpan-1 is the last wheel resident, one at now+wheelSpan the
 // first overflow, and both must fire in (time, seq) order either way.
 func TestWheelHorizonBoundary(t *testing.T) {
-	wheel, heap := firingLogs(t, func(e *Engine, record func(int)) {
-		e.At(Time(wheelSpan), func() { record(1) })   // first beyond the horizon
-		e.At(Time(wheelSpan-1), func() { record(0) }) // last inside it
-		e.At(Time(wheelSpan), func() { record(2) })   // same instant as 1, later seq
+	wheel, heap := firingLogs(t, func(e *Engine, record EventKind) {
+		e.Post(Time(wheelSpan), EventRec{Kind: record, Seq: 1})   // first beyond the horizon
+		e.Post(Time(wheelSpan-1), EventRec{Kind: record, Seq: 0}) // last inside it
+		e.Post(Time(wheelSpan), EventRec{Kind: record, Seq: 2})   // same instant as 1, later seq
 	})
 	if wheel != heap {
 		t.Fatalf("horizon boundary order diverged:\nwheel: %s\nheap:  %s", wheel, heap)
@@ -72,13 +71,16 @@ func TestWheelHorizonBoundary(t *testing.T) {
 // events at the identical instant. The overflow resident has the lower
 // seq, so it must fire first — the merge point's seq tiebreak.
 func TestWheelOverflowInterleaving(t *testing.T) {
-	wheel, heap := firingLogs(t, func(e *Engine, record func(int)) {
+	wheel, heap := firingLogs(t, func(e *Engine, record EventKind) {
 		far := Time(wheelSpan + 100)
-		e.At(far, func() { record(0) }) // overflow resident, seq 1
-		e.At(Time(wheelSpan), func() {  // fires once 'far' is within the horizon
-			e.At(far, func() { record(1) }) // wheel resident, same instant, later seq
-			record(2)
+		// Fires once 'far' is within the horizon: posts a wheel
+		// resident at the same instant with a later seq, then logs.
+		mid := e.RegisterHandler(func(EventRec) {
+			e.Post(far, EventRec{Kind: record, Seq: 1})
+			e.Post(e.Now(), EventRec{Kind: record, Seq: 2})
 		})
+		e.Post(far, EventRec{Kind: record, Seq: 0}) // overflow resident, seq 1
+		e.Post(Time(wheelSpan), EventRec{Kind: mid})
 	})
 	if wheel != heap {
 		t.Fatalf("overflow interleaving diverged:\nwheel: %s\nheap:  %s", wheel, heap)
@@ -99,11 +101,10 @@ func TestWheelPerturbAcrossHorizon(t *testing.T) {
 		}
 		return Time(seq % 7)
 	}
-	wheel, heap := firingLogs(t, func(e *Engine, record func(int)) {
+	wheel, heap := firingLogs(t, func(e *Engine, record EventKind) {
 		e.SetPerturb(perturb)
 		for i := 0; i < 50; i++ {
-			id := i
-			e.At(Time(i%10), func() { record(id) })
+			e.Post(Time(i%10), EventRec{Kind: record, Seq: uint64(i)})
 		}
 	})
 	if wheel != heap {
@@ -119,10 +120,10 @@ func TestWheelRunUntilMidSlot(t *testing.T) {
 	for _, heapOnly := range []bool{false, true} {
 		e := &Engine{}
 		e.SetHeapOnly(heapOnly)
-		var fired []int
+		var fired []uint64
+		k := e.RegisterHandler(func(rec EventRec) { fired = append(fired, rec.Seq) })
 		for i, at := range []Time{10, 20, 20, 21, wheelSpan + 5} {
-			id := i
-			e.At(at, func() { fired = append(fired, id) })
+			e.Post(at, EventRec{Kind: k, Seq: uint64(i)})
 		}
 		if n := e.RunUntil(20); n != 3 {
 			t.Fatalf("heapOnly=%v: RunUntil(20) fired %d events, want 3", heapOnly, n)
@@ -144,24 +145,27 @@ func TestWheelRunUntilMidSlot(t *testing.T) {
 	}
 }
 
-// TestWheelValueEventsMatchClosures interleaves Post value events with
-// At closures at shared instants and checks the merged FIFO order on
-// both engines.
-func TestWheelValueEventsMatchClosures(t *testing.T) {
+// TestWheelKindsInterleaveFIFO interleaves events of two handler kinds
+// at shared instants and checks that dispatch keeps the merged FIFO
+// order on both engines.
+func TestWheelKindsInterleaveFIFO(t *testing.T) {
 	for _, heapOnly := range []bool{false, true} {
 		e := &Engine{}
 		e.SetHeapOnly(heapOnly)
 		var log []string
-		kind := e.RegisterHandler(func(rec EventRec) {
-			log = append(log, fmt.Sprintf("post%d@%d", rec.Seq, uint64(e.Now())))
+		a := e.RegisterHandler(func(rec EventRec) {
+			log = append(log, fmt.Sprintf("a%d@%d", rec.Seq, uint64(e.Now())))
 		})
-		e.At(5, func() { log = append(log, fmt.Sprintf("fn@%d", uint64(e.Now()))) })
-		e.Post(5, EventRec{Kind: kind, Seq: 1})
-		e.At(5, func() { log = append(log, fmt.Sprintf("fn2@%d", uint64(e.Now()))) })
-		e.PostAfter(5, EventRec{Kind: kind, Seq: 2})
+		b := e.RegisterHandler(func(rec EventRec) {
+			log = append(log, fmt.Sprintf("b%d@%d", rec.Seq, uint64(e.Now())))
+		})
+		e.Post(5, EventRec{Kind: b, Seq: 1})
+		e.Post(5, EventRec{Kind: a, Seq: 1})
+		e.Post(5, EventRec{Kind: b, Seq: 2})
+		e.PostAfter(5, EventRec{Kind: a, Seq: 2})
 		for e.Step() {
 		}
-		if want := "[fn@5 post1@5 fn2@5 post2@5]"; fmt.Sprint(log) != want {
+		if want := "[b1@5 a1@5 b2@5 a2@5]"; fmt.Sprint(log) != want {
 			t.Fatalf("heapOnly=%v: order = %v, want %s", heapOnly, log, want)
 		}
 	}
@@ -170,7 +174,7 @@ func TestWheelValueEventsMatchClosures(t *testing.T) {
 // TestSetHeapOnlyPanicsWithPending documents the mode-switch guard.
 func TestSetHeapOnlyPanicsWithPending(t *testing.T) {
 	e := &Engine{}
-	e.At(1, func() {})
+	e.Post(1, EventRec{Kind: e.RegisterHandler(func(EventRec) {})})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("SetHeapOnly with pending events did not panic")
