@@ -5,11 +5,11 @@
 
 GO ?= go
 
-.PHONY: check ci lint vet cosmosvet build test race bench bench-json bench-smoke bench-gate bench-trend warm-cache chaos chaos-spec serve-chaos scale-smoke examples clean
+.PHONY: check ci lint vet cosmosvet build test perfbench race bench bench-json bench-smoke bench-gate bench-trend warm-cache chaos chaos-spec serve-chaos scale-smoke examples clean
 
 check: lint build race
 
-ci: lint build test race chaos chaos-spec serve-chaos scale-smoke
+ci: lint build test perfbench race chaos chaos-spec serve-chaos scale-smoke
 
 lint: vet cosmosvet
 
@@ -24,6 +24,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# perfbench is a module of its own (it replaces back onto this one), so
+# `go test ./...` at the root never builds it; vet and test it here.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
