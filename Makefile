@@ -5,11 +5,11 @@
 
 GO ?= go
 
-.PHONY: check ci lint vet cosmosvet build test perfbench race bench bench-json bench-smoke bench-gate bench-trend warm-cache chaos chaos-spec serve-chaos scale-smoke examples clean
+.PHONY: check ci lint vet cosmosvet build test fuzz-smoke perfbench race bench bench-json bench-smoke bench-gate bench-trend warm-cache chaos chaos-spec serve-chaos scale-smoke examples clean
 
 check: lint build race
 
-ci: lint build test perfbench race chaos chaos-spec serve-chaos scale-smoke
+ci: lint build test fuzz-smoke perfbench race chaos chaos-spec serve-chaos scale-smoke
 
 lint: vet cosmosvet
 
@@ -24,6 +24,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# A short native-fuzzing run of the CTRC decoder: whatever bytes Read
+# accepts must re-encode to exactly those bytes. `go test` alone only
+# replays the seed corpus.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/trace
 
 # perfbench is a module of its own (it replaces back onto this one), so
 # `go test ./...` at the root never builds it; vet and test it here.

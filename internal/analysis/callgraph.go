@@ -170,7 +170,8 @@ func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	if !ok {
 		return nil
 	}
-	return fn
+	// Calls through an instantiation resolve to the generic declaration.
+	return fn.Origin()
 }
 
 // FuncDisplayName renders a function for diagnostics: "Name" for

@@ -1,7 +1,8 @@
 // Package hot exercises every hotpath-analyzer finding: direct
 // allocating constructs, the loops-only scope, interface boxing in its
-// three forms, the panic exemption, and an allocation buried two
-// static calls below the annotated root.
+// three forms, the panic exemption, an allocation buried two static
+// calls below the annotated root, and one reached through a generic
+// instantiation.
 package hot
 
 import "fmt"
@@ -104,4 +105,17 @@ func sum(xs []int) int {
 func (h *heap) amortized(it item) {
 	//cosmosvet:allow hotpath amortized growth is the point of this fixture
 	h.items = append(h.items, it)
+}
+
+// vec is generic: a call through an instantiation must reach the
+// generic method's body.
+type vec[T any] struct{ s []T }
+
+func (v *vec[T]) add(x T) {
+	v.s = append(v.s, x) // want `hot path useVec: append may grow its backing array in`
+}
+
+//cosmosvet:hotpath
+func useVec(v *vec[int]) {
+	v.add(1)
 }

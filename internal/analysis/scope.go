@@ -13,6 +13,7 @@ var simCorePackages = []string{
 	"internal/sim",
 	"internal/machine",
 	"internal/stache",
+	"internal/table", // stache's block tables; their walk order must replay
 	"internal/network",
 	// Routing is pure geometry, but its hop lists decide delivery
 	// times: any nondeterminism here would skew every structured-fabric

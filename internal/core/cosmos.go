@@ -33,6 +33,7 @@ import (
 	"fmt"
 
 	"github.com/cosmos-coherence/cosmos/internal/coherence"
+	"github.com/cosmos-coherence/cosmos/internal/table"
 )
 
 // MaxDepth is the largest supported MHR depth. Histories are packed
@@ -88,125 +89,6 @@ type phtEntry struct {
 	counter int
 }
 
-// phtTable is an open-addressed hash table from packed history pattern
-// to phtEntry, replacing the earlier map[uint64]*phtEntry. Entries are
-// stored by value in one contiguous slice, so the steady-state Observe
-// path — probe, compare, mutate in place — touches two flat arrays and
-// performs zero allocations; the map version cost one pointer
-// indirection per entry plus an allocation per insert.
-//
-// Linear probing with a power-of-two capacity and a 3/4 load-factor
-// growth threshold. Patterns are never deleted individually (Forget
-// discards a block's whole table), so no tombstones are needed. A
-// trained history is never the zero pattern in practice (every packed
-// tuple carries a nonzero message type), but key 0 is still handled —
-// via a dedicated slot rather than stealing 0 as the empty marker — so
-// the table stays correct for any keying scheme a variant adopts.
-type phtTable struct {
-	keys    []uint64
-	entries []phtEntry
-	n       int
-	hasZero bool
-	zero    phtEntry
-}
-
-// phtHash spreads a packed history over the table (splitmix64
-// finalizer; consecutive patterns differ only in a few tuple bits).
-func phtHash(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// len returns the number of stored patterns.
-func (t *phtTable) len() int {
-	if t.hasZero {
-		return t.n + 1
-	}
-	return t.n
-}
-
-// find returns the entry for key, or nil if the pattern is untrained.
-// The pointer is valid until the next insert.
-func (t *phtTable) find(key uint64) *phtEntry {
-	if key == 0 {
-		if t.hasZero {
-			return &t.zero
-		}
-		return nil
-	}
-	if len(t.keys) == 0 {
-		return nil
-	}
-	mask := uint64(len(t.keys) - 1)
-	for i := phtHash(key) & mask; ; i = (i + 1) & mask {
-		switch t.keys[i] {
-		case key:
-			return &t.entries[i]
-		case 0:
-			return nil
-		}
-	}
-}
-
-// insert stores a new pattern (the caller has checked it is absent).
-func (t *phtTable) insert(key uint64, e phtEntry) {
-	if key == 0 {
-		t.hasZero = true
-		t.zero = e
-		return
-	}
-	if 4*(t.n+1) > 3*len(t.keys) {
-		t.grow()
-	}
-	mask := uint64(len(t.keys) - 1)
-	i := phtHash(key) & mask
-	for t.keys[i] != 0 {
-		i = (i + 1) & mask
-	}
-	t.keys[i] = key
-	t.entries[i] = e
-	t.n++
-}
-
-// reset erases the table's contents while keeping its allocated
-// arrays, so a pooled predictor's next evaluation reuses the capacity
-// the previous one grew (entries need no wipe: insert overwrites them).
-func (t *phtTable) reset() {
-	for i := range t.keys {
-		t.keys[i] = 0
-	}
-	t.n = 0
-	t.hasZero = false
-	t.zero = phtEntry{}
-}
-
-// grow doubles the table (initially 8 slots) and rehashes.
-func (t *phtTable) grow() {
-	newCap := 8
-	if len(t.keys) > 0 {
-		newCap = 2 * len(t.keys)
-	}
-	oldKeys, oldEntries := t.keys, t.entries
-	//cosmosvet:allow hotpath doubling rehash; growth cost is amortized across inserts
-	t.keys = make([]uint64, newCap)
-	//cosmosvet:allow hotpath doubling rehash; growth cost is amortized across inserts
-	t.entries = make([]phtEntry, newCap)
-	mask := uint64(newCap - 1)
-	for j, k := range oldKeys {
-		if k == 0 {
-			continue
-		}
-		i := phtHash(k) & mask
-		for t.keys[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.keys[i] = k
-		t.entries[i] = oldEntries[j]
-	}
-}
-
 // blockState is one MHR and its PHT.
 type blockState struct {
 	// mhr holds the last depth tuples, packed; most recent in the low
@@ -214,21 +96,22 @@ type blockState struct {
 	mhr uint64
 	// seen counts messages received for this block.
 	seen uint64
-	pht  phtTable
+	// pht maps a packed history pattern to its entry.
+	pht table.Table[phtEntry]
 }
 
 // Predictor is one Cosmos predictor instance. It is not safe for
 // concurrent use; the simulated machine is single-threaded.
 //
-// Block states live in one slab indexed through a compact address map,
-// not behind per-block pointers: the evaluator walks millions of
-// messages over thousands of blocks, and keeping the states contiguous
-// removes an allocation per block plus a cache miss per access.
+// Block states live in one slab indexed through the address table, not
+// behind per-block pointers: the evaluator walks millions of messages
+// over thousands of blocks, and keeping the states contiguous removes
+// an allocation per block plus a cache miss per access.
 type Predictor struct {
 	cfg     Config
 	mhrMask uint64
-	// index maps a block address to its slot in slab.
-	index map[coherence.Addr]int32
+	// index is the MHT: it maps a block address to its slot in slab.
+	index table.Table[int32]
 	slab  []blockState
 	// free lists slab slots released by Forget for reuse.
 	free []int32
@@ -241,11 +124,7 @@ func New(cfg Config) (*Predictor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Predictor{
-		cfg:     cfg,
-		mhrMask: (uint64(1) << (16 * cfg.Depth)) - 1,
-		index:   make(map[coherence.Addr]int32),
-	}, nil
+	return &Predictor{cfg: cfg, mhrMask: (uint64(1) << (16 * cfg.Depth)) - 1}, nil
 }
 
 // block returns the state for addr, or nil if the block is untracked.
@@ -253,16 +132,15 @@ func New(cfg Config) (*Predictor, error) {
 // move the backing array), so callers use it within one operation and
 // never retain it.
 func (p *Predictor) block(addr coherence.Addr) *blockState {
-	i, ok := p.index[addr]
-	if !ok {
-		return nil
+	if i := p.index.Find(uint64(addr)); i != nil {
+		return &p.slab[*i]
 	}
-	return &p.slab[i]
+	return nil
 }
 
 // Reset returns the predictor to its freshly-constructed state for
 // cfg, as if New(cfg) had been called — but retains every allocation
-// the previous use grew: the address index map's buckets, the slab's
+// the previous use grew: the address index's arrays, the slab's
 // capacity, and each slab slot's PHT arrays. The evaluator's per-worker
 // predictor pool depends on this: re-evaluating similar traces reaches
 // a steady state with no per-evaluation allocation at all. A reset
@@ -274,15 +152,11 @@ func (p *Predictor) Reset(cfg Config) error {
 	}
 	p.cfg = cfg
 	p.mhrMask = (uint64(1) << (16 * cfg.Depth)) - 1
-	if p.index == nil {
-		p.index = make(map[coherence.Addr]int32)
-	} else {
-		clear(p.index)
-	}
+	p.index.Reset()
 	for i := range p.slab {
 		p.slab[i].mhr = 0
 		p.slab[i].seen = 0
-		p.slab[i].pht.reset()
+		p.slab[i].pht.Reset()
 	}
 	p.slab = p.slab[:0]
 	p.free = p.free[:0]
@@ -308,13 +182,14 @@ func (p *Predictor) Config() Config { return p.cfg }
 // when Cosmos has no prediction: the block is unknown, fewer than
 // depth messages have been seen, or the current history pattern has no
 // PHT entry yet.
+//
 //cosmosvet:hotpath
 func (p *Predictor) Predict(addr coherence.Addr) (pred coherence.Tuple, ok bool) {
 	bs := p.block(addr)
 	if bs == nil || bs.seen < uint64(p.cfg.Depth) {
 		return coherence.Tuple{}, false
 	}
-	e := bs.pht.find(bs.mhr)
+	e := bs.pht.Find(bs.mhr)
 	if e == nil {
 		return coherence.Tuple{}, false
 	}
@@ -326,9 +201,10 @@ func (p *Predictor) Predict(addr coherence.Addr) (pred coherence.Tuple, ok bool)
 // history and shifts the tuple into the MHR (Section 3.4). PHTs are
 // allocated lazily, so blocks with fewer protocol references than the
 // MHR depth never own one (the Table 7 accounting convention).
+//
 //cosmosvet:hotpath
 func (p *Predictor) Update(addr coherence.Addr, actual coherence.Tuple) {
-	p.updateIndexed(addr, actual, actual)
+	p.observeIndexed(addr, actual, actual)
 }
 
 // Observe is the combined predict-then-update step a hardware
@@ -338,6 +214,7 @@ func (p *Predictor) Update(addr coherence.Addr, actual coherence.Tuple) {
 // tuple. It is equivalent to Predict followed by Update but probes the
 // address index and the PHT once instead of twice — the trace
 // evaluators spend most of their time here.
+//
 //cosmosvet:hotpath
 func (p *Predictor) Observe(addr coherence.Addr, actual coherence.Tuple) (pred coherence.Tuple, predicted, correct bool) {
 	return p.observeIndexed(addr, actual, actual)
@@ -374,20 +251,21 @@ func (p *Predictor) History(addr coherence.Addr) []coherence.Tuple {
 // Stand-alone Cosmos tables never need it; the replacement experiment
 // quantifies what merging would cost.
 func (p *Predictor) Forget(addr coherence.Addr) {
-	i, ok := p.index[addr]
-	if !ok {
+	i := p.index.Find(uint64(addr))
+	if i == nil {
 		return
 	}
-	bs := &p.slab[i]
-	p.phtEntries -= uint64(bs.pht.len())
+	slot := *i
+	p.index.Delete(uint64(addr))
+	bs := &p.slab[slot]
+	p.phtEntries -= uint64(bs.pht.Len())
 	*bs = blockState{}
-	p.free = append(p.free, i)
-	delete(p.index, addr)
+	p.free = append(p.free, slot)
 }
 
 // MHREntries returns the number of blocks tracked (MHT size): blocks
 // that received at least one message.
-func (p *Predictor) MHREntries() uint64 { return uint64(len(p.index)) }
+func (p *Predictor) MHREntries() uint64 { return uint64(p.index.Len()) }
 
 // PHTEntries returns the total number of pattern-history entries
 // across all blocks.
@@ -399,7 +277,7 @@ func (p *Predictor) PHTEntriesFor(addr coherence.Addr) int {
 	if bs == nil {
 		return 0
 	}
-	return bs.pht.len()
+	return bs.pht.Len()
 }
 
 // MemoryStats is the Table 7 accounting for one or more predictors.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -460,5 +461,72 @@ func TestForget(t *testing.T) {
 	p.Forget(coherence.Addr(0xc0))
 	if p.MHREntries() != 1 {
 		t.Error("Forget of absent block changed state")
+	}
+}
+
+// stream returns n random receptions over blocks distinct block
+// addresses, block address 0 included.
+func stream(n, blocks int, seed int64) (addrs []coherence.Addr, tuples []coherence.Tuple) {
+	r := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		addrs = append(addrs, coherence.Addr(r.Intn(blocks)*64))
+		tuples = append(tuples, tup(r.Intn(4), coherence.GetROReq+coherence.MsgType(r.Intn(3))))
+	}
+	return addrs, tuples
+}
+
+// TestResetReobserveAllocatesNothing pins Reset's promise: a reset
+// predictor that re-observes the same stream reuses every array the
+// first pass grew.
+func TestResetReobserveAllocatesNothing(t *testing.T) {
+	addrs, tuples := stream(20000, 700, 1)
+	cfg := Config{Depth: 2, FilterMax: 1}
+	p := MustNew(cfg)
+	for i := range addrs {
+		p.Observe(addrs[i], tuples[i])
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := p.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		for i := range addrs {
+			p.Observe(addrs[i], tuples[i])
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reset and re-observe allocates %.1f times per run", allocs)
+	}
+}
+
+// TestForgetManyBlocks forgets every third of several hundred blocks.
+// The address index deletes by shifting probe runs back, so each kept
+// block must still answer exactly as in a predictor that never forgot.
+func TestForgetManyBlocks(t *testing.T) {
+	addrs, tuples := stream(20000, 500, 2)
+	p, ref := MustNew(Config{Depth: 2}), MustNew(Config{Depth: 2})
+	for i := range addrs {
+		p.Observe(addrs[i], tuples[i])
+		ref.Observe(addrs[i], tuples[i])
+	}
+	for b := 0; b < 500; b += 3 {
+		p.Forget(coherence.Addr(b * 64))
+	}
+	if want := ref.MHREntries() - 167; p.MHREntries() != want {
+		t.Fatalf("MHREntries = %d, want %d", p.MHREntries(), want)
+	}
+	for b := 0; b < 500; b++ {
+		a := coherence.Addr(b * 64)
+		got, gotOK := p.Predict(a)
+		if b%3 == 0 {
+			if gotOK || p.History(a) != nil || p.PHTEntriesFor(a) != 0 {
+				t.Fatalf("forgotten block %#x kept state", uint64(a))
+			}
+			continue
+		}
+		want, wantOK := ref.Predict(a)
+		if got != want || gotOK != wantOK || p.PHTEntriesFor(a) != ref.PHTEntriesFor(a) ||
+			!reflect.DeepEqual(p.History(a), ref.History(a)) {
+			t.Fatalf("kept block %#x diverged after Forget", uint64(a))
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
-import "github.com/cosmos-coherence/cosmos/internal/coherence"
+import (
+	"github.com/cosmos-coherence/cosmos/internal/coherence"
+	"github.com/cosmos-coherence/cosmos/internal/table"
+)
 
 // PAg is the design-space neighbour of Cosmos in Yeh & Patt's
 // taxonomy: per-address history registers (like Cosmos/PAp) indexing
@@ -20,9 +23,9 @@ type PAg struct {
 	cfg     Config
 	mhrMask uint64
 	// mhrs holds per-block history registers (first level, as in PAp).
-	mhrs map[coherence.Addr]*pagMHR
+	mhrs table.Table[pagMHR]
 	// pht is the single shared pattern table (second level).
-	pht map[uint64]*phtEntry
+	pht table.Table[phtEntry]
 }
 
 type pagMHR struct {
@@ -36,22 +39,17 @@ func NewPAg(cfg Config) (*PAg, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &PAg{
-		cfg:     cfg,
-		mhrMask: (uint64(1) << (16 * cfg.Depth)) - 1,
-		mhrs:    make(map[coherence.Addr]*pagMHR),
-		pht:     make(map[uint64]*phtEntry),
-	}, nil
+	return &PAg{cfg: cfg, mhrMask: (uint64(1) << (16 * cfg.Depth)) - 1}, nil
 }
 
 // Predict returns the shared-table prediction for the block's current
 // history.
 func (p *PAg) Predict(addr coherence.Addr) (coherence.Tuple, bool) {
-	m := p.mhrs[addr]
+	m := p.mhrs.Find(uint64(addr))
 	if m == nil || m.seen < uint64(p.cfg.Depth) {
 		return coherence.Tuple{}, false
 	}
-	e := p.pht[m.mhr]
+	e := p.pht.Find(m.mhr)
 	if e == nil {
 		return coherence.Tuple{}, false
 	}
@@ -64,24 +62,15 @@ func (p *PAg) Update(addr coherence.Addr, actual coherence.Tuple) {
 	if err != nil {
 		panic(err)
 	}
-	m := p.mhrs[addr]
+	m := p.mhrs.Find(uint64(addr))
 	if m == nil {
-		m = &pagMHR{}
-		p.mhrs[addr] = m
+		m = p.mhrs.Insert(uint64(addr), pagMHR{})
 	}
 	if m.seen >= uint64(p.cfg.Depth) {
-		e := p.pht[m.mhr]
-		switch {
-		case e == nil:
-			p.pht[m.mhr] = &phtEntry{pred: actual}
-		case e.pred == actual:
-			if e.counter < p.cfg.FilterMax {
-				e.counter++
-			}
-		case e.counter > 0:
-			e.counter--
-		default:
-			e.pred = actual
+		if e := p.pht.Find(m.mhr); e != nil {
+			e.train(actual, p.cfg.FilterMax)
+		} else {
+			p.pht.Insert(m.mhr, phtEntry{pred: actual})
 		}
 	}
 	m.mhr = (m.mhr<<16 | uint64(bits)) & p.mhrMask
@@ -98,8 +87,8 @@ func (p *PAg) Observe(addr coherence.Addr, actual coherence.Tuple) (pred coheren
 }
 
 // MHREntries returns the number of tracked blocks.
-func (p *PAg) MHREntries() uint64 { return uint64(len(p.mhrs)) }
+func (p *PAg) MHREntries() uint64 { return uint64(p.mhrs.Len()) }
 
 // PHTEntries returns the shared table's size — the memory the variant
 // saves relative to PAp shows up here.
-func (p *PAg) PHTEntries() uint64 { return uint64(len(p.pht)) }
+func (p *PAg) PHTEntries() uint64 { return uint64(p.pht.Len()) }

@@ -4,9 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/cosmos-coherence/cosmos/internal/coherence"
+	"github.com/cosmos-coherence/cosmos/internal/table"
 )
 
 // Snapshot / Restore give a predictor durable state: a long-lived
@@ -44,17 +46,10 @@ type phtPair struct {
 	e   phtEntry
 }
 
-// pairs returns the table's contents sorted by pattern.
-func (t *phtTable) pairs() []phtPair {
-	out := make([]phtPair, 0, t.len())
-	if t.hasZero {
-		out = append(out, phtPair{0, t.zero})
-	}
-	for i, k := range t.keys {
-		if k != 0 {
-			out = append(out, phtPair{k, t.entries[i]})
-		}
-	}
+// pairs returns a PHT's contents sorted by pattern.
+func pairs(t *table.Table[phtEntry]) []phtPair {
+	out := make([]phtPair, 0, t.Len())
+	t.Each(func(k uint64, e *phtEntry) { out = append(out, phtPair{k, *e}) })
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out
 }
@@ -65,22 +60,20 @@ func (t *phtTable) pairs() []phtPair {
 func (p *Predictor) AppendSnapshot(buf []byte) []byte {
 	buf = append(buf, byte(p.cfg.Depth))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.cfg.FilterMax))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.index)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.index.Len()))
 
-	addrs := make([]coherence.Addr, 0, len(p.index))
-	for a := range p.index {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	addrs := make([]uint64, 0, p.index.Len())
+	p.index.Each(func(a uint64, _ *int32) { addrs = append(addrs, a) })
+	slices.Sort(addrs)
 
 	for _, a := range addrs {
-		bs := &p.slab[p.index[a]]
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(a))
+		bs := &p.slab[*p.index.Find(a)]
+		buf = binary.LittleEndian.AppendUint64(buf, a)
 		buf = binary.LittleEndian.AppendUint64(buf, bs.mhr)
 		buf = binary.LittleEndian.AppendUint64(buf, bs.seen)
-		pairs := bs.pht.pairs()
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(pairs)))
-		for _, pr := range pairs {
+		prs := pairs(&bs.pht)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(prs)))
+		for _, pr := range prs {
 			buf = binary.LittleEndian.AppendUint64(buf, pr.key)
 			buf = binary.LittleEndian.AppendUint16(buf, uint16(pr.e.pred.Sender))
 			buf = append(buf, byte(pr.e.pred.Type))
@@ -119,7 +112,7 @@ func (p *Predictor) Restore(data []byte) error {
 		bs.mhr = b.mhr
 		bs.seen = b.seen
 		for _, pr := range b.pairs {
-			bs.pht.insert(pr.key, pr.e)
+			bs.pht.Insert(pr.key, pr.e)
 			p.phtEntries++
 		}
 	}

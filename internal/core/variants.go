@@ -102,12 +102,12 @@ func (m *MacroPredictor) strip(t coherence.Tuple) coherence.Tuple {
 // Predict returns the predicted next tuple for the block containing
 // addr.
 func (m *MacroPredictor) Predict(addr coherence.Addr) (coherence.Tuple, bool) {
-	return m.p.predictFull(m.key(addr))
+	return m.p.Predict(m.key(addr))
 }
 
 // Update trains the predictor with the actual tuple.
 func (m *MacroPredictor) Update(addr coherence.Addr, actual coherence.Tuple) {
-	m.p.updateIndexed(m.key(addr), m.strip(actual), actual)
+	m.p.observeIndexed(m.key(addr), m.strip(actual), actual)
 }
 
 // Observe is the combined predict-then-update step, fused into one
@@ -121,14 +121,6 @@ func (m *MacroPredictor) MHREntries() uint64 { return m.p.MHREntries() }
 
 // PHTEntries returns the total pattern entries.
 func (m *MacroPredictor) PHTEntries() uint64 { return m.p.PHTEntries() }
-
-// predictFull and updateIndexed extend the base predictor with a split
-// between the tuple used for indexing (possibly sender-stripped) and
-// the tuple stored as the prediction.
-
-func (p *Predictor) predictFull(addr coherence.Addr) (coherence.Tuple, bool) {
-	return p.Predict(addr)
-}
 
 // ensureBlock returns the block's state, allocating a slab slot on
 // first reference. A slot reclaimed by Reset keeps its PHT arrays, so
@@ -151,16 +143,16 @@ func (p *Predictor) ensureBlock(addr coherence.Addr) *blockState {
 		//cosmosvet:allow hotpath slab growth is amortized; reset pools retain the capacity
 		p.slab = append(p.slab, blockState{})
 	}
-	p.index[addr] = slot
+	p.index.Insert(uint64(addr), slot)
 	return &p.slab[slot]
 }
 
 // train installs (or filter-adjusts) e's prediction toward payload,
-// the Section 3.4 update rule shared by every entry point.
-func (p *Predictor) train(e *phtEntry, payload coherence.Tuple) {
+// the Section 3.4 update rule shared by every predictor.
+func (e *phtEntry) train(payload coherence.Tuple, filterMax int) {
 	switch {
 	case e.pred == payload:
-		if e.counter < p.cfg.FilterMax {
+		if e.counter < filterMax {
 			e.counter++
 		}
 	case e.counter > 0:
@@ -170,32 +162,12 @@ func (p *Predictor) train(e *phtEntry, payload coherence.Tuple) {
 	}
 }
 
-// updateIndexed is Update with distinct index and payload tuples: the
-// history register shifts in indexTuple while the PHT entry trained for
-// the current history predicts payload.
-func (p *Predictor) updateIndexed(addr coherence.Addr, indexTuple, payload coherence.Tuple) {
-	bits, err := tupleBits(indexTuple)
-	if err != nil {
-		panic(err)
-	}
-	bs := p.ensureBlock(addr)
-	if bs.seen >= uint64(p.cfg.Depth) {
-		if e := bs.pht.find(bs.mhr); e != nil {
-			p.train(e, payload)
-		} else {
-			bs.pht.insert(bs.mhr, phtEntry{pred: payload})
-			p.phtEntries++
-		}
-	}
-	bs.mhr = (bs.mhr<<16 | uint64(bits)) & p.mhrMask
-	bs.seen++
-}
-
-// observeIndexed fuses Predict and updateIndexed into a single index
-// probe and a single PHT probe per message: the entry consulted for
-// the prediction is the same entry the update rule trains, so finding
-// it once suffices. Equivalence with the two-step path is pinned by
-// the predictor unit tests and the sharded-evaluation tests.
+// observeIndexed is Observe with distinct index and payload tuples: the
+// history register shifts in indexTuple (possibly sender-stripped)
+// while the PHT entry trained for the current history predicts payload.
+// It probes the address index once and the PHT once per message: the
+// entry consulted for the prediction is the same entry the update rule
+// trains. Update is this step with its results dropped.
 func (p *Predictor) observeIndexed(addr coherence.Addr, indexTuple, payload coherence.Tuple) (pred coherence.Tuple, predicted, correct bool) {
 	bits, err := tupleBits(indexTuple)
 	if err != nil {
@@ -203,12 +175,12 @@ func (p *Predictor) observeIndexed(addr coherence.Addr, indexTuple, payload cohe
 	}
 	bs := p.ensureBlock(addr)
 	if bs.seen >= uint64(p.cfg.Depth) {
-		if e := bs.pht.find(bs.mhr); e != nil {
+		if e := bs.pht.Find(bs.mhr); e != nil {
 			pred, predicted = e.pred, true
 			correct = pred == payload
-			p.train(e, payload)
+			e.train(payload, p.cfg.FilterMax)
 		} else {
-			bs.pht.insert(bs.mhr, phtEntry{pred: payload})
+			bs.pht.Insert(bs.mhr, phtEntry{pred: payload})
 			p.phtEntries++
 		}
 	}
@@ -235,10 +207,10 @@ type PreallocStats struct {
 // static per-block entry count.
 func (p *Predictor) Prealloc(prealloc int) PreallocStats {
 	var s PreallocStats
-	for _, slot := range p.index {
-		n := p.slab[slot].pht.len()
+	p.index.Each(func(_ uint64, slot *int32) {
+		n := p.slab[*slot].pht.Len()
 		if n == 0 {
-			continue
+			return
 		}
 		s.Blocks++
 		if n <= prealloc {
@@ -246,6 +218,6 @@ func (p *Predictor) Prealloc(prealloc int) PreallocStats {
 		} else {
 			s.PoolEntries += uint64(n - prealloc)
 		}
-	}
+	})
 	return s
 }

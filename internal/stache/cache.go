@@ -43,7 +43,7 @@ type Cache struct {
 	sender  Sender
 	local   *Directory // directory co-located at this node
 	observe func(coherence.Msg)
-	lines   map[coherence.Addr]*cacheLine
+	lines   blocks[cacheLine]
 
 	// Replacement state (nil sets when unbounded). Each set holds the
 	// resident block addresses in LRU order (front = coldest).
@@ -80,7 +80,6 @@ func NewCache(node coherence.NodeID, geom coherence.Geometry, sender Sender, loc
 		sender:  sender,
 		local:   local,
 		observe: observe,
-		lines:   make(map[coherence.Addr]*cacheLine),
 		spec:    opts.Speculation,
 	}
 	if opts.CacheBlocks > 0 {
@@ -114,8 +113,8 @@ func (c *Cache) BeginDrain() { c.draining = true }
 
 // Spec reports whether addr is held as an unclaimed speculative copy.
 func (c *Cache) Spec(addr coherence.Addr) bool {
-	l, ok := c.lines[c.geom.Block(addr)]
-	return ok && l.spec
+	l := c.lines.get(c.geom.Block(addr))
+	return l != nil && l.spec
 }
 
 // SpecStats returns (pushed copies claimed by a real access, pushed
@@ -129,8 +128,8 @@ func (c *Cache) SpecStats() (claims, discards uint64) {
 // reconciler; a no-op if the line is not speculative.
 func (c *Cache) DiscardSpec(addr coherence.Addr) {
 	addr = c.geom.Block(addr)
-	l, ok := c.lines[addr]
-	if !ok || !l.spec {
+	l := c.lines.get(addr)
+	if l == nil || !l.spec {
 		return
 	}
 	l.spec = false
@@ -223,7 +222,7 @@ func (c *Cache) reserve(addr coherence.Addr) {
 	for len(c.sets[si]) >= c.assoc {
 		evicted := false
 		for _, victim := range c.sets[si] {
-			if l := c.lines[victim]; l != nil && l.pending != pendNone {
+			if l := c.lines.get(victim); l != nil && l.pending != pendNone {
 				continue
 			}
 			c.evictions++
@@ -245,15 +244,15 @@ func (c *Cache) State(addr coherence.Addr) CacheState {
 	if c.geom.Home(addr) == c.node {
 		return c.local.homeState(addr)
 	}
-	l, ok := c.lines[addr]
-	if !ok {
+	l := c.lines.get(addr)
+	if l == nil {
 		return CacheInvalid
 	}
 	return l.state
 }
 
 // LineCount returns how many remote blocks this cache has ever held.
-func (c *Cache) LineCount() int { return len(c.lines) }
+func (c *Cache) LineCount() int { return c.lines.len() }
 
 // PendingLine describes one outstanding cache-side transaction, for
 // stall diagnostics.
@@ -270,11 +269,11 @@ type PendingLine struct {
 // ordered by address (deterministic for diagnostics and tests).
 func (c *Cache) PendingLines() []PendingLine {
 	var out []PendingLine
-	for addr, l := range c.lines {
+	c.lines.each(func(addr coherence.Addr, l *cacheLine) {
 		if l.pending != pendNone {
 			out = append(out, PendingLine{Addr: addr, Kind: l.pending.String(), State: l.state})
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
@@ -284,8 +283,8 @@ func (c *Cache) PendingLines() []PendingLine {
 // "writeback"). Blocks homed locally never have cache-side
 // transactions.
 func (c *Cache) Pending(addr coherence.Addr) (kind string, ok bool) {
-	l, found := c.lines[c.geom.Block(addr)]
-	if !found || l.pending == pendNone {
+	l := c.lines.get(c.geom.Block(addr))
+	if l == nil || l.pending == pendNone {
 		return "", false
 	}
 	return l.pending.String(), true
@@ -306,12 +305,10 @@ func (c *Cache) Stats() (loads, stores, loadMiss, storeMiss, upgradeMiss, invals
 }
 
 func (c *Cache) line(addr coherence.Addr) *cacheLine {
-	l, ok := c.lines[addr]
-	if !ok {
-		l = &cacheLine{}
-		c.lines[addr] = l
+	if l := c.lines.get(addr); l != nil {
+		return l
 	}
-	return l
+	return c.lines.add(addr, cacheLine{})
 }
 
 // Access performs a load (write=false) or store (write=true) to addr.
@@ -507,8 +504,8 @@ func (c *Cache) Evict(addr coherence.Addr) {
 	if c.geom.Home(addr) == c.node {
 		return // home blocks live in home memory; nothing to evict
 	}
-	l, ok := c.lines[addr]
-	if !ok || l.state == CacheInvalid {
+	l := c.lines.get(addr)
+	if l == nil || l.state == CacheInvalid {
 		return
 	}
 	if l.pending != pendNone {

@@ -45,7 +45,7 @@ type Directory struct {
 	opts    Options
 	scfg    sharerCfg
 	observe func(coherence.Msg)
-	entries map[coherence.Addr]*dirEntry
+	entries blocks[dirEntry]
 
 	// stats
 	transactions uint64
@@ -144,7 +144,6 @@ func NewDirectory(node coherence.NodeID, geom coherence.Geometry, sender Sender,
 		opts:    opts,
 		scfg:    newSharerCfg(opts, geom.Nodes()),
 		observe: observe,
-		entries: make(map[coherence.Addr]*dirEntry),
 	}
 }
 
@@ -166,7 +165,7 @@ func (d *Directory) addSharer(e *dirEntry, n coherence.NodeID) {
 }
 
 // EntryCount returns how many blocks this directory has ever tracked.
-func (d *Directory) EntryCount() int { return len(d.entries) }
+func (d *Directory) EntryCount() int { return d.entries.len() }
 
 // Stats returns (transactions started, invalidation/downgrade requests
 // sent, local accesses served without messages, requests queued behind
@@ -176,20 +175,18 @@ func (d *Directory) Stats() (transactions, invalsSent, localHits, queued uint64)
 }
 
 func (d *Directory) entry(addr coherence.Addr) *dirEntry {
-	e, ok := d.entries[addr]
-	if !ok {
-		e = &dirEntry{owner: coherence.NoNode, expect: coherence.NoNode}
-		d.entries[addr] = e
+	if e := d.entries.get(addr); e != nil {
+		return e
 	}
-	return e
+	return d.entries.add(addr, dirEntry{owner: coherence.NoNode, expect: coherence.NoNode})
 }
 
 // Sharers returns the current sharer list of addr (for tests and
 // debugging). The owner of an exclusive block is reported as the sole
 // sharer.
 func (d *Directory) Sharers(addr coherence.Addr) []coherence.NodeID {
-	e, ok := d.entries[d.geom.Block(addr)]
-	if !ok {
+	e := d.entries.get(d.geom.Block(addr))
+	if e == nil {
 		return nil
 	}
 	if e.state == dirExclusive {
@@ -207,8 +204,8 @@ func (d *Directory) Sharers(addr coherence.Addr) []coherence.NodeID {
 // protocol state instead of the next message and argues the two are
 // equivalent; the StateEquivalence experiment tests that claim).
 func (d *Directory) EntryState(addr coherence.Addr) string {
-	e, ok := d.entries[d.geom.Block(addr)]
-	if !ok {
+	e := d.entries.get(d.geom.Block(addr))
+	if e == nil {
 		return "idle"
 	}
 	switch e.state {
@@ -362,8 +359,8 @@ func (d *Directory) snapshot(addr coherence.Addr, e *dirEntry) EntryInfo {
 // the directory has never tracked the block.
 func (d *Directory) Entry(addr coherence.Addr) (EntryInfo, bool) {
 	addr = d.geom.Block(addr)
-	e, ok := d.entries[addr]
-	if !ok {
+	e := d.entries.get(addr)
+	if e == nil {
 		return EntryInfo{}, false
 	}
 	return d.snapshot(addr, e), true
@@ -372,10 +369,10 @@ func (d *Directory) Entry(addr coherence.Addr) (EntryInfo, bool) {
 // Entries returns a snapshot of every tracked entry, ordered by address
 // (deterministic for the invariant monitor and diagnostics).
 func (d *Directory) Entries() []EntryInfo {
-	out := make([]EntryInfo, 0, len(d.entries))
-	for addr, e := range d.entries {
+	out := make([]EntryInfo, 0, d.entries.len())
+	d.entries.each(func(addr coherence.Addr, e *dirEntry) {
 		out = append(out, d.snapshot(addr, e))
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
@@ -420,7 +417,7 @@ type BusyEntry struct {
 // (deterministic for diagnostics and tests).
 func (d *Directory) BusyEntries() []BusyEntry {
 	var out []BusyEntry
-	for addr, e := range d.entries {
+	d.entries.each(func(addr coherence.Addr, e *dirEntry) {
 		if e.state == dirBusy {
 			out = append(out, BusyEntry{
 				Addr:      addr,
@@ -429,7 +426,7 @@ func (d *Directory) BusyEntries() []BusyEntry {
 				Queued:    len(e.queue),
 			})
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
@@ -437,8 +434,8 @@ func (d *Directory) BusyEntries() []BusyEntry {
 // homeState reports the home node's own access rights to addr, derived
 // from directory state (the home node has no separate cache line).
 func (d *Directory) homeState(addr coherence.Addr) CacheState {
-	e, ok := d.entries[addr]
-	if !ok {
+	e := d.entries.get(addr)
+	if e == nil {
 		return CacheInvalid
 	}
 	switch {
@@ -955,16 +952,16 @@ type SpecRecord struct {
 // BeginDrain; the invariant monitor requires it empty at quiesce.
 func (d *Directory) SpecOutstanding() []SpecRecord {
 	var out []SpecRecord
-	for addr, e := range d.entries {
+	d.entries.each(func(addr coherence.Addr, e *dirEntry) {
 		if e.specPushed == 0 && e.expect == coherence.NoNode {
-			continue
+			return
 		}
 		r := SpecRecord{Addr: addr, Expect: e.expect}
 		e.specPushed.forEach(d.geom.Nodes(), func(n coherence.NodeID) {
 			r.Pushed = append(r.Pushed, n)
 		})
 		out = append(out, r)
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
@@ -976,8 +973,8 @@ func (d *Directory) SpecOutstanding() []SpecRecord {
 // was claimed by a real read). A busy entry only has its mark cleared:
 // finish() rewrites the sharer set anyway.
 func (d *Directory) ResolveSpecPush(addr coherence.Addr, n coherence.NodeID, dropSharer bool) {
-	e, ok := d.entries[d.geom.Block(addr)]
-	if !ok {
+	e := d.entries.get(d.geom.Block(addr))
+	if e == nil {
 		return
 	}
 	e.specPushed.remove(n)
@@ -994,7 +991,7 @@ func (d *Directory) ResolveSpecPush(addr coherence.Addr, n coherence.NodeID, dro
 // addr without scoring it (used by the end-of-run reconciler, where no
 // further message can ever arrive to verify it).
 func (d *Directory) ResolveSpecExpect(addr coherence.Addr) {
-	if e, ok := d.entries[d.geom.Block(addr)]; ok {
+	if e := d.entries.get(d.geom.Block(addr)); e != nil {
 		e.expect = coherence.NoNode
 	}
 }

@@ -530,3 +530,31 @@ func TestHomeStateSharedView(t *testing.T) {
 		t.Errorf("home state after remote write = %v", got)
 	}
 }
+
+// TestBlockPointersStayValid pins the contract the handlers rely on: a
+// *dirEntry or *cacheLine stays the live state of its block however
+// many blocks are added after it.
+func TestBlockPointersStayValid(t *testing.T) {
+	l := newSystem(t, 2, DefaultOptions())
+	dir, cache := l.dirs[0], l.caches[1]
+	dirAddr, lineAddr := coherence.Addr(0), coherence.Addr(0x40)
+	e, ln := dir.entry(dirAddr), cache.line(lineAddr)
+	for i := 1; i <= 10000; i++ {
+		dir.entry(coherence.Addr(i * 0x40))
+		cache.line(coherence.Addr((i + 1) * 0x40))
+	}
+	if dir.EntryCount() != 10001 || cache.LineCount() != 10001 {
+		t.Fatalf("EntryCount %d, LineCount %d; want 10001 each", dir.EntryCount(), cache.LineCount())
+	}
+	if dir.entry(dirAddr) != e || cache.line(lineAddr) != ln {
+		t.Fatal("a block's state moved after later inserts")
+	}
+	e.state, e.owner = dirExclusive, 1
+	ln.state = CacheReadWrite
+	if got := dir.EntryState(dirAddr); got != "exclusive{P1}" {
+		t.Errorf("write through old *dirEntry not visible: %s", got)
+	}
+	if got := cache.State(lineAddr); got != CacheReadWrite {
+		t.Errorf("write through old *cacheLine not visible: state %v", got)
+	}
+}

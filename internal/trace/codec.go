@@ -7,6 +7,8 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"os"
+	"slices"
 
 	"github.com/cosmos-coherence/cosmos/internal/coherence"
 )
@@ -169,20 +171,29 @@ func (c *checksumReader) Read(p []byte) (int, error) {
 
 // Read deserializes a trace written by Write, verifying the v2 length
 // and checksum footer before returning it. It drains a StreamReader,
-// the codec's only decoder.
+// the codec's only decoder, straight into Records. Records is never
+// sized from the header alone, so a corrupt count fails at the first
+// short read instead of attempting a multi-gigabyte make(): when r
+// knows its length (an *os.File, or a reader with a Len method) the
+// capacity is the smaller of the count and what those bytes hold, so
+// an honest trace is allocated once, exactly; otherwise Records grows.
 func Read(r io.Reader) (*Trace, error) {
+	avail, known := remainingBytes(r)
 	sr, err := NewStreamReader(r)
 	if err != nil {
 		return nil, err
 	}
 	t := &Trace{App: sr.App(), Nodes: sr.Nodes(), Iterations: sr.Iterations()}
-	// Grow with append rather than trusting the header's count with one
-	// huge up-front allocation: a corrupt header then fails at the
-	// first short read instead of attempting a multi-gigabyte make().
-	var win [chunkRecords]Record
+	if known {
+		fit := (avail - int64(payloadSize(sr.App(), 0)) - footerSize) / recordSize
+		t.Records = make([]Record, 0, min(sr.Remaining(), uint64(max(fit, 0))))
+	}
 	for {
-		n, err := sr.Next(win[:])
-		t.Records = append(t.Records, win[:n]...)
+		if len(t.Records) == cap(t.Records) && sr.Remaining() > 0 {
+			t.Records = slices.Grow(t.Records, int(min(sr.Remaining(), chunkRecords)))
+		}
+		n, err := sr.Next(t.Records[len(t.Records):cap(t.Records)])
+		t.Records = t.Records[:len(t.Records)+n]
 		if err == io.EOF {
 			return t, nil
 		}
@@ -190,6 +201,20 @@ func Read(r io.Reader) (*Trace, error) {
 			return nil, err
 		}
 	}
+}
+
+// remainingBytes reports how many unread bytes r holds, if r can tell.
+func remainingBytes(r io.Reader) (int64, bool) {
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		return int64(v.Len()), true
+	case *os.File:
+		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() {
+			off, err := v.Seek(0, io.SeekCurrent)
+			return fi.Size() - off, err == nil
+		}
+	}
+	return 0, false
 }
 
 // WriteText dumps the trace in a human-readable one-record-per-line

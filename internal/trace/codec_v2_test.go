@@ -10,13 +10,9 @@ import (
 )
 
 // encodeSample returns sampleTrace encoded with the current codec.
-func encodeSample(t *testing.T) []byte {
+func encodeSample(t testing.TB) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := Write(&buf, sampleTrace()); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return encode(t, sampleTrace())
 }
 
 // TestFooterCatchesTruncation truncates the encoding at every possible

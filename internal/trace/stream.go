@@ -170,6 +170,9 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	if v := binary.LittleEndian.Uint16(hdr[4:]); v != Version {
 		return nil, fmt.Errorf("trace: unsupported version %d (want %d); regenerate the trace with this build", v, Version)
 	}
+	if r := binary.LittleEndian.Uint32(hdr[14:]); r != 0 {
+		return nil, fmt.Errorf("trace: reserved header bytes hold %#x, want 0", r)
+	}
 	sr := &StreamReader{
 		cr:  cr,
 		n:   int(binary.LittleEndian.Uint16(hdr[6:])),
@@ -206,12 +209,13 @@ func (s *StreamReader) Remaining() uint64 { return s.left }
 
 // Next decodes up to len(buf) records into buf and returns how many it
 // wrote. It returns (0, io.EOF) once every record has been consumed
-// and the footer verified.
+// and the footer verified. buf may be empty only when no records
+// remain; that call verifies the footer.
 func (s *StreamReader) Next(buf []Record) (int, error) {
 	if s.done {
 		return 0, io.EOF
 	}
-	if len(buf) == 0 {
+	if len(buf) == 0 && s.left > 0 {
 		return 0, fmt.Errorf("trace: StreamReader.Next with empty buffer")
 	}
 	want := int(min(uint64(len(buf)), s.left))
@@ -260,6 +264,10 @@ func (s *StreamReader) checkFooter() error {
 	}
 	if wantSum := binary.LittleEndian.Uint32(foot[12:]); wantSum != payloadSum {
 		return fmt.Errorf("trace: payload checksum %#x, footer says %#x (corrupted file?)", payloadSum, wantSum)
+	}
+	// The footer ends the trace, so every accepted input re-encodes exactly.
+	if n, _ := io.ReadFull(s.cr.r, foot[:1]); n > 0 {
+		return fmt.Errorf("trace: trailing bytes after the footer")
 	}
 	return nil
 }

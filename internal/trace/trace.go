@@ -172,10 +172,18 @@ func (c *capture) EndIteration(int) { c.currentPhase++ }
 // Recorder captures a machine run into a Trace. It implements
 // machine.Observer structurally (the machine package is not imported,
 // avoiding a dependency cycle with tests).
+//
+// Records land in fixed-size chunks of recorderChunk rather than one
+// growing slice, so no record is copied while the run lasts; Trace
+// copies them once into an exactly sized Records and drops the chunks.
 type Recorder struct {
 	capture
-	trace *Trace
+	trace  *Trace
+	chunks [][]Record
+	n      int // records held in chunks
 }
+
+const recorderChunk = 1 << 14
 
 // NewRecorder creates a recorder for a run of the given app name over
 // nodes, whose workload groups phasesPerIter phases into one
@@ -190,10 +198,25 @@ func NewRecorder(app string, nodes, phasesPerIter, startupIterations int) *Recor
 }
 
 // Trace returns the captured trace (valid once the run completes).
-func (r *Recorder) Trace() *Trace { return r.trace }
+func (r *Recorder) Trace() *Trace {
+	if r.n > 0 {
+		recs := make([]Record, len(r.trace.Records)+r.n)
+		k := copy(recs, r.trace.Records)
+		for _, c := range r.chunks {
+			k += copy(recs[k:], c)
+		}
+		r.trace.Records, r.chunks, r.n = recs, nil, 0
+	}
+	return r.trace
+}
 
 func (r *Recorder) append(rec Record) {
-	r.trace.Records = append(r.trace.Records, rec)
+	if r.n%recorderChunk == 0 {
+		r.chunks = append(r.chunks, make([]Record, 0, recorderChunk))
+	}
+	c := len(r.chunks) - 1
+	r.chunks[c] = append(r.chunks[c], rec)
+	r.n++
 	if it := int(rec.Iter); it+1 > r.trace.Iterations {
 		r.trace.Iterations = it + 1
 	}

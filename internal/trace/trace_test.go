@@ -49,14 +49,17 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// garbageInputs are byte strings no decoder may accept; FuzzRead seeds
+// its corpus with them.
+var garbageInputs = [][]byte{
+	nil,
+	[]byte("XXXX"),
+	[]byte("CTRC"),                     // truncated header
+	[]byte("CTRC\xff\xff____________"), // bad version
+}
+
 func TestReadRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("XXXX"),
-		[]byte("CTRC"),                     // truncated header
-		[]byte("CTRC\xff\xff____________"), // bad version
-	}
-	for i, c := range cases {
+	for i, c := range garbageInputs {
 		if _, err := Read(bytes.NewReader(c)); err == nil {
 			t.Errorf("case %d: Read accepted garbage", i)
 		}
