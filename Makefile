@@ -5,11 +5,11 @@
 
 GO ?= go
 
-.PHONY: check ci lint vet cosmosvet build test fuzz-smoke perfbench race bench bench-json bench-smoke bench-gate bench-trend warm-cache chaos chaos-spec serve-chaos scale-smoke examples clean
+.PHONY: check ci lint vet cosmosvet build test fuzz-smoke perfbench race bench bench-gate chaos chaos-spec serve-chaos scale-smoke examples clean
 
 check: lint build race
 
-ci: lint build test fuzz-smoke perfbench race chaos chaos-spec serve-chaos scale-smoke
+ci: lint build test fuzz-smoke perfbench bench-gate race chaos chaos-spec serve-chaos scale-smoke
 
 lint: vet cosmosvet
 
@@ -42,52 +42,13 @@ race:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# Capture the full benchmark suite as a labelled JSON snapshot next to
-# the code: `make bench-json BENCH_LABEL=optimized` appends to BENCH_<date>.json.
-BENCH_DATE  ?= $(shell date +%Y%m%d)
-BENCH_LABEL ?= snapshot
-bench-json:
-	$(GO) run ./cmd/cosmos-bench -label $(BENCH_LABEL) -o BENCH_$(BENCH_DATE).json
-
-# A cheap CI guard: the benchmark harness itself must stay runnable.
-# Small scale, one iteration each — measures nothing, catches rot.
-# Points the harness at the shared trace cache when one was warmed.
-# The second leg runs the workload-generation layer benchmark once.
-TRACE_CACHE ?= .trace-cache
-bench-smoke:
-	COSMOS_BENCH_SCALE=small COSMOS_TRACE_CACHE=$(TRACE_CACHE) $(GO) test -bench . -benchtime 1x -run '^$$' .
-	$(GO) test -bench AppendAccesses -benchtime 1x -run '^$$' ./internal/workload
-
-# Simulate and cache every benchmark trace once (small scale for CI);
-# subsequent tables/bench runs pointed at TRACE_CACHE load instead of
-# simulating.
-warm-cache:
-	$(GO) run ./cmd/cosmos-tables -scale small -trace-cache $(TRACE_CACHE) -warm-cache
-
-# The CI performance gate: capture a small-scale snapshot against the
-# warm cache and compare it with the committed baseline. The threshold
-# is deliberately generous (shared CI runners are noisy and slower than
-# the reference container); it exists to catch order-of-magnitude
-# regressions — an accidental serial fallback, a cache that stopped
-# hitting — not single-digit drift. Allocation counts are deterministic
-# on any machine, so the allocs/op gate is far tighter: it catches a
-# reintroduced per-event closure or a lost buffer reuse immediately.
-BENCH_GATE_THRESHOLD ?= 300
-BENCH_GATE_ALLOC_THRESHOLD ?= 20
+# The count gate: every Benchmark* in the module, run once at small
+# scale with one P and no GC, must reproduce B/op, allocs/op and every
+# custom metric of BENCH_BASELINE.json to within 1%, in either
+# direction. `go run ./cmd/cosmos-bench -update` refreshes the
+# baseline. Wall time is perfbench's job (bash perfbench/run.sh).
 bench-gate:
-	rm -f /tmp/bench-gate.json
-	COSMOS_BENCH_SCALE=small $(GO) run ./cmd/cosmos-bench -label gate -trace-cache $(TRACE_CACHE) \
-		-bench 'Table5|Table6|EvaluateThroughput|ServeSLO|ScaleSweep' -o /tmp/bench-gate.json
-	$(GO) run ./cmd/cosmos-bench -compare -threshold $(BENCH_GATE_THRESHOLD) \
-		-alloc-threshold $(BENCH_GATE_ALLOC_THRESHOLD) BENCH_SMOKE_BASELINE.json /tmp/bench-gate.json
-
-# The performance ledger: snapshot-over-snapshot ns/op history for
-# every benchmark label in every committed snapshot file. Fails on a
-# malformed snapshot (missing label/date, empty or duplicated
-# benchmark lists), so a broken append is caught before it poisons the
-# record.
-bench-trend:
-	@for f in BENCH_*.json; do $(GO) run ./cmd/cosmos-bench -trend $$f || exit 1; done
+	$(GO) run ./cmd/cosmos-bench
 
 # A short chaos sweep with the runtime invariant monitor on: 25 seeds
 # of random fault plans and delivery perturbation over the unmodified

@@ -10,7 +10,6 @@ package cosmos_test
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -31,8 +30,8 @@ import (
 
 // benchScale resolves the workload scale for the macro benchmarks from
 // COSMOS_BENCH_SCALE (small | medium | full), falling back to def.
-// The CI bench-smoke step sets small so the suite stays affordable;
-// committed BENCH_*.json snapshots use the defaults.
+// The cosmos-bench count gate sets small so the whole suite runs in
+// about a second.
 func benchScale(b *testing.B, def workload.Scale) workload.Scale {
 	b.Helper()
 	name := os.Getenv("COSMOS_BENCH_SCALE")
@@ -53,9 +52,8 @@ var (
 
 // fullSuite lazily builds the shared full-scale suite; the first
 // benchmark that needs a trace pays its simulation cost exactly once
-// per process — or loads it from COSMOS_TRACE_CACHE when set (the CI
-// bench-smoke step warms the cache once per job and points every
-// benchmark run at it).
+// per process — or loads it from COSMOS_TRACE_CACHE when set. The
+// count gate unsets it, so its counts never depend on a cache's state.
 func fullSuite(b *testing.B) *experiments.Suite {
 	b.Helper()
 	suiteOnce.Do(func() {
@@ -65,25 +63,6 @@ func fullSuite(b *testing.B) *experiments.Suite {
 		suite = experiments.NewSuite(cfg)
 	})
 	return suite
-}
-
-// reportGC attaches the garbage collector's share of a benchmark as
-// custom metrics: stop-the-world pause accumulated over the timed
-// region, amortized per iteration (gc-pause-ns/op), and the live heap
-// after the final iteration (heap-live-B). Call it before the loop and
-// defer the returned func. cosmos-bench's parser stores any custom
-// unit in the snapshot's metrics map, so GC cost is versioned in
-// BENCH_*.json next to ns/op and allocs/op.
-func reportGC(b *testing.B) func() {
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-	return func() {
-		b.StopTimer()
-		var after runtime.MemStats
-		runtime.ReadMemStats(&after)
-		b.ReportMetric(float64(after.PauseTotalNs-before.PauseTotalNs)/float64(b.N), "gc-pause-ns/op")
-		b.ReportMetric(float64(after.HeapAlloc), "heap-live-B")
-	}
 }
 
 // warm materializes all five traces outside the timed region.
@@ -111,7 +90,6 @@ func BenchmarkTable5(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			s.SetWorkers(bc.workers)
 			defer s.SetWorkers(1)
-			defer reportGC(b)()
 			b.ResetTimer()
 			var rows []experiments.Table5Row
 			for i := 0; i < b.N; i++ {
@@ -134,7 +112,6 @@ func BenchmarkTable5(b *testing.B) {
 func BenchmarkTable6(b *testing.B) {
 	s := fullSuite(b)
 	warm(b, s)
-	defer reportGC(b)()
 	b.ResetTimer()
 	var rows []experiments.Table6Row
 	for i := 0; i < b.N; i++ {
@@ -378,8 +355,8 @@ func BenchmarkPredictorObserve(b *testing.B) {
 // BenchmarkSimulation measures the machine simulator itself driving
 // the dsmc workload at small scale. Machine and workload construction
 // happen outside the timed region (a machine is single-use, so each
-// iteration needs a fresh one), and the fired-event count is reported
-// as events/sec — the simulator's real figure of merit.
+// iteration needs a fresh one), and the fired-event count per run is
+// reported as events.
 func BenchmarkSimulation(b *testing.B) {
 	var events uint64
 	b.ReportAllocs()
@@ -398,10 +375,7 @@ func BenchmarkSimulation(b *testing.B) {
 		}
 		events += m.Engine().Fired()
 	}
-	b.StopTimer()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(events)/secs, "events/sec")
-	}
+	b.ReportMetric(float64(events)/float64(b.N), "events")
 }
 
 // BenchmarkEngine measures the event queue in isolation: one Post
@@ -428,12 +402,10 @@ func BenchmarkEngine(b *testing.B) {
 // durable store, paced clients, a mildly faulty wire — and runs a
 // fixed workload to completion with periodic checkpointing on. It
 // reports the service-level numbers the SLO gate watches: simulated
-// observation throughput and p99 observation→response latency. The
-// wall-clock time per op is the harness cost (engine + transport +
-// snapshot/WAL I/O), gated by cosmos-bench -compare like the other
-// headline benchmarks.
+// observation throughput and p99 observation→response latency, both in
+// simulated time. The wall-clock time per op is the harness cost
+// (engine + transport + snapshot/WAL I/O).
 func BenchmarkServeSLO(b *testing.B) {
-	defer reportGC(b)()
 	const streams, obs = 4, 400
 	workload := serve.GenWorkload(1, streams, obs)
 	var tput float64
@@ -474,7 +446,6 @@ func BenchmarkEvaluateThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer reportGC(b)()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := stats.Evaluate(tr, core.Config{Depth: 2}, stats.Options{}); err != nil {
@@ -495,7 +466,6 @@ func BenchmarkEvaluateThroughputSharded(b *testing.B) {
 		b.Fatal(err)
 	}
 	tr.Partition() // build the memoized view outside the timed region
-	defer reportGC(b)()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := stats.Evaluate(tr, core.Config{Depth: 2}, stats.Options{Workers: 8}); err != nil {
@@ -522,7 +492,6 @@ func BenchmarkScaleSweep(b *testing.B) {
 			cfg.Stache.DirFormat = stache.DirLimitedPtr
 			s := experiments.NewSuite(cfg)
 			b.ReportAllocs()
-			defer reportGC(b)()
 			b.ResetTimer()
 			var res *stats.Result
 			for i := 0; i < b.N; i++ {

@@ -1,215 +1,165 @@
-// Command cosmos-bench captures the repo's benchmark suite as a
-// labelled JSON snapshot, so performance changes land in version
-// control next to the code that caused them.
+// Command cosmos-bench is the count gate over every benchmark in the
+// module. It runs each Benchmark* once in a fixed environment and
+// compares B/op, allocs/op and every custom metric (accuracies,
+// message and event counts, simulated latencies) with the committed
+// BENCH_BASELINE.json. A value that moves beyond one relative bound in
+// either direction fails the gate, so an improvement forces a baseline
+// refresh instead of leaving slack behind it. Wall time is not gated
+// here: perfbench samples it repeatedly.
 //
-// Usage:
+// Usage (from the module root):
 //
-//	cosmos-bench -label optimized -o BENCH_20060102.json           # run + append
-//	cosmos-bench -label baseline -parse old.txt -o BENCH_....json  # parse a saved run
-//	cosmos-bench -bench 'Predictor|Engine' -benchtime 200ms ...    # subset, longer time
-//	cosmos-bench -trace-cache .trace-cache ...                     # benchmark against a warm trace cache
-//	cosmos-bench -compare old.json new.json                        # per-benchmark deltas + regression gate
-//	cosmos-bench -trend BENCH_20060102.json                        # snapshot-over-snapshot history per benchmark
+//	cosmos-bench           # run and compare; exit 1 on any move
+//	cosmos-bench -update   # run and rewrite the baseline
 //
-// Each invocation appends one snapshot to the output file (created if
-// absent), preserving earlier snapshots — a before/after pair in one
-// file is the expected shape. The parser understands standard
-// `go test -bench` output: ns/op, B/op, allocs/op, and any custom
-// b.ReportMetric columns (events/sec, accuracy percentages, ...).
-//
-// -compare loads the latest snapshot from each file, matches
-// benchmarks by name, prints ns/op, B/op and allocs/op deltas, and
-// exits nonzero when any benchmark's ns/op regressed by more than
-// -threshold percent — the CI performance gate.
+// The environment is fixed because allocation counts are not
+// deterministic at default runtime settings: the sync.Pools in
+// internal/stats are per-P and emptied by every GC, so a row's allocs/op
+// depends on how many Ps there are and when the collector runs. With
+// one P and no collection, every value repeats from run to run.
+// The settings reach only the test binaries (through go test -exec);
+// the build itself runs with the caller's, since a compile without a
+// collector needs twice the memory.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
+	"runtime"
+	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
-// Benchmark is one parsed result line.
-type Benchmark struct {
-	Name        string  `json:"name"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	// Metrics holds every custom b.ReportMetric column by unit name.
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
+const (
+	baselinePath = "BENCH_BASELINE.json"
+	// bound is the largest relative move a value may make. Repeated runs
+	// in the fixed environment reproduce 93 of the 108 values exactly
+	// and the rest to within 0.13% (BenchmarkServeSLO B/op).
+	bound = 0.01
+	// childEnv prefixes each test binary: small-scale workloads, one P,
+	// no GC, and no trace cache, so the suite simulates what it measures.
+	childEnv = "env -u COSMOS_TRACE_CACHE COSMOS_BENCH_SCALE=small GOMAXPROCS=1 GOGC=off"
+)
 
-// Snapshot is one labelled benchmark run.
-type Snapshot struct {
-	Label string `json:"label"`
-	Date  string `json:"date"`
-	Goos  string `json:"goos,omitempty"`
-	CPU   string `json:"cpu,omitempty"`
-	// Note carries free-text caveats (e.g. the machine's core count).
-	Note       string      `json:"note,omitempty"`
-	Benchmarks []Benchmark `json:"benchmarks"`
-}
-
-// File is the on-disk shape: an append-only list of snapshots.
-type File struct {
-	Snapshots []Snapshot `json:"snapshots"`
+// Baseline is the committed file: the Go release that produced the
+// values (allocation counts move between releases) and one flat map
+// keyed "<package>.<benchmark> <unit>".
+type Baseline struct {
+	Go     string             `json:"go"`
+	Values map[string]float64 `json:"values"`
 }
 
 func main() {
-	if err := run(); err != nil {
+	update := flag.Bool("update", false, "rewrite "+baselinePath+" from this run instead of comparing with it")
+	flag.Parse()
+	if err := run(*update); err != nil {
 		fmt.Fprintln(os.Stderr, "cosmos-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		label          = flag.String("label", "", "snapshot label (e.g. baseline, optimized); required")
-		out            = flag.String("o", "", "JSON file to append the snapshot to; required")
-		parse          = flag.String("parse", "", "parse a saved `go test -bench` output file instead of running")
-		benchRe        = flag.String("bench", ".", "benchmark selector regexp (go test -bench)")
-		benchtime      = flag.String("benchtime", "1x", "per-benchmark time or iteration budget")
-		date           = flag.String("date", time.Now().Format("2006-01-02"), "snapshot date stamp")
-		note           = flag.String("note", "", "free-text caveat recorded in the snapshot")
-		pkg            = flag.String("pkg", ".", "package to benchmark")
-		tcache         = flag.String("trace-cache", "", "trace cache directory passed to the benchmark harness (COSMOS_TRACE_CACHE)")
-		doCompare      = flag.Bool("compare", false, "compare the latest snapshots of two JSON files: cosmos-bench -compare old.json new.json")
-		threshold      = flag.Float64("threshold", 10, "with -compare: max allowed ns/op regression in percent before exiting nonzero")
-		allocThreshold = flag.Float64("alloc-threshold", -1, "with -compare: max allowed allocs/op regression in percent before exiting nonzero (negative disables; alloc counts are deterministic, so this gate can be much tighter than -threshold)")
-		trend          = flag.String("trend", "", "print the snapshot-over-snapshot delta history of one JSON file and exit")
-	)
-	flag.Parse()
+func run(update bool) error {
+	cmd := exec.Command("go", "test", "-run", "^$", "-bench", ".", "-benchmem",
+		"-benchtime", "1x", "-exec", childEnv, "./...")
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("go test -bench: %w\n%s", err, out)
+	}
+	values, rows := parse(string(out))
+	if rows == 0 {
+		return fmt.Errorf("no benchmark result lines in go test output")
+	}
+	got := Baseline{Go: runtime.Version(), Values: values}
 
-	if *trend != "" {
-		return trendFile(os.Stdout, *trend)
-	}
-	if *doCompare {
-		if flag.NArg() != 2 {
-			return fmt.Errorf("-compare wants exactly two arguments: old.json new.json")
-		}
-		return compareFiles(os.Stdout, flag.Arg(0), flag.Arg(1), *threshold, *allocThreshold)
-	}
-	if *label == "" || *out == "" {
-		return fmt.Errorf("-label and -o are required")
-	}
-
-	var raw []byte
-	var err error
-	if *parse != "" {
-		raw, err = os.ReadFile(*parse)
+	if update {
+		data, err := json.MarshalIndent(&got, "", "  ")
 		if err != nil {
 			return err
 		}
-	} else {
-		cmd := exec.Command("go", "test", "-run", "^$",
-			"-bench", *benchRe, "-benchmem", "-benchtime", *benchtime, *pkg)
-		cmd.Stderr = os.Stderr
-		if *tcache != "" {
-			cmd.Env = append(os.Environ(), "COSMOS_TRACE_CACHE="+*tcache)
+		if err := os.WriteFile(baselinePath, append(data, '\n'), 0o644); err != nil {
+			return err
 		}
-		raw, err = cmd.Output()
-		if err != nil {
-			return fmt.Errorf("go test -bench: %w\n%s", err, raw)
-		}
-		os.Stdout.Write(raw)
+		fmt.Printf("cosmos-bench: wrote %d rows, %d values to %s\n", rows, len(values), baselinePath)
+		return nil
 	}
-
-	snap, err := parseOutput(string(raw))
+	data, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return err
 	}
-	snap.Label = *label
-	snap.Date = *date
-	snap.Note = *note
-
-	var file File
-	if data, err := os.ReadFile(*out); err == nil {
-		if err := json.Unmarshal(data, &file); err != nil {
-			return fmt.Errorf("%s: %w", *out, err)
-		}
-	} else if !os.IsNotExist(err) {
+	var base Baseline
+	if err := json.Unmarshal(data, &base); err != nil {
+		return fmt.Errorf("%s: %w", baselinePath, err)
+	}
+	if err := check(base, got); err != nil {
 		return err
 	}
-	file.Snapshots = append(file.Snapshots, snap)
-	data, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "cosmos-bench: appended %q (%d benchmarks) to %s\n",
-		*label, len(snap.Benchmarks), *out)
+	fmt.Printf("cosmos-bench: %d rows, %d values within %g%% of %s\n", rows, len(values), 100*bound, baselinePath)
 	return nil
 }
 
-// parseOutput extracts the header and every result line from standard
-// `go test -bench` output.
-func parseOutput(out string) (Snapshot, error) {
-	var snap Snapshot
+// parse reads multi-package `go test -bench -benchmem` output into
+// values keyed by package-qualified row and unit, and counts the rows.
+// ns/op and MB/s are host time, which perfbench measures instead.
+func parse(out string) (map[string]float64, int) {
+	values := make(map[string]float64)
+	rows, pkg := 0, ""
 	for _, line := range strings.Split(out, "\n") {
-		line = strings.TrimSpace(line)
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			snap.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-		case strings.HasPrefix(line, "cpu:"):
-			snap.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-		case strings.HasPrefix(line, "Benchmark"):
-			b, ok := parseLine(line)
-			if ok {
-				snap.Benchmarks = append(snap.Benchmarks, b)
+		if p, ok := strings.CutPrefix(line, "pkg: "); ok {
+			pkg = strings.TrimSpace(p)
+			continue
+		}
+		f := strings.Fields(line)
+		if len(f) < 4 || len(f)%2 != 0 || !strings.HasPrefix(f[0], "Benchmark") {
+			continue
+		}
+		if _, err := strconv.Atoi(f[1]); err != nil {
+			continue
+		}
+		rows++
+		for i := 2; i < len(f); i += 2 {
+			if f[i+1] == "ns/op" || f[i+1] == "MB/s" {
+				continue
+			}
+			if v, err := strconv.ParseFloat(f[i], 64); err == nil {
+				values[pkg+"."+f[0]+" "+f[i+1]] = v
 			}
 		}
 	}
-	if len(snap.Benchmarks) == 0 {
-		return snap, fmt.Errorf("no benchmark result lines found")
-	}
-	return snap, nil
+	return values, rows
 }
 
-// parseLine parses one result line: a name, an iteration count, then
-// value/unit pairs (ns/op, B/op, allocs/op, and custom metrics).
-func parseLine(line string) (Benchmark, bool) {
-	fields := strings.Fields(line)
-	if len(fields) < 4 || len(fields)%2 != 0 {
-		return Benchmark{}, false
+// check fails when the run used another Go release than the baseline,
+// or when any value is missing from either side or moved beyond bound.
+// A baseline of 0 therefore admits only 0.
+func check(base, got Baseline) error {
+	if base.Go != got.Go {
+		return fmt.Errorf("%s was captured with %s but this is %s; run the gate under %s or refresh with -update",
+			baselinePath, base.Go, got.Go, base.Go)
 	}
-	iters, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return Benchmark{}, false
-	}
-	b := Benchmark{Name: strings.TrimSuffix(fields[0], "-"), Iterations: iters}
-	// Strip the trailing GOMAXPROCS suffix (BenchmarkFoo-8) so names
-	// compare across machines.
-	if i := strings.LastIndexByte(b.Name, '-'); i > 0 {
-		if _, err := strconv.Atoi(b.Name[i+1:]); err == nil {
-			b.Name = b.Name[:i]
+	var bad []string
+	for k, want := range base.Values {
+		v, ok := got.Values[k]
+		if !ok {
+			bad = append(bad, k+": missing from this run")
+		} else if math.Abs(v-want) > bound*math.Abs(want) {
+			bad = append(bad, fmt.Sprintf("%s: %.10g, baseline %.10g", k, v, want))
 		}
 	}
-	for i := 2; i+1 < len(fields); i += 2 {
-		val, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
-			return Benchmark{}, false
-		}
-		switch unit := fields[i+1]; unit {
-		case "ns/op":
-			b.NsPerOp = val
-		case "B/op":
-			b.BytesPerOp = val
-		case "allocs/op":
-			b.AllocsPerOp = val
-		default:
-			if b.Metrics == nil {
-				b.Metrics = make(map[string]float64)
-			}
-			b.Metrics[unit] = val
+	for k := range got.Values {
+		if _, ok := base.Values[k]; !ok {
+			bad = append(bad, k+": not in the baseline")
 		}
 	}
-	return b, true
+	if len(bad) == 0 {
+		return nil
+	}
+	sort.Strings(bad)
+	return fmt.Errorf("%d value(s) disagree with %s (bound %g%%; refresh with -update if the change is intended):\n  %s",
+		len(bad), baselinePath, 100*bound, strings.Join(bad, "\n  "))
 }

@@ -71,21 +71,12 @@ func run() error {
 		replay   = flag.String("replay", "", "replay a repro bundle instead of sweeping")
 		verbose  = flag.Bool("v", false, "print every seed, not just failures")
 		workers  = flag.Int("workers", parallel.DefaultWorkers(), "worker pool size for the seed sweep (1 = serial)")
-		tcache   = flag.String("trace-cache", "", "trace cache directory (accepted for invocation uniformity with the other cosmos tools; chaos runs don't read benchmark traces, the directory is only created and validated)")
 	)
 	pf := prof.AddFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *workers < 1 {
 		return fmt.Errorf("-workers must be positive")
-	}
-	if *tcache != "" {
-		// CI invokes every cosmos tool with one flag set; validate the
-		// shared cache directory here even though chaos has no traces
-		// to cache, so a typoed path fails fast in the chaos job too.
-		if err := os.MkdirAll(*tcache, 0o755); err != nil {
-			return fmt.Errorf("-trace-cache: %w", err)
-		}
 	}
 	if err := pf.Start(); err != nil {
 		return err

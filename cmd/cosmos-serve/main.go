@@ -79,18 +79,12 @@ func run() error {
 		minTput  = flag.Float64("min-tput", 0, "load mode SLO: fail if simulated throughput falls below this (obs/s); 0 disables")
 		verbose  = flag.Bool("v", false, "print every seed, not just failures")
 		workers  = flag.Int("workers", parallel.DefaultWorkers(), "worker pool size for the seed sweep (1 = serial)")
-		tcache   = flag.String("trace-cache", "", "trace cache directory (accepted for invocation uniformity with the other cosmos tools; serve runs don't read benchmark traces, the directory is only created and validated)")
 	)
 	pf := prof.AddFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *workers < 1 {
 		return fmt.Errorf("-workers must be positive")
-	}
-	if *tcache != "" {
-		if err := os.MkdirAll(*tcache, 0o755); err != nil {
-			return fmt.Errorf("-trace-cache: %w", err)
-		}
 	}
 	if err := pf.Start(); err != nil {
 		return err
