@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -32,10 +33,11 @@ func TestTableWorkerInvariance(t *testing.T) {
 }
 
 // TestTableListsAllActions: the table must carry one row per Table 2
-// action plus the composed row, for every requested app.
+// action plus the composed row, for every requested app, and render
+// exactly testdata/all-micros.golden.
 func TestTableListsAllActions(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, []string{"-action", "all", "-app", "migratory", "-iters", "6", "-blocks", "8", "-workers", "2"}); err != nil {
+	if err := run(&buf, []string{"-action", "all", "-app", "micros", "-iters", "6", "-blocks", "8", "-workers", "2"}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -47,26 +49,55 @@ func TestTableListsAllActions(t *testing.T) {
 	if !strings.Contains(out, "migratory (baseline:") {
 		t.Errorf("table missing app header:\n%s", out)
 	}
+	checkGolden(t, "all-micros", buf.Bytes())
 }
 
 // TestSingleActionModes: each single-action invocation must complete
 // and report the comparison; the gated modes additionally report the
-// governor and the end-state digest comparison.
+// governor and the end-state digest comparison. Every run renders
+// exactly its testdata/<action>-<app>.golden; regenerate one only for
+// an intended change, e.g.
+//
+//	go run ./cmd/cosmos-accelerate -action rmw -app dsmc -scale small > cmd/cosmos-accelerate/testdata/rmw-dsmc-small.golden
 func TestSingleActionModes(t *testing.T) {
-	for _, action := range []string{"rmw", "dsi", "downgrade", "forward"} {
+	cases := []struct {
+		golden string
+		args   []string
+	}{
+		{"rmw-migratory", []string{"-action", "rmw", "-app", "migratory", "-iters", "6", "-blocks", "8"}},
+		{"dsi-migratory", []string{"-action", "dsi", "-app", "migratory", "-iters", "6", "-blocks", "8"}},
+		{"downgrade-migratory", []string{"-action", "downgrade", "-app", "migratory", "-iters", "6", "-blocks", "8"}},
+		{"forward-migratory", []string{"-action", "forward", "-app", "migratory", "-iters", "6", "-blocks", "8"}},
+		{"dsi-producer-consumer", []string{"-action", "dsi", "-app", "producer-consumer", "-iters", "6", "-blocks", "8"}},
+		{"rmw-dsmc-small", []string{"-action", "rmw", "-app", "dsmc", "-scale", "small"}},
+	}
+	for _, c := range cases {
 		var buf bytes.Buffer
-		args := []string{"-action", action, "-app", "migratory", "-iters", "6", "-blocks", "8"}
-		if err := run(&buf, args); err != nil {
-			t.Fatalf("%s: %v", action, err)
+		if err := run(&buf, c.args); err != nil {
+			t.Fatalf("%s: %v", c.golden, err)
 		}
 		out := buf.String()
 		if !strings.Contains(out, "message reduction") {
-			t.Errorf("%s: no summary line:\n%s", action, out)
+			t.Errorf("%s: no summary line:\n%s", c.golden, out)
 		}
+		action := c.args[1]
 		gated := action == "downgrade" || action == "forward"
 		if gated != strings.Contains(out, "governor") {
-			t.Errorf("%s: governor report mismatch (want %v):\n%s", action, gated, out)
+			t.Errorf("%s: governor report mismatch (want %v):\n%s", c.golden, gated, out)
 		}
+		checkGolden(t, c.golden, buf.Bytes())
+	}
+}
+
+// checkGolden compares got with testdata/<name>.golden.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile("testdata/" + name + ".golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Errorf("output differs from testdata/%s.golden:\n--- want ---\n%s\n--- got ---\n%s", name, want, got)
 	}
 }
 
