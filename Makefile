@@ -5,13 +5,20 @@
 
 GO ?= go
 
-.PHONY: check ci lint vet cosmosvet build test fuzz-smoke perfbench race bench bench-gate chaos chaos-spec serve-chaos scale-smoke examples clean
+.PHONY: check ci lint fmt vet cosmosvet build test fuzz-smoke perfbench race bench bench-gate chaos chaos-spec serve-chaos scale-smoke examples clean
 
 check: lint build race
 
 ci: lint build test fuzz-smoke perfbench bench-gate race chaos chaos-spec serve-chaos scale-smoke
 
-lint: vet cosmosvet
+lint: fmt vet cosmosvet
+
+# Every tracked Go file must be gofmt-clean. git ls-files keeps the
+# module cache under .bench_build out of the scan; the badparse fixture
+# is unparsable on purpose.
+fmt:
+	@files=$$(gofmt -l $$(git ls-files '*.go' ':!:internal/analysis/testdata/src/badparse')); \
+	test -z "$$files" || { echo "not gofmt-clean:"; echo "$$files"; exit 1; }
 
 vet:
 	$(GO) vet ./...

@@ -282,7 +282,10 @@ func BenchmarkAcceleratedProtocol(b *testing.B) {
 	var cmp *speculate.Comparison
 	for i := 0; i < b.N; i++ {
 		var err error
-		cmp, err = speculate.Accelerate(app, cfg, stache.DefaultOptions(), core.Config{Depth: 1})
+		cmp, err = speculate.AccelerateActions(app, cfg, stache.DefaultOptions(), speculate.AttachConfig{
+			Actions:   speculate.Actions{RMW: true},
+			Predictor: core.Config{Depth: 1},
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -293,9 +296,9 @@ func BenchmarkAcceleratedProtocol(b *testing.B) {
 
 // BenchmarkRollbackActions measures the ProtocolRollback integration
 // end to end: a producer-consumer workload under every Table 2 action
-// at once — speculative downgrade and producer push through the
-// governor, RMW and self-invalidation ungated — against the base
-// protocol. Both runs per iteration, like BenchmarkAcceleratedProtocol.
+// at once — RMW, self-invalidation, speculative downgrade and producer
+// push, all gated by one shared governor — against the base protocol.
+// Both runs per iteration, like BenchmarkAcceleratedProtocol.
 func BenchmarkRollbackActions(b *testing.B) {
 	cfg := sim.DefaultConfig()
 	geom := coherence.MustGeometry(cfg.CacheBlockBytes, cfg.PageBytes, cfg.Nodes)
@@ -304,12 +307,13 @@ func BenchmarkRollbackActions(b *testing.B) {
 	}
 	opts := stache.DefaultOptions()
 	opts.Speculation = true
+	gov := governor.DefaultConfig()
 	acfg := speculate.AttachConfig{
 		Actions:   speculate.AllActions(),
 		Predictor: core.Config{Depth: 2},
-		Governor:  governor.DefaultConfig(),
+		Governor:  &gov,
 	}
-	var cmp *speculate.ActionComparison
+	var cmp *speculate.Comparison
 	for i := 0; i < b.N; i++ {
 		var err error
 		cmp, err = speculate.AccelerateActions(app, cfg, opts, acfg)

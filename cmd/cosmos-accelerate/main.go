@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"github.com/cosmos-coherence/cosmos/internal/coherence"
 	"github.com/cosmos-coherence/cosmos/internal/core"
@@ -71,10 +72,7 @@ var (
 	// particular only has a trigger window after a writeback, so it
 	// mostly shows up composed with self-invalidation, as in the paper's
 	// Table 2 discussion.
-	tableRows = []struct {
-		label string
-		acts  speculate.Actions
-	}{
+	tableRows = []tableRow{
 		{"rmw", speculate.Actions{RMW: true}},
 		{"dsi", speculate.Actions{DSI: true}},
 		{"downgrade", speculate.Actions{Downgrade: true}},
@@ -82,6 +80,21 @@ var (
 		{"all", speculate.AllActions()},
 	}
 )
+
+// tableRow names one action set of the -action all table; single looks
+// its -action up here too.
+type tableRow struct {
+	label string
+	acts  speculate.Actions
+}
+
+// specOptions arms the protocol's speculative state for every run: the
+// option changes nothing until Attach wires a rollback action in.
+func specOptions() stache.Options {
+	o := stache.DefaultOptions()
+	o.Speculation = true
+	return o
+}
 
 // tableGov is the governor configuration the table and the gated single
 // actions run under: one verified prediction admits a block (the micro
@@ -150,39 +163,25 @@ func run(w io.Writer, args []string) error {
 }
 
 // single runs one action on one app and prints the two-column
-// comparison. rmw and dsi keep the original ungated attachments (the
-// paper's NoRecovery demonstrations); downgrade and forward run the
-// rollback machinery through the governor.
+// comparison. rmw and dsi run ungated (the paper's NoRecovery
+// demonstrations); downgrade and forward run the rollback machinery
+// through the governor.
 func single(w io.Writer, action, appName, scale string, mcfg sim.Config, pcfg core.Config, iters, blocks int, tcache string) error {
+	i := slices.IndexFunc(tableRows, func(r tableRow) bool { return r.label == action })
+	if i < 0 {
+		return fmt.Errorf("unknown action %q (want rmw, dsi, downgrade, forward, or all)", action)
+	}
 	app, err := buildApp(appName, scale, mcfg, iters, blocks)
 	if err != nil {
 		return err
 	}
-
-	var cmp *speculate.Comparison
-	var acts *speculate.ActionComparison
-	switch action {
-	case "rmw":
-		cmp, err = speculate.Accelerate(app, mcfg, stache.DefaultOptions(), pcfg)
-	case "dsi":
-		cmp, err = speculate.AccelerateDSI(app, mcfg, stache.DefaultOptions(), pcfg)
-	case "downgrade", "forward":
-		opts := stache.DefaultOptions()
-		opts.Speculation = true
-		acfg := speculate.AttachConfig{Predictor: pcfg, Governor: tableGov()}
-		if action == "downgrade" {
-			acfg.Actions = speculate.Actions{Downgrade: true}
-		} else {
-			acfg.Actions = speculate.Actions{Forward: true}
-		}
-		acts, err = speculate.AccelerateActions(app, mcfg, opts, acfg)
-		if err == nil {
-			cmp = &speculate.Comparison{Baseline: acts.Baseline.RunStats, Accelerated: acts.Accelerated.RunStats}
-			cmp.Accelerated.Speculations = acts.Accelerated.Speculations
-		}
-	default:
-		return fmt.Errorf("unknown action %q (want rmw, dsi, downgrade, forward, or all)", action)
+	acfg := speculate.AttachConfig{Actions: tableRows[i].acts, Predictor: pcfg}
+	gated := acfg.Actions.Downgrade || acfg.Actions.Forward
+	if gated {
+		gov := tableGov()
+		acfg.Governor = &gov
 	}
+	cmp, err := speculate.AccelerateActions(app, mcfg, specOptions(), acfg)
 	if err != nil {
 		return err
 	}
@@ -194,15 +193,15 @@ func single(w io.Writer, action, appName, scale string, mcfg sim.Config, pcfg co
 	fmt.Fprintf(w, "%-22s %14d %14d\n", "invalidations", cmp.Baseline.Invalidations, cmp.Accelerated.Invalidations)
 	fmt.Fprintf(w, "%-22s %14v %14v\n", "simulated time", cmp.Baseline.FinalTime, cmp.Accelerated.FinalTime)
 	fmt.Fprintf(w, "%-22s %14s %14d\n", "actions taken", "-", cmp.Accelerated.Speculations)
-	if acts != nil {
-		a := acts.Accelerated
+	if gated {
+		a := cmp.Accelerated
 		fmt.Fprintf(w, "%-22s %14s %14d\n", "spec fetches", "-", a.SpecFetches)
 		fmt.Fprintf(w, "%-22s %14s %14d\n", "spec pushes", "-", a.SpecPushes)
 		fmt.Fprintf(w, "%-22s %14s %14s\n", "pushes claimed/dropped", "-",
 			fmt.Sprintf("%d/%d", a.SpecClaims, a.SpecDiscards))
 		fmt.Fprintf(w, "%-22s %14s %14s\n", "governor", "-",
 			fmt.Sprintf("%s(%d trips)", a.GovState, a.GovTrips))
-		fmt.Fprintf(w, "%-22s %14s %14s\n", "end state vs base", "-", digestTag(acts))
+		fmt.Fprintf(w, "%-22s %14s %14s\n", "end state vs base", "-", digestTag(cmp))
 	}
 	fmt.Fprintf(w, "\nmessage reduction %.1f%%, runtime reduction %.1f%%\n",
 		100*cmp.MessageReduction(), 100*cmp.TimeReduction())
@@ -245,25 +244,24 @@ func table(w io.Writer, apps []string, scale string, mcfg sim.Config, pcfg core.
 		}
 	}
 
-	results, err := parallel.Map(len(cells), workers, func(i int) (*speculate.ActionComparison, error) {
+	gov := tableGov()
+	results, err := parallel.Map(len(cells), workers, func(i int) (*speculate.Comparison, error) {
 		c := cells[i]
 		app, err := buildApp(c.app, scale, mcfg, iters, blocks)
 		if err != nil {
 			return nil, err
 		}
-		opts := stache.DefaultOptions()
-		opts.Speculation = true
-		return speculate.AccelerateActions(app, mcfg, opts, speculate.AttachConfig{
+		return speculate.AccelerateActions(app, mcfg, specOptions(), speculate.AttachConfig{
 			Actions:   tableRows[c.row].acts,
 			Predictor: pcfg,
-			Governor:  tableGov(),
+			Governor:  &gov,
 		})
 	})
 	if err != nil {
 		return err
 	}
 
-	fmt.Fprintf(w, "protocol-action table: oracle depth %d, governor %+v\n", pcfg.Depth, tableGov())
+	fmt.Fprintf(w, "protocol-action table: oracle depth %d, governor %+v\n", pcfg.Depth, gov)
 	for i, a := range apps {
 		base := results[i*len(tableRows)].Baseline
 		fmt.Fprintf(w, "\n%s (baseline: %d messages, %v)\n", a, base.Messages, base.FinalTime)
@@ -283,7 +281,7 @@ func table(w io.Writer, apps []string, scale string, mcfg sim.Config, pcfg core.
 
 // digestTag summarizes whether the accelerated run converged to the
 // byte-identical end state of the base protocol.
-func digestTag(r *speculate.ActionComparison) string {
+func digestTag(r *speculate.Comparison) string {
 	if r.Accelerated.Digest == r.Baseline.Digest {
 		return "=base"
 	}
@@ -304,13 +302,7 @@ func appGroup(name string) ([]string, error) {
 
 // isBenchmark reports whether name is one of the five paper benchmarks
 // (the only apps the trace cache and suite evaluation know).
-func isBenchmark(name string) bool {
-	switch name {
-	case "appbt", "barnes", "dsmc", "moldyn", "unstructured":
-		return true
-	}
-	return false
-}
+func isBenchmark(name string) bool { return slices.Contains(benchNames, name) }
 
 // buildApp returns a fresh-workload factory (the comparison runs the
 // workload twice and needs independent instances).

@@ -29,7 +29,10 @@ func main() {
 		return workload.Migratory(cfg.Nodes, workload.NewArena(geom).Alloc(64), 60)
 	}
 
-	cmp, err := speculate.Accelerate(app, cfg, stache.DefaultOptions(), core.Config{Depth: 1})
+	// Both actions move the protocol between two legal states, so they
+	// run ungated: no governor in the AttachConfig.
+	rmwCfg := speculate.AttachConfig{Actions: speculate.Actions{RMW: true}, Predictor: core.Config{Depth: 1}}
+	cmp, err := speculate.AccelerateActions(app, cfg, stache.DefaultOptions(), rmwCfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +54,8 @@ func main() {
 	pcApp := func() workload.App {
 		return workload.ProducerConsumer(cfg.Nodes, 1, []int{2, 5}, workload.NewArena(geom).Alloc(64), 60)
 	}
-	dsi, err := speculate.AccelerateDSI(pcApp, cfg, stache.DefaultOptions(), core.Config{Depth: 1})
+	dsiCfg := speculate.AttachConfig{Actions: speculate.Actions{DSI: true}, Predictor: core.Config{Depth: 1}}
+	dsi, err := speculate.AccelerateActions(pcApp, cfg, stache.DefaultOptions(), dsiCfg)
 	if err != nil {
 		log.Fatal(err)
 	}

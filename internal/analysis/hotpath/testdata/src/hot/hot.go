@@ -70,7 +70,7 @@ func consume(v interface{}) { _ = v }
 func box(v int) interface{} {
 	var x interface{} = v // want `hot path box: assignment boxes into an interface`
 	x = v + 1             // want `hot path box: assignment boxes into an interface`
-	consume(v) // want `hot path box: argument boxes into an interface parameter`
+	consume(v)            // want `hot path box: argument boxes into an interface parameter`
 	_ = x
 	return any(v) // want `hot path box: conversion to interface boxes its operand`
 }

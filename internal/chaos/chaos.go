@@ -232,7 +232,7 @@ func specAttachConfig(seed int64) speculate.AttachConfig {
 	return speculate.AttachConfig{
 		Actions:   speculate.AllActions(),
 		Predictor: core.Config{Depth: 1 + int((h>>40)%2)},
-		Governor: governor.Config{
+		Governor: &governor.Config{
 			CounterMax:  3,
 			Threshold:   1 + int(h%3),
 			Window:      8 << ((h >> 8) % 3),

@@ -38,7 +38,10 @@ func AccelerateBenchmarks(cfg Config, pcfg core.Config) ([]AccelerateRow, error)
 			}
 			return a
 		}
-		cmp, err := speculate.Accelerate(app, cfg.Machine, cfg.Stache, pcfg)
+		cmp, err := speculate.AccelerateActions(app, cfg.Machine, cfg.Stache, speculate.AttachConfig{
+			Actions:   speculate.Actions{RMW: true},
+			Predictor: pcfg,
+		})
 		if err != nil {
 			return AccelerateRow{}, err
 		}

@@ -91,7 +91,7 @@ func TestCoherenceInvariantsFuzz(t *testing.T) {
 				for n := 0; n < procs; n++ {
 					node := coherence.NodeID(n)
 					o := &eagerOracle{}
-					m.Directory(node).AttachOracle(o)
+					m.Directory(node).AttachSpeculation(o, nil, stache.SpecActions{RMW: true})
 					m.AddObserver(o)
 				}
 			}
@@ -362,7 +362,7 @@ func TestSpeculationDeterminism(t *testing.T) {
 		}
 		for n := 0; n < 8; n++ {
 			o := &eagerOracle{}
-			m.Directory(coherence.NodeID(n)).AttachOracle(o)
+			m.Directory(coherence.NodeID(n)).AttachSpeculation(o, nil, stache.SpecActions{RMW: true})
 			m.AddObserver(o)
 		}
 		if err := m.Run(50_000_000); err != nil {

@@ -65,8 +65,8 @@ func (r *coverageRecorder) EndIteration(int) {}
 
 // lenientGovernor admits speculation quickly, so the speculation run
 // actually produces spec_push traffic.
-func lenientGovernor() governor.Config {
-	return governor.Config{
+func lenientGovernor() *governor.Config {
+	return &governor.Config{
 		CounterMax:  1,
 		Threshold:   1,
 		Window:      64,

@@ -55,58 +55,67 @@ func (a Actions) String() string {
 
 // AttachConfig configures Attach: which actions run, the Cosmos
 // predictor each directory and cache gets, and the governor thresholds
-// shared by the whole machine.
+// shared by the whole machine. A nil Governor runs the actions ungated,
+// which only the NoRecovery actions (RMW, DSI) may do.
 type AttachConfig struct {
 	Actions   Actions
 	Predictor core.Config
-	Governor  governor.Config
+	Governor  *governor.Config
 }
 
 // Attached bundles the machinery Attach wired into a machine, so
 // callers can read its statistics after the run.
 type Attached struct {
+	// Governor is nil for an ungated run.
 	Governor *governor.Governor
-	Oracles  []*Oracle
 	// SelfInval is nil unless Actions.DSI.
 	SelfInval *SelfInvalidator
 }
 
-// Attach wires the full gated speculation stack into a machine: one
-// shared governor, a Cosmos oracle beside every directory, the enabled
-// subset of Table 2's actions, and an end-of-run reconciler that
-// discards whatever speculative state is still outstanding at the final
-// barrier — barriers live outside the coherence protocol (Section 5.1),
-// so the discard needs no protocol messages. Call before machine.Run.
+// Attach wires the speculation stack into a machine: a Cosmos oracle
+// beside every directory, the enabled subset of Table 2's actions, the
+// shared governor that gates them when one is configured, and an
+// end-of-run reconciler that discards whatever speculative state is
+// still outstanding at the final barrier — barriers live outside the
+// coherence protocol (Section 5.1), so the discard needs no protocol
+// messages. Call before machine.Run.
 func Attach(m *machine.Machine, cfg AttachConfig) (*Attached, error) {
 	acts := cfg.Actions
-	if (acts.Downgrade || acts.Forward) && !m.ProtocolOptions().Speculation {
+	rollback := acts.Downgrade || acts.Forward
+	if rollback && !m.ProtocolOptions().Speculation {
 		return nil, fmt.Errorf("speculate: actions %v need stache.Options.Speculation", acts)
 	}
-	gov, err := governor.New(cfg.Governor)
-	if err != nil {
-		return nil, err
+	att := &Attached{}
+	// gate stays a nil interface when ungated: a nil *Governor inside a
+	// Gate would not compare equal to nil.
+	var gate stache.Gate
+	if cfg.Governor != nil {
+		gov, err := governor.New(*cfg.Governor)
+		if err != nil {
+			return nil, err
+		}
+		att.Governor, gate = gov, gov
+	} else if rollback {
+		return nil, fmt.Errorf("speculate: actions %v need a governor", acts)
 	}
-	nodes := m.Geometry().Nodes()
-	att := &Attached{Governor: gov}
-	oracles := make([]*Oracle, nodes)
-	for i := 0; i < nodes; i++ {
+	oracles := make([]*Oracle, m.Geometry().Nodes())
+	for i := range oracles {
 		o, err := NewOracle(cfg.Predictor)
 		if err != nil {
 			return nil, err
 		}
 		oracles[i] = o
 		node := coherence.NodeID(i)
-		m.Directory(node).AttachSpeculation(o, gov, stache.SpecActions{
+		m.Directory(node).AttachSpeculation(o, gate, stache.SpecActions{
 			RMW:       acts.RMW,
 			Downgrade: acts.Downgrade,
 			Forward:   acts.Forward,
 		})
-		m.Cache(node).AttachGate(gov)
+		m.Cache(node).AttachGate(gate)
 	}
-	att.Oracles = oracles
 	m.AddObserver(&trainer{oracles: oracles})
 	if acts.DSI {
-		si, err := AttachGatedSelfInvalidation(m, nodes, cfg.Predictor, gov)
+		si, err := AttachSelfInvalidation(m, cfg.Predictor, gate)
 		if err != nil {
 			return nil, err
 		}
@@ -172,11 +181,22 @@ func (c *controller) EndIteration(iter int) {
 	}
 }
 
-// ActionStats extends RunStats with the per-action speculation counters
-// and the end-state digest of one run.
-type ActionStats struct {
-	RunStats
-	// SpecRMW counts exclusive-for-shared grants; SpecDSI counts gated
+// RunStats summarizes one machine run for the acceleration comparison.
+type RunStats struct {
+	// Messages is the total network message count.
+	Messages uint64
+	// UpgradeRequests counts upgrade_request messages — the round
+	// trips the RMW action eliminates.
+	UpgradeRequests uint64
+	// Invalidations counts inval/downgrade requests sent by
+	// directories — mis-speculation shows up here.
+	Invalidations uint64
+	// Speculations counts every action taken: the sum of the four
+	// per-action counters below.
+	Speculations uint64
+	// FinalTime is the simulated completion time.
+	FinalTime sim.Time
+	// SpecRMW counts exclusive-for-shared grants; SpecDSI counts
 	// self-invalidations; SpecFetches counts speculative downgrades
 	// started; SpecPushes counts spec_push messages sent.
 	SpecRMW     uint64
@@ -187,8 +207,7 @@ type ActionStats struct {
 	SpecClaims   uint64
 	SpecDiscards uint64
 	// GovTrips is how often the circuit breaker opened; GovState its
-	// final state ("closed" on the baseline run too, where no governor
-	// exists).
+	// final state ("closed" when the run had no governor).
 	GovTrips uint64
 	GovState string
 	// Digest is machine.StateDigest() after the run: byte-equivalent
@@ -196,54 +215,59 @@ type ActionStats struct {
 	Digest string
 }
 
-// ActionComparison is the outcome of AccelerateActions.
-type ActionComparison struct {
-	Baseline    ActionStats
-	Accelerated ActionStats
+// Comparison is the outcome of AccelerateActions: the same workload run
+// with and without prediction-triggered actions.
+type Comparison struct {
+	Baseline    RunStats
+	Accelerated RunStats
 }
 
 // MessageReduction returns the relative reduction in total messages.
-func (c ActionComparison) MessageReduction() float64 {
-	return Comparison{Baseline: c.Baseline.RunStats, Accelerated: c.Accelerated.RunStats}.MessageReduction()
+func (c Comparison) MessageReduction() float64 {
+	if c.Baseline.Messages == 0 {
+		return 0
+	}
+	return 1 - float64(c.Accelerated.Messages)/float64(c.Baseline.Messages)
 }
 
 // TimeReduction returns the relative reduction in simulated runtime.
-func (c ActionComparison) TimeReduction() float64 {
-	return Comparison{Baseline: c.Baseline.RunStats, Accelerated: c.Accelerated.RunStats}.TimeReduction()
+func (c Comparison) TimeReduction() float64 {
+	if c.Baseline.FinalTime == 0 {
+		return 0
+	}
+	return 1 - float64(c.Accelerated.FinalTime)/float64(c.Baseline.FinalTime)
 }
 
 // AccelerateActions runs app twice — plain, and with the configured
-// action set attached through the governor — and reports both runs.
-// Both runs use identical protocol options (the Speculation option
-// changes nothing until Attach arms it), so the baseline digest is the
-// true base-protocol end state.
-func AccelerateActions(app func() workload.App, mcfg sim.Config, opts stache.Options, cfg AttachConfig) (*ActionComparison, error) {
-	run := func(attach bool) (ActionStats, error) {
+// action set attached (gated when cfg.Governor is set) — and reports
+// both runs. Both runs use identical protocol options (the Speculation
+// option changes nothing until Attach arms it), so the baseline digest
+// is the true base-protocol end state.
+func AccelerateActions(app func() workload.App, mcfg sim.Config, opts stache.Options, cfg AttachConfig) (*Comparison, error) {
+	run := func(attach bool) (RunStats, error) {
 		m, err := machine.New(mcfg, opts, app())
 		if err != nil {
-			return ActionStats{}, err
+			return RunStats{}, err
 		}
-		var att *Attached
+		att := &Attached{}
 		if attach {
 			if att, err = Attach(m, cfg); err != nil {
-				return ActionStats{}, err
+				return RunStats{}, err
 			}
 		}
 		if err := m.Run(2_000_000_000); err != nil {
-			return ActionStats{}, err
+			return RunStats{}, err
 		}
 		ns := m.Network().Stats()
-		st := ActionStats{
-			RunStats: RunStats{
-				Messages:        ns.MessagesSent,
-				UpgradeRequests: ns.MessagesByType[coherence.UpgradeReq],
-				Invalidations: ns.MessagesByType[coherence.InvalROReq] +
-					ns.MessagesByType[coherence.InvalRWReq] +
-					ns.MessagesByType[coherence.DowngradeReq],
-				FinalTime: m.Engine().Now(),
-			},
-			GovState: governor.Closed.String(),
-			Digest:   m.StateDigest(),
+		st := RunStats{
+			Messages:        ns.MessagesSent,
+			UpgradeRequests: ns.MessagesByType[coherence.UpgradeReq],
+			Invalidations: ns.MessagesByType[coherence.InvalROReq] +
+				ns.MessagesByType[coherence.InvalRWReq] +
+				ns.MessagesByType[coherence.DowngradeReq],
+			FinalTime: m.Engine().Now(),
+			GovState:  governor.Closed.String(),
+			Digest:    m.StateDigest(),
 		}
 		for i := 0; i < mcfg.Nodes; i++ {
 			node := coherence.NodeID(i)
@@ -255,15 +279,14 @@ func AccelerateActions(app func() workload.App, mcfg sim.Config, opts stache.Opt
 			st.SpecClaims += cl
 			st.SpecDiscards += di
 		}
-		st.Speculations = st.SpecRMW + st.SpecFetches + st.SpecPushes
-		if att != nil {
-			if att.SelfInval != nil {
-				st.SpecDSI = att.SelfInval.SelfInvalidations()
-				st.Speculations += st.SpecDSI
-			}
+		if att.SelfInval != nil {
+			st.SpecDSI = att.SelfInval.SelfInvalidations()
+		}
+		if att.Governor != nil {
 			st.GovTrips = att.Governor.Stats().Trips
 			st.GovState = att.Governor.State().String()
 		}
+		st.Speculations = st.SpecRMW + st.SpecDSI + st.SpecFetches + st.SpecPushes
 		return st, nil
 	}
 	base, err := run(false)
@@ -274,5 +297,5 @@ func AccelerateActions(app func() workload.App, mcfg sim.Config, opts stache.Opt
 	if err != nil {
 		return nil, fmt.Errorf("speculate: %v run: %w", cfg.Actions, err)
 	}
-	return &ActionComparison{Baseline: base, Accelerated: acc}, nil
+	return &Comparison{Baseline: base, Accelerated: acc}, nil
 }

@@ -15,8 +15,8 @@ import (
 // lenientGov admits speculation as soon as one prediction verifies and
 // only trips on a window of solid mispredictions — the setting tests
 // use when they want actions to fire.
-func lenientGov() governor.Config {
-	return governor.Config{
+func lenientGov() *governor.Config {
+	return &governor.Config{
 		CounterMax:  1,
 		Threshold:   1,
 		Window:      64,
@@ -71,28 +71,34 @@ func TestTable2Exhaustive(t *testing.T) {
 
 // TestAttachRequiresSpeculationOption: the rollback actions hold
 // speculative protocol state, which the protocol only tracks when the
-// Speculation option is armed.
+// Speculation option is armed, and which only the governor may create.
 func TestAttachRequiresSpeculationOption(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.Nodes = 4
 	geom := coherence.MustGeometry(cfg.CacheBlockBytes, cfg.PageBytes, cfg.Nodes)
-	app := workload.Migratory(4, workload.NewArena(geom).Alloc(4), 4)
-	m, err := machine.New(cfg, stache.DefaultOptions(), app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acfg := AttachConfig{
-		Actions:   AllActions(),
-		Predictor: core.Config{Depth: 1},
-		Governor:  governor.DefaultConfig(),
-	}
-	if _, err := Attach(m, acfg); err == nil {
-		t.Fatal("Attach accepted rollback actions without Options.Speculation")
-	}
-	// NoRecovery-only action sets do not need the option.
-	acfg.Actions = Actions{RMW: true, DSI: true}
-	if _, err := Attach(m, acfg); err != nil {
-		t.Fatalf("Attach(rmw+dsi) without Speculation: %v", err)
+	gov := governor.DefaultConfig()
+	for _, c := range []struct {
+		name    string
+		opts    stache.Options
+		acts    Actions
+		gov     *governor.Config
+		wantErr bool
+	}{
+		{"rollback actions without Options.Speculation", stache.DefaultOptions(), AllActions(), &gov, true},
+		// NoRecovery-only action sets need neither the option nor a governor.
+		{"rmw+dsi without Options.Speculation", stache.DefaultOptions(), Actions{RMW: true, DSI: true}, &gov, false},
+		{"rmw+dsi with no governor", stache.DefaultOptions(), Actions{RMW: true, DSI: true}, nil, false},
+		{"rollback action with no governor", specOptions(), Actions{Downgrade: true}, nil, true},
+	} {
+		app := workload.Migratory(4, workload.NewArena(geom).Alloc(4), 4)
+		m, err := machine.New(cfg, c.opts, app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Attach(m, AttachConfig{Actions: c.acts, Predictor: core.Config{Depth: 1}, Governor: c.gov})
+		if (err != nil) != c.wantErr {
+			t.Errorf("%s: Attach error = %v, want error %v", c.name, err, c.wantErr)
+		}
 	}
 }
 
@@ -253,10 +259,11 @@ func TestByteEquivalenceOnMispredictions(t *testing.T) {
 	app := func() workload.App {
 		return scrambled(cfg.Nodes, workload.NewArena(geom).Alloc(8), 24)
 	}
+	gov := governor.DefaultConfig()
 	cmp, err := AccelerateActions(app, cfg, specOptions(), AttachConfig{
 		Actions:   Actions{RMW: true, Downgrade: true, Forward: true},
 		Predictor: core.Config{Depth: 2},
-		Governor:  governor.DefaultConfig(),
+		Governor:  &gov,
 	})
 	if err != nil {
 		t.Fatal(err)

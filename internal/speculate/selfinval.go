@@ -1,15 +1,12 @@
 package speculate
 
 import (
-	"fmt"
 	"sort"
 
 	"github.com/cosmos-coherence/cosmos/internal/coherence"
 	"github.com/cosmos-coherence/cosmos/internal/core"
 	"github.com/cosmos-coherence/cosmos/internal/machine"
-	"github.com/cosmos-coherence/cosmos/internal/sim"
 	"github.com/cosmos-coherence/cosmos/internal/stache"
-	"github.com/cosmos-coherence/cosmos/internal/workload"
 )
 
 // SelfInvalidator implements the second Table 2 action with a general
@@ -31,7 +28,7 @@ type SelfInvalidator struct {
 	m     *machine.Machine
 	preds []*core.Predictor
 	// gate, when non-nil, verifies standing predictions against arriving
-	// messages and must allow each eviction (see AttachGatedSelfInvalidation).
+	// messages and must allow each eviction.
 	gate stache.Gate
 	// candidates[n] holds the blocks node n should return at the next
 	// barrier.
@@ -39,11 +36,14 @@ type SelfInvalidator struct {
 	evicted    uint64
 }
 
-// AttachSelfInvalidation wires a SelfInvalidator into a machine. Call
-// before machine.Run.
-func AttachSelfInvalidation(m *machine.Machine, nodes int, cfg core.Config) (*SelfInvalidator, error) {
-	s := &SelfInvalidator{m: m}
-	for i := 0; i < nodes; i++ {
+// AttachSelfInvalidation wires a SelfInvalidator with one predictor
+// per node into a machine. With a non-nil g every eviction goes through
+// it: the cache-side predictors' hits and misses feed g's confidence
+// machinery, and a barrier eviction happens only if g.Allow(SpecDSI,
+// addr) grants it. Call before machine.Run.
+func AttachSelfInvalidation(m *machine.Machine, cfg core.Config, g stache.Gate) (*SelfInvalidator, error) {
+	s := &SelfInvalidator{m: m, gate: g}
+	for i := 0; i < m.Geometry().Nodes(); i++ {
 		p, err := core.New(cfg)
 		if err != nil {
 			return nil, err
@@ -52,20 +52,6 @@ func AttachSelfInvalidation(m *machine.Machine, nodes int, cfg core.Config) (*Se
 		s.candidates = append(s.candidates, make(map[coherence.Addr]bool))
 	}
 	m.AddObserver(s)
-	return s, nil
-}
-
-// AttachGatedSelfInvalidation is AttachSelfInvalidation with every
-// eviction routed through g: the cache-side predictors' hits and misses
-// feed g's confidence machinery, and a barrier eviction happens only if
-// g.Allow(SpecDSI, addr) grants it. Used by Attach to put the action
-// under the shared governor.
-func AttachGatedSelfInvalidation(m *machine.Machine, nodes int, cfg core.Config, g stache.Gate) (*SelfInvalidator, error) {
-	s, err := AttachSelfInvalidation(m, nodes, cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.gate = g
 	return s, nil
 }
 
@@ -114,51 +100,4 @@ func (s *SelfInvalidator) EndIteration(int) {
 			delete(cands, addr)
 		}
 	}
-}
-
-// AccelerateDSI runs app twice — plain, and with Cosmos-driven
-// self-invalidation attached to every cache — and reports both runs.
-// Unlike the RMW action, self-invalidation trades message *count*
-// roughly evenly (a writeback pair replaces the fetch-back pair) but
-// removes the owner from the consumer's critical path, so the win
-// shows up in simulated time.
-func AccelerateDSI(app func() workload.App, mcfg sim.Config, opts stache.Options, pcfg core.Config) (*Comparison, error) {
-	run := func(attach bool) (RunStats, error) {
-		m, err := machine.New(mcfg, opts, app())
-		if err != nil {
-			return RunStats{}, err
-		}
-		var si *SelfInvalidator
-		if attach {
-			si, err = AttachSelfInvalidation(m, mcfg.Nodes, pcfg)
-			if err != nil {
-				return RunStats{}, err
-			}
-		}
-		if err := m.Run(2_000_000_000); err != nil {
-			return RunStats{}, err
-		}
-		ns := m.Network().Stats()
-		st := RunStats{
-			Messages:        ns.MessagesSent,
-			UpgradeRequests: ns.MessagesByType[coherence.UpgradeReq],
-			Invalidations: ns.MessagesByType[coherence.InvalROReq] +
-				ns.MessagesByType[coherence.InvalRWReq] +
-				ns.MessagesByType[coherence.DowngradeReq],
-			FinalTime: m.Engine().Now(),
-		}
-		if si != nil {
-			st.Speculations = si.SelfInvalidations()
-		}
-		return st, nil
-	}
-	base, err := run(false)
-	if err != nil {
-		return nil, fmt.Errorf("speculate: baseline run: %w", err)
-	}
-	acc, err := run(true)
-	if err != nil {
-		return nil, fmt.Errorf("speculate: self-invalidation run: %w", err)
-	}
-	return &Comparison{Baseline: base, Accelerated: acc}, nil
 }

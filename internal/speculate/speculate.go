@@ -4,21 +4,27 @@
 // protocol actions on predictions.
 //
 // The paper deliberately evaluates prediction in isolation and only
-// sketches integration; this package implements the sketch far enough
-// to demonstrate the bottom line on two well-understood actions:
+// sketches integration; this package implements the four Table 2
+// actions it can wire into the running protocol:
 //
-//   - the read-modify-write / migratory grant of Table 2 ("directory
-//     returns the block in exclusive state instead of shared"), wired
-//     through the stache.Oracle hook (see Accelerate);
+//   - the read-modify-write / migratory grant ("directory returns the
+//     block in exclusive state instead of shared"), taken by the
+//     directory on its oracle's advice;
 //   - dynamic self-invalidation driven by Cosmos instead of a directed
-//     detector (see SelfInvalidator and AccelerateDSI).
+//     detector (see SelfInvalidator);
+//   - speculative downgrade and producer push, which hold speculative
+//     protocol state.
 //
-// Both actions move the protocol between two legal states, so
-// mis-predictions need no recovery machinery (Section 4.3's first
-// class): a wrong exclusive grant costs an extra invalidation later; a
-// wrong self-invalidation costs the former owner one extra miss. The
-// package also catalogues the full Table 2 action list with each
-// action's recovery class.
+// Attach wires any subset into a machine and AccelerateActions compares
+// a run with them against the base protocol. Whether an action runs
+// behind the governor follows from Section 4.3's recovery classes: the
+// first two move the protocol between two legal states, so
+// mis-predictions need no recovery machinery and they may run ungated
+// (a wrong exclusive grant costs an extra invalidation later; a wrong
+// self-invalidation costs the former owner one extra miss); the
+// rollback actions always run behind the governor. The package also
+// catalogues the full Table 2 action list with each action's recovery
+// class.
 package speculate
 
 import (
@@ -26,10 +32,6 @@ import (
 
 	"github.com/cosmos-coherence/cosmos/internal/coherence"
 	"github.com/cosmos-coherence/cosmos/internal/core"
-	"github.com/cosmos-coherence/cosmos/internal/machine"
-	"github.com/cosmos-coherence/cosmos/internal/sim"
-	"github.com/cosmos-coherence/cosmos/internal/stache"
-	"github.com/cosmos-coherence/cosmos/internal/workload"
 )
 
 // RecoveryClass is Section 4.3's taxonomy of mis-prediction recovery.
@@ -151,94 +153,3 @@ func (t *trainer) ObserveDirectory(n coherence.NodeID, m coherence.Msg) {
 	t.oracles[n].Train(m.Addr, m.Tuple())
 }
 func (t *trainer) EndIteration(int) {}
-
-// RunStats summarizes one machine run for the acceleration comparison.
-type RunStats struct {
-	// Messages is the total network message count.
-	Messages uint64
-	// UpgradeRequests counts upgrade_request messages — the round
-	// trips the RMW action eliminates.
-	UpgradeRequests uint64
-	// Invalidations counts inval/downgrade requests sent by
-	// directories — mis-speculation shows up here.
-	Invalidations uint64
-	// Speculations counts exclusive-for-shared grants.
-	Speculations uint64
-	// FinalTime is the simulated completion time.
-	FinalTime sim.Time
-}
-
-// Comparison is the outcome of Accelerate: the same workload run with
-// and without prediction-triggered actions.
-type Comparison struct {
-	Baseline    RunStats
-	Accelerated RunStats
-}
-
-// MessageReduction returns the relative reduction in total messages.
-func (c Comparison) MessageReduction() float64 {
-	if c.Baseline.Messages == 0 {
-		return 0
-	}
-	return 1 - float64(c.Accelerated.Messages)/float64(c.Baseline.Messages)
-}
-
-// TimeReduction returns the relative reduction in simulated runtime.
-func (c Comparison) TimeReduction() float64 {
-	if c.Baseline.FinalTime == 0 {
-		return 0
-	}
-	return 1 - float64(c.Accelerated.FinalTime)/float64(c.Baseline.FinalTime)
-}
-
-// Accelerate runs app twice on the given machine configuration — once
-// with plain Stache, once with a Cosmos oracle attached to every
-// directory driving the read-modify-write action — and reports both
-// runs' statistics.
-func Accelerate(app func() workload.App, mcfg sim.Config, opts stache.Options, pcfg core.Config) (*Comparison, error) {
-	run := func(attach bool) (RunStats, error) {
-		m, err := machine.New(mcfg, opts, app())
-		if err != nil {
-			return RunStats{}, err
-		}
-		if attach {
-			oracles := make([]*Oracle, mcfg.Nodes)
-			for i := range oracles {
-				o, err := NewOracle(pcfg)
-				if err != nil {
-					return RunStats{}, err
-				}
-				oracles[i] = o
-				m.Directory(coherence.NodeID(i)).AttachOracle(o)
-			}
-			m.AddObserver(&trainer{oracles: oracles})
-		}
-		if err := m.Run(2_000_000_000); err != nil {
-			return RunStats{}, err
-		}
-		ns := m.Network().Stats()
-		var spec uint64
-		for i := 0; i < mcfg.Nodes; i++ {
-			spec += m.Directory(coherence.NodeID(i)).Speculations()
-		}
-		return RunStats{
-			Messages:        ns.MessagesSent,
-			UpgradeRequests: ns.MessagesByType[coherence.UpgradeReq],
-			Invalidations: ns.MessagesByType[coherence.InvalROReq] +
-				ns.MessagesByType[coherence.InvalRWReq] +
-				ns.MessagesByType[coherence.DowngradeReq],
-			Speculations: spec,
-			FinalTime:    m.Engine().Now(),
-		}, nil
-	}
-
-	base, err := run(false)
-	if err != nil {
-		return nil, fmt.Errorf("speculate: baseline run: %w", err)
-	}
-	acc, err := run(true)
-	if err != nil {
-		return nil, fmt.Errorf("speculate: accelerated run: %w", err)
-	}
-	return &Comparison{Baseline: base, Accelerated: acc}, nil
-}

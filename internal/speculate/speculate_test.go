@@ -67,7 +67,7 @@ func TestAccelerateMigratory(t *testing.T) {
 	app := func() workload.App {
 		return workload.Migratory(cfg.Nodes, workload.NewArena(geom).Alloc(8), 20)
 	}
-	cmp, err := Accelerate(app, cfg, stache.DefaultOptions(), core.Config{Depth: 1})
+	cmp, err := AccelerateActions(app, cfg, stache.DefaultOptions(), AttachConfig{Actions: Actions{RMW: true}, Predictor: core.Config{Depth: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestAccelerateHarmlessOnReadSharing(t *testing.T) {
 		// One producer round, then everyone reads forever.
 		return workload.ProducerConsumer(4, 1, []int{0, 2, 3}, blocks, 10)
 	}
-	cmp, err := Accelerate(app, cfg, stache.DefaultOptions(), core.Config{Depth: 1})
+	cmp, err := AccelerateActions(app, cfg, stache.DefaultOptions(), AttachConfig{Actions: Actions{RMW: true}, Predictor: core.Config{Depth: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestAccelerateDSI(t *testing.T) {
 	app := func() workload.App {
 		return workload.ProducerConsumer(8, 1, []int{2}, workload.NewArena(geom).Alloc(16), 30)
 	}
-	cmp, err := AccelerateDSI(app, cfg, stache.DefaultOptions(), core.Config{Depth: 1})
+	cmp, err := AccelerateActions(app, cfg, stache.DefaultOptions(), AttachConfig{Actions: Actions{DSI: true}, Predictor: core.Config{Depth: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSelfInvalidationStaysCoherent(t *testing.T) {
 	app := func() workload.App {
 		return workload.Migratory(4, workload.NewArena(geom).Alloc(8), 12)
 	}
-	if _, err := AccelerateDSI(app, cfg, stache.DefaultOptions(), core.Config{Depth: 1}); err != nil {
+	if _, err := AccelerateActions(app, cfg, stache.DefaultOptions(), AttachConfig{Actions: Actions{DSI: true}, Predictor: core.Config{Depth: 1}}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -58,36 +58,52 @@ type Directory struct {
 	overflows  uint64
 	wideInvals uint64
 
-	oracle       Oracle
-	speculations uint64
-
 	// Speculative-action machinery (nil/zero unless AttachSpeculation
 	// ran; the base protocol path never consults it).
-	gate        Gate
-	actions     SpecActions
-	draining    bool
-	specFetches uint64
-	specPushes  uint64
+	oracle       Oracle
+	gate         Gate
+	actions      SpecActions
+	draining     bool
+	speculations uint64
+	specFetches  uint64
+	specPushes   uint64
 }
 
-// AttachSpeculation installs a predictor, a speculation gate, and an
-// action set beside this directory, enabling the ProtocolRollback
-// actions of Section 4.3 in addition to the gate-approved
-// read-modify-write grant. The rollback actions require
-// Options.Speculation: without it the protocol promises a
-// bit-identical message stream to a speculation-free build, and the
-// invariant monitor holds it to that promise.
+// AttachSpeculation installs a predictor beside this directory, with
+// the gate that authorizes its actions and the set of actions it may
+// take. The read-modify-write grant of Table 2 answers a read miss with
+// an exclusive copy when the oracle predicts the same requestor's
+// upgrade next, eliminating the upgrade round trip; it fires only when
+// the requestor would be the sole holder, so a wrong guess merely
+// costs an invalidation later (the first recovery class of Section
+// 4.3). The ProtocolRollback actions, speculative downgrade and
+// producer push, require a gate and Options.Speculation: without the
+// option the protocol promises a bit-identical message stream to a
+// speculation-free build, and the invariant monitor holds it to that
+// promise. A nil gate runs the NoRecovery grant ungated.
 func (d *Directory) AttachSpeculation(o Oracle, g Gate, acts SpecActions) {
-	if g == nil {
-		panic("stache: AttachSpeculation with nil gate")
-	}
-	if (acts.Downgrade || acts.Forward) && !d.opts.Speculation {
+	rollback := acts.Downgrade || acts.Forward
+	if rollback && !d.opts.Speculation {
 		panic("stache: rollback-class actions require Options.Speculation")
+	}
+	if g == nil {
+		if rollback {
+			panic("stache: rollback-class actions require a gate")
+		}
+		g = allowAll{}
 	}
 	d.oracle = o
 	d.gate = g
 	d.actions = acts
 }
+
+// allowAll is the gate of ungated speculation: it admits every action
+// and scores nothing.
+type allowAll struct{}
+
+func (allowAll) Observe(coherence.Addr, bool)            {}
+func (allowAll) Allow(SpecAction, coherence.Addr) bool   { return true }
+func (allowAll) Record(SpecAction, coherence.Addr, bool) {}
 
 // BeginDrain tells the directory the workload is over: no further
 // speculative state may be created while the machine drains in-flight
@@ -100,17 +116,6 @@ func (d *Directory) SpecStats() (fetches, pushes uint64) {
 	return d.specFetches, d.specPushes
 }
 
-// AttachOracle installs a predictor beside this directory, enabling
-// the read-modify-write acceleration of Section 4 / Table 2: when a
-// read miss arrives and the oracle predicts the next message for the
-// block will be an upgrade_request from the same requestor, the
-// directory answers the read with an exclusive copy, eliminating the
-// upgrade round-trip. The action is taken only when the requestor
-// would be the sole holder, so it moves the protocol between two legal
-// states and needs no recovery on mis-prediction (the first class of
-// Section 4.3) — a wrong guess merely costs an invalidation later.
-func (d *Directory) AttachOracle(o Oracle) { d.oracle = o }
-
 // Speculations returns how many read misses were answered exclusively
 // on the oracle's advice.
 func (d *Directory) Speculations() uint64 { return d.speculations }
@@ -118,17 +123,14 @@ func (d *Directory) Speculations() uint64 { return d.speculations }
 // speculateRMW reports whether a read by req should be served with an
 // exclusive grant.
 func (d *Directory) speculateRMW(addr coherence.Addr, req pendingReq) bool {
-	if d.oracle == nil || req.node == d.node {
-		return false
-	}
-	if d.gate != nil && !d.actions.RMW {
+	if !d.actions.RMW || req.node == d.node {
 		return false
 	}
 	pred, ok := d.oracle.PredictNext(addr)
 	if !ok || pred.Sender != req.node || pred.Type != coherence.UpgradeReq {
 		return false
 	}
-	return d.gate == nil || d.gate.Allow(SpecRMW, addr)
+	return d.gate.Allow(SpecRMW, addr)
 }
 
 // NewDirectory creates the directory controller for node. observe may
@@ -486,7 +488,7 @@ func (d *Directory) Deliver(msg coherence.Msg) {
 	if d.geom.Home(msg.Addr) != d.node {
 		panic(fmt.Sprintf("stache: %v received %v for block homed at %v", d.node, msg, d.geom.Home(msg.Addr)))
 	}
-	if d.gate != nil && d.oracle != nil {
+	if d.oracle != nil {
 		// Score the standing prediction against the message that actually
 		// arrived — before observe() lets the predictor train on it. This
 		// is the governor's view of raw prediction accuracy, feeding the
@@ -543,10 +545,7 @@ func (d *Directory) Deliver(msg coherence.Msg) {
 // speculative state it creates is exactly the state the next real
 // message (or the end-of-run reconciler) discards.
 func (d *Directory) trySpeculate(addr coherence.Addr, e *dirEntry) {
-	if d.gate == nil || d.oracle == nil || d.draining {
-		return
-	}
-	if !d.actions.Downgrade && !d.actions.Forward {
+	if d.draining || !(d.actions.Downgrade || d.actions.Forward) {
 		return
 	}
 	if e.state == dirBusy || len(e.queue) > 0 {

@@ -144,9 +144,9 @@ func TestForwardingUpgradeRace(t *testing.T) {
 func TestForwardingDisablesLateSpeculation(t *testing.T) {
 	l := forwardingSystem(t, 4, true)
 	addr := blockHomedAt(l.geom, 0)
-	l.dirs[0].AttachOracle(fixedOracle{
+	l.dirs[0].AttachSpeculation(fixedOracle{
 		pred: coherence.Tuple{Sender: 1, Type: coherence.UpgradeReq}, ok: true,
-	})
+	}, nil, SpecActions{RMW: true})
 	l.access(2, addr, true)
 	l.reset()
 	l.access(1, addr, false) // read with predicted upgrade: forwarded anyway

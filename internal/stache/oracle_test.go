@@ -20,9 +20,9 @@ func (o fixedOracle) PredictNext(coherence.Addr) (coherence.Tuple, bool) { retur
 func TestSpeculativeGrantOnIdleBlock(t *testing.T) {
 	l := newSystem(t, 4, DefaultOptions())
 	addr := blockHomedAt(l.geom, 0)
-	l.dirs[0].AttachOracle(fixedOracle{
+	l.dirs[0].AttachSpeculation(fixedOracle{
 		pred: coherence.Tuple{Sender: 1, Type: coherence.UpgradeReq}, ok: true,
-	})
+	}, nil, SpecActions{RMW: true})
 
 	l.access(1, addr, false) // read
 	want := []coherence.MsgType{coherence.GetROReq, coherence.GetRWResp}
@@ -50,9 +50,9 @@ func TestSpeculativeGrantAfterFetchBack(t *testing.T) {
 	addr := blockHomedAt(l.geom, 0)
 	l.access(1, addr, false)
 	l.access(1, addr, true) // P1 owns exclusive
-	l.dirs[0].AttachOracle(fixedOracle{
+	l.dirs[0].AttachSpeculation(fixedOracle{
 		pred: coherence.Tuple{Sender: 2, Type: coherence.UpgradeReq}, ok: true,
-	})
+	}, nil, SpecActions{RMW: true})
 	l.reset()
 
 	l.access(2, addr, false) // P2 reads; upgrade predicted
@@ -83,7 +83,7 @@ func TestNoSpeculationOnMismatch(t *testing.T) {
 	for i, o := range cases {
 		l := newSystem(t, 4, DefaultOptions())
 		addr := blockHomedAt(l.geom, 0)
-		l.dirs[0].AttachOracle(o)
+		l.dirs[0].AttachSpeculation(o, nil, SpecActions{RMW: true})
 		l.access(1, addr, false)
 		want := []coherence.MsgType{coherence.GetROReq, coherence.GetROResp}
 		if !eqTypes(l.types(), want) {
@@ -102,9 +102,9 @@ func TestNoSpeculationWithSharers(t *testing.T) {
 	l := newSystem(t, 4, DefaultOptions())
 	addr := blockHomedAt(l.geom, 0)
 	l.access(3, addr, false) // P3 is a sharer
-	l.dirs[0].AttachOracle(fixedOracle{
+	l.dirs[0].AttachSpeculation(fixedOracle{
 		pred: coherence.Tuple{Sender: 1, Type: coherence.UpgradeReq}, ok: true,
-	})
+	}, nil, SpecActions{RMW: true})
 	l.reset()
 	l.access(1, addr, false)
 	want := []coherence.MsgType{coherence.GetROReq, coherence.GetROResp}
@@ -123,9 +123,9 @@ func TestNoSpeculationWithSharers(t *testing.T) {
 func TestMisSpeculationRecoveryFree(t *testing.T) {
 	l := newSystem(t, 4, DefaultOptions())
 	addr := blockHomedAt(l.geom, 0)
-	l.dirs[0].AttachOracle(fixedOracle{
+	l.dirs[0].AttachSpeculation(fixedOracle{
 		pred: coherence.Tuple{Sender: 1, Type: coherence.UpgradeReq}, ok: true,
-	})
+	}, nil, SpecActions{RMW: true})
 	l.access(1, addr, false) // speculative exclusive grant to P1
 	l.reset()
 	// P1 never writes; P2 reads: the mis-speculation surfaces as a
@@ -153,9 +153,9 @@ func TestMisSpeculationRecoveryFree(t *testing.T) {
 func TestNoSpeculationForHomeNode(t *testing.T) {
 	l := newSystem(t, 4, DefaultOptions())
 	addr := blockHomedAt(l.geom, 2)
-	l.dirs[2].AttachOracle(fixedOracle{
+	l.dirs[2].AttachSpeculation(fixedOracle{
 		pred: coherence.Tuple{Sender: 2, Type: coherence.UpgradeReq}, ok: true,
-	})
+	}, nil, SpecActions{RMW: true})
 	l.access(2, addr, false)
 	if len(l.log) != 0 || l.dirs[2].Speculations() != 0 {
 		t.Errorf("home access speculated: log=%v", l.log)
