@@ -30,8 +30,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -45,8 +47,8 @@ import (
 )
 
 func main() {
-	switch err := run(); {
-	case err == nil:
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
 	case err == errFailuresFound:
 		os.Exit(1)
 	default:
@@ -59,29 +61,34 @@ func main() {
 // (exit 1, already reported) from usage errors (exit 2).
 var errFailuresFound = fmt.Errorf("failures found")
 
-func run() error {
+// run drives the whole command against an explicit argument list and
+// writer, so tests can pin the rendered output byte for byte.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("cosmos-serve", flag.ContinueOnError)
 	def := chaos.DefaultServeConfig()
 	var (
-		seeds    = flag.Int("seeds", 25, "number of consecutive seeds to sweep")
-		seed     = flag.Int64("seed", 1, "first seed")
-		streams  = flag.Int("streams", def.Streams, "client stream count")
-		obs      = flag.Int("obs", def.Obs, "observations per stream")
-		kills    = flag.Int("kills", def.Kills, "kill-and-restore cycles per seed")
-		snapshot = flag.Int("snapshot-every", def.SnapshotEvery, "server checkpoint cadence in observations")
-		drop     = flag.Float64("drop", def.Drop, "per-packet drop probability")
-		dup      = flag.Float64("dup", def.Dup, "per-packet duplication probability")
-		jitter   = flag.Uint64("jitter", def.JitterNs, "max per-packet delivery jitter (ns)")
-		corrupt  = flag.String("corrupt", "", "inject store damage between kill and restart: snapshot | wal | version")
-		load     = flag.Int("load", 0, "load-generator mode: run one deployment with this many observations per stream")
-		depth    = flag.Int("depth", 2, "predictor MHR depth for load mode")
-		gap      = flag.Uint64("gap", 0, "load mode per-stream inter-observation pacing (ns); 0 derives a sustainable rate from -streams")
-		maxP99   = flag.Uint64("max-p99", 0, "load mode SLO: fail if p99 response latency exceeds this (ns); 0 disables")
-		minTput  = flag.Float64("min-tput", 0, "load mode SLO: fail if simulated throughput falls below this (obs/s); 0 disables")
-		verbose  = flag.Bool("v", false, "print every seed, not just failures")
-		workers  = flag.Int("workers", parallel.DefaultWorkers(), "worker pool size for the seed sweep (1 = serial)")
+		seeds    = fs.Int("seeds", 25, "number of consecutive seeds to sweep")
+		seed     = fs.Int64("seed", 1, "first seed")
+		streams  = fs.Int("streams", def.Streams, "client stream count")
+		obs      = fs.Int("obs", def.Obs, "observations per stream")
+		kills    = fs.Int("kills", def.Kills, "kill-and-restore cycles per seed")
+		snapshot = fs.Int("snapshot-every", def.SnapshotEvery, "server checkpoint cadence in observations")
+		drop     = fs.Float64("drop", def.Drop, "per-packet drop probability")
+		dup      = fs.Float64("dup", def.Dup, "per-packet duplication probability")
+		jitter   = fs.Uint64("jitter", def.JitterNs, "max per-packet delivery jitter (ns)")
+		corrupt  = fs.String("corrupt", "", "inject store damage between kill and restart: snapshot | wal | version")
+		load     = fs.Int("load", 0, "load-generator mode: run one deployment with this many observations per stream")
+		depth    = fs.Int("depth", 2, "predictor MHR depth for load mode")
+		gap      = fs.Uint64("gap", 0, "load mode per-stream inter-observation pacing (ns); 0 derives a sustainable rate from -streams")
+		maxP99   = fs.Uint64("max-p99", 0, "load mode SLO: fail if p99 response latency exceeds this (ns); 0 disables")
+		minTput  = fs.Float64("min-tput", 0, "load mode SLO: fail if simulated throughput falls below this (obs/s); 0 disables")
+		verbose  = fs.Bool("v", false, "print every seed, not just failures")
+		workers  = fs.Int("workers", parallel.DefaultWorkers(), "worker pool size for the seed sweep (1 = serial)")
 	)
-	pf := prof.AddFlags(flag.CommandLine)
-	flag.Parse()
+	pf := prof.AddFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *workers < 1 {
 		return fmt.Errorf("-workers must be positive")
@@ -96,7 +103,7 @@ func run() error {
 	}()
 
 	if *load > 0 {
-		return loadRun(*seed, *streams, *load, *depth, *snapshot, *drop, *dup, *jitter, *gap, *maxP99, *minTput)
+		return loadRun(stdout, *seed, *streams, *load, *depth, *snapshot, *drop, *dup, *jitter, *gap, *maxP99, *minTput)
 	}
 
 	cfg := chaos.ServeConfig{
@@ -123,22 +130,22 @@ func run() error {
 		switch {
 		case res.Failed():
 			failures++
-			fmt.Printf("seed %d: %s [%s] %s\n", res.Seed, res.Outcome, res.Rule, firstLine(res.Diagnostic))
+			fmt.Fprintf(stdout, "seed %d: %s [%s] %s\n", res.Seed, res.Outcome, res.Rule, firstLine(res.Diagnostic))
 		case res.Outcome == chaos.OutcomeStall:
 			stalls++
-			fmt.Printf("seed %d: stall (fault plan too hostile, not counted as a bug)\n", res.Seed)
+			fmt.Fprintf(stdout, "seed %d: stall (fault plan too hostile, not counted as a bug)\n", res.Seed)
 		case res.Outcome == chaos.OutcomeError:
 			wrongClass = append(wrongClass, res)
-			fmt.Printf("seed %d: error: %s\n", res.Seed, firstLine(res.Diagnostic))
+			fmt.Fprintf(stdout, "seed %d: error: %s\n", res.Seed, firstLine(res.Diagnostic))
 		default:
 			ok++
 			if *verbose {
-				fmt.Printf("seed %d: ok (%d events, %d applied, %d checkpoints)\n",
+				fmt.Fprintf(stdout, "seed %d: ok (%d events, %d applied, %d checkpoints)\n",
 					res.Seed, res.Events, res.Accesses, res.Messages)
 			}
 		}
 	}
-	fmt.Printf("swept %d seeds: %d ok, %d stalls, %d failures\n", *seeds, ok, stalls, failures)
+	fmt.Fprintf(stdout, "swept %d seeds: %d ok, %d stalls, %d failures\n", *seeds, ok, stalls, failures)
 
 	if *corrupt != "" {
 		// Self-check semantics: every seed must have DETECTED the damage
@@ -151,7 +158,7 @@ func run() error {
 		if failures != *seeds {
 			return fmt.Errorf("injected %q damage went undetected in %d of %d seeds", *corrupt, *seeds-failures, *seeds)
 		}
-		fmt.Printf("self-check: %q damage detected with the correct error class in all %d seeds\n", *corrupt, *seeds)
+		fmt.Fprintf(stdout, "self-check: %q damage detected with the correct error class in all %d seeds\n", *corrupt, *seeds)
 		return errFailuresFound
 	}
 	if len(wrongClass) > 0 {
@@ -165,7 +172,7 @@ func run() error {
 
 // loadRun is the load-generator mode: one uninterrupted deployment,
 // reported as simulated throughput and latency percentiles.
-func loadRun(seed int64, streams, obs, depth, snapshot int, drop, dup float64, jitter, gap, maxP99 uint64, minTput float64) error {
+func loadRun(w io.Writer, seed int64, streams, obs, depth, snapshot int, drop, dup float64, jitter, gap, maxP99 uint64, minTput float64) error {
 	dir, err := os.MkdirTemp("", "cosmos-serve-load-*")
 	if err != nil {
 		return err
@@ -212,26 +219,26 @@ func loadRun(seed int64, streams, obs, depth, snapshot int, drop, dup float64, j
 		i := int(p * float64(len(lats)-1))
 		return lats[i]
 	}
-	fmt.Printf("load: %d streams x %d obs over %d simulated ns\n", streams, obs, elapsed)
-	fmt.Printf("  applied %d, pred hits %d, checkpoints %d, max queue depth %d\n",
+	fmt.Fprintf(w, "load: %d streams x %d obs over %d simulated ns\n", streams, obs, elapsed)
+	fmt.Fprintf(w, "  applied %d, pred hits %d, checkpoints %d, max queue depth %d\n",
 		st.Applied, st.PredHits, st.Checkpoints, st.MaxQueueDepth)
-	fmt.Printf("  throughput %.0f obs/s (simulated)\n", tput)
-	fmt.Printf("  latency p50 %d ns, p90 %d ns, p99 %d ns, max %d ns (%d samples)\n",
+	fmt.Fprintf(w, "  throughput %.0f obs/s (simulated)\n", tput)
+	fmt.Fprintf(w, "  latency p50 %d ns, p90 %d ns, p99 %d ns, max %d ns (%d samples)\n",
 		pct(0.50), pct(0.90), pct(0.99), pct(1.0), len(lats))
 
 	breached := false
 	if maxP99 > 0 && pct(0.99) > maxP99 {
-		fmt.Printf("SLO BREACH: p99 %d ns > %d ns\n", pct(0.99), maxP99)
+		fmt.Fprintf(w, "SLO BREACH: p99 %d ns > %d ns\n", pct(0.99), maxP99)
 		breached = true
 	}
 	if minTput > 0 && tput < minTput {
-		fmt.Printf("SLO BREACH: throughput %.0f obs/s < %.0f obs/s\n", tput, minTput)
+		fmt.Fprintf(w, "SLO BREACH: throughput %.0f obs/s < %.0f obs/s\n", tput, minTput)
 		breached = true
 	}
 	if breached {
 		return errFailuresFound
 	}
-	fmt.Println("SLO: ok")
+	fmt.Fprintln(w, "SLO: ok")
 	return nil
 }
 
