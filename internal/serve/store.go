@@ -96,13 +96,12 @@ func (s *Store) writeFileAtomic(path string, data []byte) error {
 	return s.syncDir()
 }
 
-// Checkpoint makes st the store's durable state: it writes the CPSS
-// container under its content address, opens a fresh WAL generation
-// bound to it, atomically repoints CURRENT, and garbage-collects
-// superseded generations. The returned WAL is open for appending;
-// the caller owns closing it.
-func (s *Store) Checkpoint(st State) ([32]byte, *WAL, error) {
-	enc := EncodeCPSS(st)
+// Checkpoint makes the encoded CPSS container enc the store's durable
+// state: it writes enc under its content address, opens a fresh WAL
+// generation bound to it, atomically repoints CURRENT, and
+// garbage-collects superseded generations. It does not retain enc. The
+// returned WAL is open for appending; the caller owns closing it.
+func (s *Store) Checkpoint(enc []byte) ([32]byte, *WAL, error) {
 	d := Digest(enc)
 	if _, err := os.Stat(s.snapPath(d)); errors.Is(err, fs.ErrNotExist) {
 		if err := s.writeFileAtomic(s.snapPath(d), enc); err != nil {

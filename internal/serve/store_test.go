@@ -19,8 +19,8 @@ func TestStoreCheckpointRecover(t *testing.T) {
 		t.Fatalf("empty store recover = %+v, %v; want Fresh", fresh, err)
 	}
 
-	st := sampleState(t, 2)
-	d, w, err := s.Checkpoint(st)
+	st := sampleState(t, 2, 200)
+	d, w, err := s.Checkpoint(EncodeCPSS(st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestStoreContentAddressSelfCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, w, err := s.Checkpoint(sampleState(t, 1))
+	d, w, err := s.Checkpoint(EncodeCPSS(sampleState(t, 1, 200)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +92,12 @@ func TestStoreGCKeepsOnlyCurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, w1, err := s.Checkpoint(sampleState(t, 1))
+	_, w1, err := s.Checkpoint(EncodeCPSS(sampleState(t, 1, 200)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	w1.Close()
-	d2, w2, err := s.Checkpoint(sampleState(t, 2))
+	d2, w2, err := s.Checkpoint(EncodeCPSS(sampleState(t, 2, 200)))
 	if err != nil {
 		t.Fatal(err)
 	}
