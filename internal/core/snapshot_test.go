@@ -10,7 +10,7 @@ import (
 
 // drive feeds n pseudo-random observations from r into p over a small
 // block pool and returns the observation stream for replay elsewhere.
-func drive(t *testing.T, p *Predictor, r *rand.Rand, n int) []struct {
+func drive(t testing.TB, p *Predictor, r *rand.Rand, n int) []struct {
 	addr coherence.Addr
 	tup  coherence.Tuple
 } {
@@ -122,17 +122,16 @@ func TestRestoreRejectsDamage(t *testing.T) {
 	drive(t, p, rand.New(rand.NewSource(3)), 600)
 	snap := p.Snapshot()
 
+	damage := damaged(snap, 0x40)
 	for cut := 0; cut < len(snap); cut++ {
 		q := MustNew(Config{Depth: 1})
-		if err := q.Restore(snap[:cut]); err == nil {
+		if err := q.Restore(damage[cut]); err == nil {
 			t.Fatalf("truncation to %d of %d bytes not rejected", cut, len(snap))
 		}
 	}
 
 	rejected := 0
-	for i := range snap {
-		mut := bytes.Clone(snap)
-		mut[i] ^= 0x40
+	for _, mut := range damage[len(snap):] {
 		q := MustNew(Config{Depth: 1})
 		if err := q.Restore(mut); err != nil {
 			rejected++
@@ -173,4 +172,79 @@ func TestRestoreAfterForget(t *testing.T) {
 		t.Fatalf("forgotten block leaked through restore: mhr=%d want %d, pht=%d",
 			q.MHREntries(), p.MHREntries(), q.PHTEntriesFor(obs[0].addr))
 	}
+}
+
+// damaged returns every truncation of enc (index cut holds enc[:cut])
+// followed by enc with each byte in turn XORed with mask: the damage
+// TestRestoreRejectsDamage walks and FuzzRestore starts from.
+func damaged(enc []byte, mask byte) [][]byte {
+	out := make([][]byte, 0, 2*len(enc))
+	for cut := 0; cut < len(enc); cut++ {
+		out = append(out, enc[:cut])
+	}
+	for i := range enc {
+		mut := bytes.Clone(enc)
+		mut[i] ^= mask
+		out = append(out, mut)
+	}
+	return out
+}
+
+// TestSnapshotSizeExact: SnapshotSize is the snapshot's exact length in
+// every state, and AppendSnapshot leaves what buf already held intact.
+func TestSnapshotSizeExact(t *testing.T) {
+	p := MustNew(Config{Depth: 2, FilterMax: 1})
+	check := func(when string) {
+		t.Helper()
+		snap := p.Snapshot()
+		if len(snap) != p.SnapshotSize() {
+			t.Fatalf("%s: snapshot is %d bytes, SnapshotSize says %d", when, len(snap), p.SnapshotSize())
+		}
+		prefix := []byte("prefix")
+		got := p.AppendSnapshot(prefix)
+		if !bytes.Equal(got[:len(prefix)], []byte("prefix")) || !bytes.Equal(got[len(prefix):], snap) {
+			t.Fatalf("%s: AppendSnapshot onto a prefix is not prefix+Snapshot", when)
+		}
+	}
+	check("empty")
+	obs := drive(t, p, rand.New(rand.NewSource(11)), 1500)
+	check("driven")
+	p.Forget(obs[0].addr)
+	check("after Forget")
+	if err := p.Restore(p.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	check("restored")
+}
+
+// TestAppendSnapshotAllocs: with SnapshotSize bytes of spare capacity
+// and its sort scratch warmed, AppendSnapshot allocates nothing.
+func TestAppendSnapshotAllocs(t *testing.T) {
+	p := MustNew(Config{Depth: 2, FilterMax: 1})
+	drive(t, p, rand.New(rand.NewSource(12)), 2000)
+	buf := make([]byte, 0, p.SnapshotSize())
+	if allocs := testing.AllocsPerRun(20, func() { buf = p.AppendSnapshot(buf[:0]) }); allocs != 0 {
+		t.Fatalf("AppendSnapshot: %v allocs, want 0", allocs)
+	}
+}
+
+// FuzzRestore: whatever bytes Restore accepts must snapshot back to
+// exactly those bytes, so a predictor state has one encoding and a
+// restore is never a lossy reading. The seeds are the truncations and
+// byte flips of TestRestoreRejectsDamage, on a smaller predictor.
+func FuzzRestore(f *testing.F) {
+	p := MustNew(Config{Depth: 2, FilterMax: 1})
+	drive(f, p, rand.New(rand.NewSource(3)), 40)
+	for _, d := range damaged(p.Snapshot(), 0x40) {
+		f.Add(d)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q := MustNew(Config{Depth: 1})
+		if err := q.Restore(data); err != nil {
+			return
+		}
+		if got := q.Snapshot(); !bytes.Equal(got, data) {
+			t.Fatalf("Restore accepted %d bytes that snapshot back as %d different bytes", len(data), len(got))
+		}
+	})
 }

@@ -13,9 +13,10 @@ import (
 	"github.com/cosmos-coherence/cosmos/internal/core"
 )
 
-// sampleState builds a plausible service state: driven predictors,
-// cursors, and response tails consistent with them.
-func sampleState(t *testing.T, streams int) State {
+// sampleState builds a plausible service state: predictors driven by
+// obs observations (plus 50 more per stream id), cursors, and response
+// tails consistent with them.
+func sampleState(t testing.TB, streams, obs int) State {
 	t.Helper()
 	r := rand.New(rand.NewSource(41))
 	st := State{Streams: make([]StreamState, streams)}
@@ -25,7 +26,7 @@ func sampleState(t *testing.T, streams int) State {
 			t.Fatal(err)
 		}
 		var resp []Response
-		for j := 0; j < 200+50*i; j++ {
+		for j := 0; j < obs+50*i; j++ {
 			addr := coherence.Addr(r.Intn(8) * 64)
 			p.Observe(addr, coherence.Tuple{
 				Sender: coherence.NodeID(r.Intn(16)),
@@ -47,7 +48,7 @@ func sampleState(t *testing.T, streams int) State {
 }
 
 func TestCPSSRoundTrip(t *testing.T) {
-	st := sampleState(t, 3)
+	st := sampleState(t, 3, 200)
 	enc := EncodeCPSS(st)
 	got, err := DecodeCPSS(enc)
 	if err != nil {
@@ -81,7 +82,7 @@ func refitFooter(enc []byte) []byte {
 // TestCPSSDistinctErrors pins the loud-and-distinct contract: the
 // three failure classes are told apart by errors.Is.
 func TestCPSSDistinctErrors(t *testing.T) {
-	enc := EncodeCPSS(sampleState(t, 2))
+	enc := EncodeCPSS(sampleState(t, 2, 200))
 
 	// Version mismatch: a well-formed container from a future build.
 	future := append([]byte(nil), enc...)
@@ -132,16 +133,15 @@ func TestCPSSDistinctErrors(t *testing.T) {
 // must return an error (or, for flips that land in stored values,
 // decode) without panicking or over-allocating.
 func TestCPSSNeverPanics(t *testing.T) {
-	enc := EncodeCPSS(sampleState(t, 2))
+	enc := EncodeCPSS(sampleState(t, 2, 200))
+	damage := damaged(enc, 0x10)
 	for cut := 0; cut < len(enc); cut++ {
-		if _, err := DecodeCPSS(enc[:cut]); err == nil {
+		if _, err := DecodeCPSS(damage[cut]); err == nil {
 			t.Fatalf("truncation to %d of %d bytes decoded", cut, len(enc))
 		}
 	}
 	rejected := 0
-	for i := range enc {
-		mut := bytes.Clone(enc)
-		mut[i] ^= 0x10
+	for _, mut := range damage[len(enc):] {
 		if _, err := DecodeCPSS(mut); err != nil {
 			rejected++
 		}
@@ -152,4 +152,47 @@ func TestCPSSNeverPanics(t *testing.T) {
 	if rejected != len(enc) {
 		t.Fatalf("%d of %d bit flips rejected, want all", rejected, len(enc))
 	}
+}
+
+// damaged returns every truncation of enc (index cut holds enc[:cut])
+// followed by enc with each byte in turn XORed with mask: the damage
+// TestCPSSNeverPanics walks and FuzzDecodeCPSS starts from.
+func damaged(enc []byte, mask byte) [][]byte {
+	out := make([][]byte, 0, 2*len(enc))
+	for cut := 0; cut < len(enc); cut++ {
+		out = append(out, enc[:cut])
+	}
+	for i := range enc {
+		mut := bytes.Clone(enc)
+		mut[i] ^= mask
+		out = append(out, mut)
+	}
+	return out
+}
+
+// FuzzDecodeCPSS: whatever bytes DecodeCPSS accepts must re-encode to
+// exactly those bytes, so a container has one encoding and a decoded
+// state is never a lossy reading. Each input is tried as given and with
+// its footer refitted, so that mutations reach the structural checks
+// behind the checksum. The seeds are the truncations and byte flips of
+// TestCPSSNeverPanics, on a small one-stream state.
+func FuzzDecodeCPSS(f *testing.F) {
+	for _, d := range damaged(EncodeCPSS(sampleState(f, 1, 16)), 0x10) {
+		f.Add(d)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		inputs := [][]byte{data}
+		if len(data) >= cpssFooterSize {
+			inputs = append(inputs, refitFooter(data))
+		}
+		for _, in := range inputs {
+			st, err := DecodeCPSS(in)
+			if err != nil {
+				continue
+			}
+			if out := EncodeCPSS(st); !bytes.Equal(out, in) {
+				t.Fatalf("DecodeCPSS accepted %d bytes that re-encode as %d different bytes", len(in), len(out))
+			}
+		}
+	})
 }
