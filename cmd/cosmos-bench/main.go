@@ -10,7 +10,7 @@
 // Usage (from the module root):
 //
 //	cosmos-bench           # run and compare; exit 1 on any move
-//	cosmos-bench -update   # run and rewrite the baseline
+//	cosmos-bench -update   # run and refresh the values that moved
 //
 // The environment is fixed because allocation counts are not
 // deterministic at default runtime settings: the sync.Pools in
@@ -24,8 +24,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"os/exec"
@@ -55,7 +57,7 @@ type Baseline struct {
 }
 
 func main() {
-	update := flag.Bool("update", false, "rewrite "+baselinePath+" from this run instead of comparing with it")
+	update := flag.Bool("update", false, "refresh "+baselinePath+" from this run instead of comparing with it: rewrite only the values that moved beyond the bound and the rows that appeared or disappeared")
 	flag.Parse()
 	if err := run(*update); err != nil {
 		fmt.Fprintln(os.Stderr, "cosmos-bench:", err)
@@ -77,30 +79,70 @@ func run(update bool) error {
 	}
 	got := Baseline{Go: runtime.Version(), Values: values}
 
+	var base Baseline
+	data, err := os.ReadFile(baselinePath)
+	switch {
+	case err == nil:
+		if err := json.Unmarshal(data, &base); err != nil {
+			return fmt.Errorf("%s: %w", baselinePath, err)
+		}
+	case !update || !errors.Is(err, fs.ErrNotExist):
+		return err
+	}
 	if update {
-		data, err := json.MarshalIndent(&got, "", "  ")
+		merged, moved := merge(base, got)
+		data, err := json.MarshalIndent(&merged, "", "  ")
 		if err != nil {
 			return err
 		}
 		if err := os.WriteFile(baselinePath, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("cosmos-bench: wrote %d rows, %d values to %s\n", rows, len(values), baselinePath)
+		fmt.Printf("cosmos-bench: %d value(s) moved beyond %g%%, appeared or disappeared; wrote %s\n",
+			len(moved), 100*bound, baselinePath)
+		for _, m := range moved {
+			fmt.Println("  " + m)
+		}
 		return nil
-	}
-	data, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return err
-	}
-	var base Baseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("%s: %w", baselinePath, err)
 	}
 	if err := check(base, got); err != nil {
 		return err
 	}
 	fmt.Printf("cosmos-bench: %d rows, %d values within %g%% of %s\n", rows, len(values), 100*bound, baselinePath)
 	return nil
+}
+
+// beyond reports whether v moved beyond bound from want. A baseline of
+// 0 therefore admits only 0.
+func beyond(v, want float64) bool { return math.Abs(v-want) > bound*math.Abs(want) }
+
+// merge is the baseline -update writes: the run's rows and Go release,
+// but a value the run reproduced to within bound keeps its baseline
+// figure, so a refresh rewrites only what really moved rather than
+// every row's run-to-run jitter. It also returns one sorted line per
+// value that moved, appeared or disappeared.
+func merge(base, got Baseline) (Baseline, []string) {
+	out := Baseline{Go: got.Go, Values: make(map[string]float64, len(got.Values))}
+	var moved []string
+	for k, v := range got.Values {
+		want, ok := base.Values[k]
+		switch {
+		case !ok:
+			moved = append(moved, fmt.Sprintf("%s: new, %.10g", k, v))
+		case beyond(v, want):
+			moved = append(moved, fmt.Sprintf("%s: %.10g -> %.10g", k, want, v))
+		default:
+			v = want
+		}
+		out.Values[k] = v
+	}
+	for k, want := range base.Values {
+		if _, ok := got.Values[k]; !ok {
+			moved = append(moved, fmt.Sprintf("%s: removed, was %.10g", k, want))
+		}
+	}
+	sort.Strings(moved)
+	return out, moved
 }
 
 // parse reads multi-package `go test -bench -benchmem` output into
@@ -136,7 +178,6 @@ func parse(out string) (map[string]float64, int) {
 
 // check fails when the run used another Go release than the baseline,
 // or when any value is missing from either side or moved beyond bound.
-// A baseline of 0 therefore admits only 0.
 func check(base, got Baseline) error {
 	if base.Go != got.Go {
 		return fmt.Errorf("%s was captured with %s but this is %s; run the gate under %s or refresh with -update",
@@ -147,7 +188,7 @@ func check(base, got Baseline) error {
 		v, ok := got.Values[k]
 		if !ok {
 			bad = append(bad, k+": missing from this run")
-		} else if math.Abs(v-want) > bound*math.Abs(want) {
+		} else if beyond(v, want) {
 			bad = append(bad, fmt.Sprintf("%s: %.10g, baseline %.10g", k, v, want))
 		}
 	}

@@ -121,3 +121,44 @@ PASS
 		}
 	}
 }
+
+// TestMergeKeepsWithinBound: -update keeps every value the run
+// reproduced to within the bound byte for byte, takes the run's value
+// where it moved beyond it, adds new rows, drops vanished ones, and
+// reports exactly those changes.
+func TestMergeKeepsWithinBound(t *testing.T) {
+	const rowC, rowD = "example.com/m.BenchmarkC B/op", "example.com/m.BenchmarkD allocs/op"
+	base := Baseline{Go: "go1.0.0", Values: map[string]float64{rowA: 1000, rowB: 72.17, rowC: 5}}
+	got := baseline(map[string]float64{rowA: 1000 * (1 + bound/2), rowB: 80, rowD: 3})
+	merged, moved := merge(base, got)
+	want := map[string]float64{rowA: 1000, rowB: 80, rowD: 3}
+	if merged.Go != runtime.Version() || len(merged.Values) != len(want) {
+		t.Fatalf("merged = %+v, want Go %s and values %v", merged, runtime.Version(), want)
+	}
+	for k, v := range want {
+		if merged.Values[k] != v {
+			t.Errorf("%s = %v, want %v", k, merged.Values[k], v)
+		}
+	}
+	wantMoved := []string{
+		rowB + ": 72.17 -> 80",
+		rowC + ": removed, was 5",
+		rowD + ": new, 3",
+	}
+	if strings.Join(moved, "\n") != strings.Join(wantMoved, "\n") {
+		t.Errorf("moved =\n%s\nwant\n%s", strings.Join(moved, "\n"), strings.Join(wantMoved, "\n"))
+	}
+	if err := check(merged, got); err != nil {
+		t.Errorf("the merged baseline does not pass the run it came from: %v", err)
+	}
+}
+
+// TestMergeUnchangedRun: a run within bound everywhere leaves the
+// baseline exactly as it was and reports nothing.
+func TestMergeUnchangedRun(t *testing.T) {
+	base := baseline(map[string]float64{rowA: 10698, rowB: 72.17})
+	merged, moved := merge(base, baseline(map[string]float64{rowA: 10702, rowB: 72.17}))
+	if len(moved) != 0 || merged.Values[rowA] != 10698 || merged.Values[rowB] != 72.17 {
+		t.Fatalf("merge = %v, moved %v; want the baseline unchanged", merged.Values, moved)
+	}
+}
