@@ -32,14 +32,18 @@ build:
 test:
 	$(GO) test ./...
 
-# A short native-fuzzing run of each decoder: whatever bytes the CTRC
-# trace decoder (Read), the CPSS container decoder (DecodeCPSS) or the
-# core predictor snapshot decoder (Restore) accepts must re-encode to
-# exactly those bytes. `go test` alone only replays the seed corpora.
+# A short native-fuzzing run of each decoder and of the predictor bank:
+# whatever bytes the CTRC trace decoder (Read), the CPSS container
+# decoder (DecodeCPSS), the core predictor snapshot decoder (Restore) or
+# WAL replay (less its torn tail) accepts must re-encode to exactly
+# those bytes, and a predictor bank must report what one predictor per
+# configuration reports. `go test` alone only replays the seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCPSS$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzBank$$' -fuzztime 10s ./internal/core
 
 # perfbench is a module of its own (it replaces back onto this one), so
 # `go test ./...` at the root never builds it; vet and test it here.

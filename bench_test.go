@@ -48,21 +48,61 @@ func benchScale(b *testing.B, def workload.Scale) workload.Scale {
 var (
 	suiteOnce sync.Once
 	suite     *experiments.Suite
+	// suiteCache is the temporary trace cache fullSuite made, if any;
+	// TestMain removes it.
+	suiteCache string
 )
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if suiteCache != "" {
+		os.RemoveAll(suiteCache)
+	}
+	os.Exit(code)
+}
 
 // fullSuite lazily builds the shared full-scale suite; the first
 // benchmark that needs a trace pays its simulation cost exactly once
-// per process — or loads it from COSMOS_TRACE_CACHE when set. The
-// count gate unsets it, so its counts never depend on a cache's state.
+// per process — or loads it from COSMOS_TRACE_CACHE when set. Without
+// it, the traces go to a temporary trace cache the process starts
+// empty, so the count gate's counts never depend on a cache's state;
+// freshSuite loads them from there.
 func fullSuite(b *testing.B) *experiments.Suite {
 	b.Helper()
 	suiteOnce.Do(func() {
 		cfg := experiments.DefaultConfig()
 		cfg.Scale = benchScale(b, workload.ScaleFull)
 		cfg.TraceCache = os.Getenv("COSMOS_TRACE_CACHE")
+		if cfg.TraceCache == "" {
+			dir, err := os.MkdirTemp("", "cosmos-bench-traces-*")
+			if err != nil {
+				b.Fatal(err)
+			}
+			suiteCache, cfg.TraceCache = dir, dir
+		}
 		suite = experiments.NewSuite(cfg)
 	})
 	return suite
+}
+
+// freshSuite returns a suite with an empty result memo over the shared
+// suite's traces, so an iteration of a table or figure benchmark
+// measures evaluation rather than a read of the memo an earlier
+// iteration filled. The timer stops while it loads the traces from
+// the shared suite's trace cache and builds their slot partitions.
+func freshSuite(b *testing.B) *experiments.Suite {
+	b.Helper()
+	b.StopTimer()
+	defer b.StartTimer()
+	s := experiments.NewSuite(fullSuite(b).Config())
+	for _, app := range s.Apps() {
+		tr, err := s.Trace(app)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr.Partition()
+	}
+	return s
 }
 
 // warm materializes all five traces outside the timed region.
@@ -81,20 +121,17 @@ func warm(b *testing.B, s *experiments.Suite) {
 // the pool's wall-clock win is what is measured). Reported metrics:
 // overall accuracy per benchmark at depth 1.
 func BenchmarkTable5(b *testing.B) {
-	s := fullSuite(b)
-	warm(b, s)
+	warm(b, fullSuite(b))
 	for _, bc := range []struct {
 		name    string
 		workers int
 	}{{"serial", 1}, {"workers8", 8}} {
 		b.Run(bc.name, func(b *testing.B) {
-			s.SetWorkers(bc.workers)
-			defer s.SetWorkers(1)
 			b.ResetTimer()
 			var rows []experiments.Table5Row
 			for i := 0; i < b.N; i++ {
 				var err error
-				rows, err = experiments.Table5(s)
+				rows, err = experiments.Table5(freshSuite(b).SetWorkers(bc.workers))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -110,13 +147,12 @@ func BenchmarkTable5(b *testing.B) {
 
 // BenchmarkTable6 regenerates Table 6 (noise filters x depth).
 func BenchmarkTable6(b *testing.B) {
-	s := fullSuite(b)
-	warm(b, s)
+	warm(b, fullSuite(b))
 	b.ResetTimer()
 	var rows []experiments.Table6Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Table6(s)
+		rows, err = experiments.Table6(freshSuite(b))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,13 +166,12 @@ func BenchmarkTable6(b *testing.B) {
 
 // BenchmarkTable7 regenerates Table 7 (predictor memory overhead).
 func BenchmarkTable7(b *testing.B) {
-	s := fullSuite(b)
-	warm(b, s)
+	warm(b, fullSuite(b))
 	b.ResetTimer()
 	var rows []experiments.Table7Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Table7(s)
+		rows, err = experiments.Table7(freshSuite(b))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -150,13 +185,12 @@ func BenchmarkTable7(b *testing.B) {
 
 // BenchmarkTable8 regenerates Table 8 (dsmc adaptation over run length).
 func BenchmarkTable8(b *testing.B) {
-	s := fullSuite(b)
-	warm(b, s)
+	warm(b, fullSuite(b))
 	b.ResetTimer()
 	var cells []experiments.Table8Cell
 	for i := 0; i < b.N; i++ {
 		var err error
-		cells, err = experiments.Table8(s)
+		cells, err = experiments.Table8(freshSuite(b))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,10 +220,10 @@ func BenchmarkFigure5(b *testing.B) {
 // BenchmarkFigure6 regenerates the Figure 6 signature panels (appbt,
 // barnes, dsmc).
 func BenchmarkFigure6(b *testing.B) {
-	s := fullSuite(b)
-	warm(b, s)
+	warm(b, fullSuite(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		s := freshSuite(b)
 		for _, app := range []string{"appbt", "barnes", "dsmc"} {
 			if _, err := experiments.Figures6and7(s, app, 8); err != nil {
 				b.Fatal(err)
@@ -201,10 +235,10 @@ func BenchmarkFigure6(b *testing.B) {
 // BenchmarkFigure7 regenerates the Figure 7 signature panels (moldyn,
 // unstructured).
 func BenchmarkFigure7(b *testing.B) {
-	s := fullSuite(b)
-	warm(b, s)
+	warm(b, fullSuite(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		s := freshSuite(b)
 		for _, app := range []string{"moldyn", "unstructured"} {
 			if _, err := experiments.Figures6and7(s, app, 8); err != nil {
 				b.Fatal(err)

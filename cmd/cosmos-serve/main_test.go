@@ -6,26 +6,30 @@ import (
 	"testing"
 )
 
-// TestGoldenOutput pins the rendered output of the chaos sweep and the
-// load generator byte for byte. Both are deterministic for their seeds
-// (the sweep reassembles its worker-pool results in seed order), so any
-// change to the service, its store or its transport that moves a
-// response, a checkpoint or a simulated nanosecond shows here.
-// Regenerate a file only for an intended change, e.g.
+// TestGoldenOutput pins the rendered output of the chaos sweep, the
+// load generator and the WAL-damage self-check byte for byte. All are
+// deterministic for their seeds (the sweep reassembles its worker-pool
+// results in seed order, and damage reports name store files relative
+// to the store), so any change to the service, its store or its
+// transport that moves a response, a checkpoint or a simulated
+// nanosecond shows here. Regenerate a file only for an intended
+// change, e.g.
 //
 //	go run ./cmd/cosmos-serve -load 400 -streams 4 > cmd/cosmos-serve/testdata/load400-streams4.golden
 func TestGoldenOutput(t *testing.T) {
 	for _, c := range []struct {
 		golden string
 		args   []string
+		err    error
 	}{
-		{"seeds3", []string{"-seeds", "3"}},
-		{"seeds3-v", []string{"-seeds", "3", "-v"}},
-		{"load400-streams4", []string{"-load", "400", "-streams", "4"}},
+		{"seeds3", []string{"-seeds", "3"}, nil},
+		{"seeds3-v", []string{"-seeds", "3", "-v"}, nil},
+		{"load400-streams4", []string{"-load", "400", "-streams", "4"}, nil},
+		{"corrupt-wal", []string{"-seeds", "4", "-corrupt", "wal"}, errFailuresFound},
 	} {
 		var buf bytes.Buffer
-		if err := run(c.args, &buf); err != nil {
-			t.Fatalf("%s: %v", c.golden, err)
+		if err := run(c.args, &buf); err != c.err {
+			t.Fatalf("%s: err = %v, want %v", c.golden, err, c.err)
 		}
 		want, err := os.ReadFile("testdata/" + c.golden + ".golden")
 		if err != nil {

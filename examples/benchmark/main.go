@@ -34,18 +34,27 @@ func main() {
 	fmt.Printf("%s @ %s scale: %d iterations, %d messages (%d cache / %d directory)\n\n",
 		app, cfg.Scale, tr.Iterations, len(tr.Records), cacheMsgs, dirMsgs)
 
+	// One walk over the trace evaluates the whole depth x filter grid.
+	var grid []core.Config
+	for depth := 1; depth <= 4; depth++ {
+		for fmax := 0; fmax <= 2; fmax++ {
+			grid = append(grid, core.Config{Depth: depth, FilterMax: fmax})
+		}
+	}
+	results, err := suite.EvaluateAll(app, grid, stats.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("accuracy by depth and filter (overall %):")
 	fmt.Printf("%-6s %9s %9s %9s\n", "depth", "filter=0", "filter=1", "filter=2")
-	for depth := 1; depth <= 4; depth++ {
-		fmt.Printf("%-6d", depth)
-		for fmax := 0; fmax <= 2; fmax++ {
-			res, err := suite.Evaluate(app, core.Config{Depth: depth, FilterMax: fmax}, stats.Options{})
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf(" %8.1f%%", 100*res.Overall.Accuracy())
+	for i, res := range results {
+		if grid[i].FilterMax == 0 {
+			fmt.Printf("%-6d", grid[i].Depth)
 		}
-		fmt.Println()
+		fmt.Printf(" %8.1f%%", 100*res.Overall.Accuracy())
+		if grid[i].FilterMax == 2 {
+			fmt.Println()
+		}
 	}
 
 	res, err := suite.Evaluate(app, core.Config{Depth: 1}, stats.Options{TrackArcs: true})

@@ -42,6 +42,11 @@ import (
 // so four tuples fit. The paper evaluates depths 1-4 (Table 5).
 const MaxDepth = 4
 
+// MaxFilter is the largest supported noise-filter maximum: a bank
+// keeps each filter counter in 16 bits. The paper's filters count to
+// at most 2 (Table 6).
+const MaxFilter = 1<<16 - 1
+
 // Config parameterizes a Cosmos predictor.
 type Config struct {
 	// Depth is the MHR depth: how many past messages index the PHT.
@@ -60,8 +65,8 @@ func (c Config) Validate() error {
 	if c.Depth < 1 || c.Depth > MaxDepth {
 		return fmt.Errorf("core: depth %d out of range [1,%d]", c.Depth, MaxDepth)
 	}
-	if c.FilterMax < 0 {
-		return fmt.Errorf("core: negative filter maximum %d", c.FilterMax)
+	if c.FilterMax < 0 || c.FilterMax > MaxFilter {
+		return fmt.Errorf("core: filter maximum %d out of range [0,%d]", c.FilterMax, MaxFilter)
 	}
 	return nil
 }
@@ -146,11 +151,10 @@ func (p *Predictor) block(addr coherence.Addr) *blockState {
 // Reset returns the predictor to its freshly-constructed state for
 // cfg, as if New(cfg) had been called — but retains every allocation
 // the previous use grew: the address index's arrays, the slab's
-// capacity, and each slab slot's PHT arrays. The evaluator's per-worker
-// predictor pool depends on this: re-evaluating similar traces reaches
-// a steady state with no per-evaluation allocation at all. A reset
-// predictor is observationally identical to a new one; the sharded
-// evaluation equivalence tests pin that.
+// capacity, and each slab slot's PHT arrays. Restore builds on it, so
+// restoring similar snapshots into one predictor reaches a steady
+// state with no per-restore growth. A reset predictor is
+// observationally identical to a new one.
 func (p *Predictor) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err

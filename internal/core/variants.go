@@ -140,7 +140,7 @@ func (p *Predictor) ensureBlock(addr coherence.Addr) *blockState {
 		p.slab = p.slab[:slot+1]
 	default:
 		slot = int32(len(p.slab))
-		//cosmosvet:allow hotpath slab growth is amortized; reset pools retain the capacity
+		//cosmosvet:allow hotpath slab growth is amortized; Reset retains the capacity
 		p.slab = append(p.slab, blockState{})
 	}
 	p.index.Insert(uint64(addr), slot)
@@ -150,15 +150,24 @@ func (p *Predictor) ensureBlock(addr coherence.Addr) *blockState {
 // train installs (or filter-adjusts) e's prediction toward payload,
 // the Section 3.4 update rule shared by every predictor.
 func (e *phtEntry) train(payload coherence.Tuple, filterMax int) {
+	train(&e.pred, &e.counter, payload, filterMax)
+}
+
+// train is the Section 3.4 update rule, filtered by the Section 3.6
+// saturating counter: a hit strengthens the counter up to filterMax, a
+// miss weakens it, and only a miss at zero replaces the prediction.
+// Predictors and banks store predictions and counters in different
+// widths and all train through this one rule.
+func train[P comparable, C int | uint16](pred *P, counter *C, payload P, filterMax C) {
 	switch {
-	case e.pred == payload:
-		if e.counter < filterMax {
-			e.counter++
+	case *pred == payload:
+		if *counter < filterMax {
+			*counter++
 		}
-	case e.counter > 0:
-		e.counter--
+	case *counter > 0:
+		*counter--
 	default:
-		e.pred = payload
+		*pred = payload
 	}
 }
 

@@ -102,13 +102,35 @@ func Run(app workload.App, cfg Config) (*trace.Trace, error) {
 // number of workers may demand the same trace — the first to arrive
 // simulates, the rest block on the per-app once. Each simulation runs
 // on its own single-threaded sim.Engine with its own predictors, so
-// the only shared state is the memo table itself.
+// the only shared state is the memo tables and the bank free list,
+// each behind a lock.
 type Suite struct {
 	cfg     Config
 	workers int
 
-	mu     sync.Mutex
-	traces map[string]*traceEntry
+	mu      sync.Mutex
+	traces  map[string]*traceEntry
+	results map[resultKey]*resultEntry
+	// banks is the free list every evaluation of the suite draws its
+	// predictor banks from.
+	banks stats.Banks
+}
+
+// resultKey names one memoized evaluation. Options.Workers is zeroed:
+// the pool width never changes a result.
+type resultKey struct {
+	app  string
+	cfg  core.Config
+	opts stats.Options
+}
+
+// resultEntry memoizes one evaluation; done closes once res and err
+// are set. The memoized Result is shared by every caller, which must
+// treat it as read-only.
+type resultEntry struct {
+	done chan struct{}
+	res  *stats.Result
+	err  error
 }
 
 // traceEntry memoizes one benchmark's simulation exactly once.
@@ -121,7 +143,12 @@ type traceEntry struct {
 // NewSuite creates an empty suite; the pool width comes from
 // cfg.Workers (overridable with SetWorkers).
 func NewSuite(cfg Config) *Suite {
-	return &Suite{cfg: cfg, workers: cfg.workerCount(), traces: make(map[string]*traceEntry)}
+	return &Suite{
+		cfg:     cfg,
+		workers: cfg.workerCount(),
+		traces:  make(map[string]*traceEntry),
+		results: make(map[resultKey]*resultEntry),
+	}
 }
 
 // Config returns the suite's configuration.
@@ -204,17 +231,71 @@ func (s *Suite) Trace(name string) (*trace.Trace, error) {
 	return e.tr, e.err
 }
 
-// Evaluate runs a predictor configuration over a benchmark's trace.
-// The suite's worker pool width is threaded into the evaluation so
-// table drivers get slot-sharded evaluation for free; callers that set
-// opts.Workers explicitly keep their value.
+// Evaluate runs a predictor configuration over a benchmark's trace:
+// EvaluateAll with one configuration.
 func (s *Suite) Evaluate(name string, pcfg core.Config, opts stats.Options) (*stats.Result, error) {
-	tr, err := s.Trace(name)
+	res, err := s.EvaluateAll(name, []core.Config{pcfg}, opts)
 	if err != nil {
 		return nil, err
 	}
+	return res[0], nil
+}
+
+// EvaluateAll runs predictor configurations over a benchmark's trace
+// and returns one Result per configuration, in order. Results are
+// memoized per (benchmark, configuration, options), the way traces
+// are: the configurations not yet memoized are evaluated together in
+// one bank walk (stats.EvaluateAll), and concurrent callers for the
+// same configuration share one evaluation. The suite's worker pool
+// width is threaded into the evaluation so table drivers get
+// slot-sharded evaluation for free; callers that set opts.Workers
+// explicitly keep their value. Returned Results are shared: callers
+// must not modify them.
+func (s *Suite) EvaluateAll(name string, pcfgs []core.Config, opts stats.Options) ([]*stats.Result, error) {
+	key := opts
+	key.Workers = 0
 	if opts.Workers == 0 {
 		opts.Workers = s.workers
 	}
-	return stats.Evaluate(tr, pcfg, opts)
+	entries := make([]*resultEntry, len(pcfgs))
+	var todo []core.Config
+	var owned []*resultEntry
+	s.mu.Lock()
+	for i, c := range pcfgs {
+		k := resultKey{app: name, cfg: c, opts: key}
+		e, ok := s.results[k]
+		if !ok {
+			e = &resultEntry{done: make(chan struct{})}
+			s.results[k] = e
+			todo = append(todo, c)
+			owned = append(owned, e)
+		}
+		entries[i] = e
+	}
+	s.mu.Unlock()
+
+	if len(todo) > 0 {
+		var res []*stats.Result
+		tr, err := s.Trace(name)
+		if err == nil {
+			res, err = s.banks.EvaluateAll(tr, todo, opts)
+		}
+		for j, e := range owned {
+			if err != nil {
+				e.err = err
+			} else {
+				e.res = res[j]
+			}
+			close(e.done)
+		}
+	}
+	out := make([]*stats.Result, len(pcfgs))
+	for i, e := range entries {
+		<-e.done
+		if e.err != nil {
+			return nil, e.err
+		}
+		out[i] = e.res
+	}
+	return out, nil
 }

@@ -119,32 +119,29 @@ type FilterDepthCell struct {
 	Overall   float64
 }
 
-// FilterDepth computes the extended filter-by-depth grid, one
-// worker-pool cell per (depth, filter, app) combination.
+// FilterDepth computes the extended filter-by-depth grid: one bank
+// walk per benchmark evaluates all twelve (depth, filter) cells.
 func FilterDepth(s *Suite) ([]FilterDepthCell, error) {
-	type key struct {
-		depth, fmax int
-		app         string
-	}
-	var keys []key
+	var cfgs []core.Config
 	for depth := 1; depth <= 4; depth++ {
 		for _, fmax := range []int{0, 1, 2} {
-			for _, app := range s.Apps() {
-				keys = append(keys, key{depth: depth, fmax: fmax, app: app})
-			}
+			cfgs = append(cfgs, core.Config{Depth: depth, FilterMax: fmax})
 		}
 	}
-	return parallel.Map(len(keys), s.workers, func(i int) (FilterDepthCell, error) {
-		k := keys[i]
-		res, err := s.Evaluate(k.app, core.Config{Depth: k.depth, FilterMax: k.fmax}, stats.Options{})
-		if err != nil {
-			return FilterDepthCell{}, err
+	grid, err := evaluateGrid(s, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	var cells []FilterDepthCell
+	for _, c := range cfgs {
+		for _, app := range s.Apps() {
+			cells = append(cells, FilterDepthCell{
+				App: app, Depth: c.Depth, FilterMax: c.FilterMax,
+				Overall: 100 * grid[app][c].Overall.Accuracy(),
+			})
 		}
-		return FilterDepthCell{
-			App: k.app, Depth: k.depth, FilterMax: k.fmax,
-			Overall: 100 * res.Overall.Accuracy(),
-		}, nil
-	})
+	}
+	return cells, nil
 }
 
 // ScaleFor maps a command-line scale name to workload.Scale.

@@ -2,9 +2,39 @@ package experiments
 
 import (
 	"github.com/cosmos-coherence/cosmos/internal/core"
-	"github.com/cosmos-coherence/cosmos/internal/parallel"
 	"github.com/cosmos-coherence/cosmos/internal/stats"
 )
+
+// paperConfigs is every Cosmos configuration Tables 5, 6 and 7
+// evaluate: depths 1-4 unfiltered, plus filters 1 and 2 at depths 1
+// and 2. Each table requests the whole set, so whichever runs first
+// evaluates it in one bank walk per benchmark and the others read the
+// suite's memo.
+var paperConfigs = []core.Config{
+	{Depth: 1}, {Depth: 2}, {Depth: 3}, {Depth: 4},
+	{Depth: 1, FilterMax: 1}, {Depth: 1, FilterMax: 2},
+	{Depth: 2, FilterMax: 1}, {Depth: 2, FilterMax: 2},
+}
+
+// evaluateGrid evaluates cfgs over every benchmark and returns the
+// results by benchmark name, then by configuration. The benchmarks run
+// one after another, each slot-sharded over the suite's worker pool,
+// so one free list of pool-width banks serves them all.
+func evaluateGrid(s *Suite, cfgs []core.Config) (map[string]map[core.Config]*stats.Result, error) {
+	out := make(map[string]map[core.Config]*stats.Result)
+	for _, app := range s.Apps() {
+		res, err := s.EvaluateAll(app, cfgs, stats.Options{})
+		if err != nil {
+			return nil, err
+		}
+		byCfg := make(map[core.Config]*stats.Result, len(cfgs))
+		for i, c := range cfgs {
+			byCfg[c] = res[i]
+		}
+		out[app] = byCfg
+	}
+	return out, nil
+}
 
 // Table5Row is one (depth, app) cell group of Table 5: prediction
 // rates at the caches, at the directories, and overall, in percent.
@@ -17,34 +47,27 @@ type Table5Row struct {
 }
 
 // Table5 reproduces Table 5: Cosmos prediction rates (no filter) for
-// MHR depths 1-4 across the five benchmarks. The (depth, app) cells
-// are independent evaluations over the shared traces, sharded across
-// the suite's worker pool and returned in the table's fixed order.
+// MHR depths 1-4 across the five benchmarks, in the table's fixed
+// (depth, app) order.
 func Table5(s *Suite) ([]Table5Row, error) {
-	type cell struct {
-		depth int
-		app   string
+	grid, err := evaluateGrid(s, paperConfigs)
+	if err != nil {
+		return nil, err
 	}
-	var cells []cell
+	var rows []Table5Row
 	for depth := 1; depth <= 4; depth++ {
 		for _, app := range s.Apps() {
-			cells = append(cells, cell{depth: depth, app: app})
+			res := grid[app][core.Config{Depth: depth}]
+			rows = append(rows, Table5Row{
+				App:     app,
+				Depth:   depth,
+				Cache:   100 * res.Cache.Accuracy(),
+				Dir:     100 * res.Dir.Accuracy(),
+				Overall: 100 * res.Overall.Accuracy(),
+			})
 		}
 	}
-	return parallel.Map(len(cells), s.workers, func(i int) (Table5Row, error) {
-		c := cells[i]
-		res, err := s.Evaluate(c.app, core.Config{Depth: c.depth}, stats.Options{})
-		if err != nil {
-			return Table5Row{}, err
-		}
-		return Table5Row{
-			App:     c.app,
-			Depth:   c.depth,
-			Cache:   100 * res.Cache.Accuracy(),
-			Dir:     100 * res.Dir.Accuracy(),
-			Overall: 100 * res.Overall.Accuracy(),
-		}, nil
-	})
+	return rows, nil
 }
 
 // Table6Row is one (depth, app, filter) cell of Table 6: overall
@@ -58,34 +81,28 @@ type Table6Row struct {
 }
 
 // Table6 reproduces Table 6: the effect of noise filters (maximum
-// count 0, 1, 2) on overall accuracy for MHR depths 1 and 2, one
-// worker-pool cell per (depth, app, filter) combination.
+// count 0, 1, 2) on overall accuracy for MHR depths 1 and 2, in
+// (depth, app, filter) order.
 func Table6(s *Suite) ([]Table6Row, error) {
-	type cell struct {
-		depth, fmax int
-		app         string
+	grid, err := evaluateGrid(s, paperConfigs)
+	if err != nil {
+		return nil, err
 	}
-	var cells []cell
+	var rows []Table6Row
 	for depth := 1; depth <= 2; depth++ {
 		for _, app := range s.Apps() {
 			for _, fmax := range []int{0, 1, 2} {
-				cells = append(cells, cell{depth: depth, fmax: fmax, app: app})
+				res := grid[app][core.Config{Depth: depth, FilterMax: fmax}]
+				rows = append(rows, Table6Row{
+					App:       app,
+					Depth:     depth,
+					FilterMax: fmax,
+					Overall:   100 * res.Overall.Accuracy(),
+				})
 			}
 		}
 	}
-	return parallel.Map(len(cells), s.workers, func(i int) (Table6Row, error) {
-		c := cells[i]
-		res, err := s.Evaluate(c.app, core.Config{Depth: c.depth, FilterMax: c.fmax}, stats.Options{})
-		if err != nil {
-			return Table6Row{}, err
-		}
-		return Table6Row{
-			App:       c.app,
-			Depth:     c.depth,
-			FilterMax: c.fmax,
-			Overall:   100 * res.Overall.Accuracy(),
-		}, nil
-	})
+	return rows, nil
 }
 
 // Table7Row is one (depth, app) cell pair of Table 7: the PHT/MHR
@@ -101,29 +118,23 @@ type Table7Row struct {
 const Table7BlockBytes = 128
 
 // Table7 reproduces Table 7: memory overhead of filterless Cosmos
-// predictors for MHR depths 1-4, one worker-pool cell per (depth, app).
+// predictors for MHR depths 1-4, in (depth, app) order.
 func Table7(s *Suite) ([]Table7Row, error) {
-	type cell struct {
-		depth int
-		app   string
+	grid, err := evaluateGrid(s, paperConfigs)
+	if err != nil {
+		return nil, err
 	}
-	var cells []cell
+	var rows []Table7Row
 	for depth := 1; depth <= 4; depth++ {
 		for _, app := range s.Apps() {
-			cells = append(cells, cell{depth: depth, app: app})
+			res := grid[app][core.Config{Depth: depth}]
+			rows = append(rows, Table7Row{
+				App:      app,
+				Depth:    depth,
+				Ratio:    res.Memory.Ratio(),
+				Overhead: res.Memory.Overhead(depth, Table7BlockBytes),
+			})
 		}
 	}
-	return parallel.Map(len(cells), s.workers, func(i int) (Table7Row, error) {
-		c := cells[i]
-		res, err := s.Evaluate(c.app, core.Config{Depth: c.depth}, stats.Options{})
-		if err != nil {
-			return Table7Row{}, err
-		}
-		return Table7Row{
-			App:      c.app,
-			Depth:    c.depth,
-			Ratio:    res.Memory.Ratio(),
-			Overhead: res.Memory.Overhead(c.depth, Table7BlockBytes),
-		}, nil
-	})
+	return rows, nil
 }

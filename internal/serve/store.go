@@ -278,7 +278,14 @@ func (s *Store) Recover() (Recovery, error) {
 	}
 
 	rec := Recovery{Base: st, BaseDigest: d}
-	_, rec.TornBytes, err = ReplayWAL(s.walPath(d), d, func(r WALRecord) error {
+	// Errors name the log relative to the store, so a report reads the
+	// same whichever directory the store lives in.
+	walPath := s.walPath(d)
+	wal, err := os.ReadFile(walPath)
+	if err != nil {
+		return Recovery{}, fmt.Errorf("serve: wal: read %s: %w", walPath, err)
+	}
+	_, rec.TornBytes, err = replayWAL(filepath.Base(walPath), wal, d, func(r WALRecord) error {
 		if r.Stream < 0 || r.Stream >= len(st.Streams) {
 			return fmt.Errorf("%w: record for stream %d of %d", ErrWALCorrupt, r.Stream, len(st.Streams))
 		}

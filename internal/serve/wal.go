@@ -133,6 +133,12 @@ func ReplayWAL(path string, base [32]byte, apply func(WALRecord) error) (applied
 	if err != nil {
 		return 0, 0, fmt.Errorf("serve: wal: read %s: %w", path, err)
 	}
+	return replayWAL(path, data, base, apply)
+}
+
+// replayWAL is ReplayWAL over the log's bytes; errors name the log as
+// path.
+func replayWAL(path string, data []byte, base [32]byte, apply func(WALRecord) error) (applied int, tornBytes int, err error) {
 	if len(data) < walHeaderSize {
 		return 0, 0, fmt.Errorf("%w: %s: %d bytes is shorter than the header", ErrWALCorrupt, path, len(data))
 	}

@@ -13,6 +13,7 @@ package stats
 
 import (
 	"sort"
+	"sync"
 
 	"github.com/cosmos-coherence/cosmos/internal/coherence"
 	"github.com/cosmos-coherence/cosmos/internal/core"
@@ -114,17 +115,85 @@ type Options struct {
 // Evaluate runs one Cosmos predictor per node and side over the trace
 // and aggregates the paper's metrics. The predictor placement follows
 // Section 3.2: "We allocate a Cosmos predictor for every cache or
-// directory in the machine." With opts.Workers > 1 the evaluation is
-// slot-sharded (see Options.Workers); the two paths produce identical
-// results, which the equivalence regression tests pin.
+// directory in the machine." It is EvaluateAll with one configuration.
 func Evaluate(tr *trace.Trace, cfg core.Config, opts Options) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	res, err := EvaluateAll(tr, []core.Config{cfg}, opts)
+	if err != nil {
 		return nil, err
 	}
-	if opts.Workers > 1 {
-		return evaluateSharded(tr, cfg, opts)
+	return res[0], nil
+}
+
+// EvaluateAll evaluates every configuration in cfgs over the trace in
+// one walk and returns one Result per configuration, in order, each
+// identical to what Evaluate would return for it. Each (node, side)
+// slot runs one core.Bank, which shares the block lookup, the history
+// and the pattern tables between the configurations; a set with more
+// than core.BankLanes filter settings at one depth is refused. With
+// opts.Workers > 1 the evaluation is slot-sharded (see
+// Options.Workers); every path produces identical results, which the
+// equivalence regression tests pin.
+func EvaluateAll(tr *trace.Trace, cfgs []core.Config, opts Options) ([]*Result, error) {
+	return new(Banks).EvaluateAll(tr, cfgs, opts)
+}
+
+// Banks is a free list of predictor banks: an evaluation takes a bank
+// per slot it walks at once — every slot for the arrival-order walk,
+// one per worker for a sharded one — and puts them back afterwards, so
+// a caller that keeps one Banks across evaluations builds its banks
+// once and reuses their arrays. The zero value is an empty list. It is
+// safe for concurrent use.
+type Banks struct {
+	mu   sync.Mutex
+	free []*core.Bank
+}
+
+// take returns n banks reset to lay: free ones first, the rest built
+// in one allocation.
+func (fl *Banks) take(lay *core.Layout, n int) []*core.Bank {
+	banks := make([]*core.Bank, n)
+	fl.mu.Lock()
+	k := min(n, len(fl.free))
+	copy(banks, fl.free[len(fl.free)-k:])
+	fl.free = fl.free[:len(fl.free)-k]
+	fl.mu.Unlock()
+	for _, b := range banks[:k] {
+		b.Reset(lay)
 	}
-	return evaluateSerial(tr, cfg, opts)
+	if k < n {
+		slab := make([]core.Bank, n-k)
+		for i := range slab {
+			slab[i].Reset(lay)
+			banks[k+i] = &slab[i]
+		}
+	}
+	return banks
+}
+
+// release puts banks back on the free list once their counts are read.
+func (fl *Banks) release(banks []*core.Bank) {
+	fl.mu.Lock()
+	fl.free = append(fl.free, banks...)
+	fl.mu.Unlock()
+}
+
+// EvaluateAll is the package-level EvaluateAll, drawing its banks
+// from fl and putting them back when it returns.
+func (fl *Banks) EvaluateAll(tr *trace.Trace, cfgs []core.Config, opts Options) ([]*Result, error) {
+	if len(cfgs) == 0 {
+		return nil, nil
+	}
+	lay, err := core.NewLayout(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	var t *tally
+	if opts.Workers > 1 {
+		t = fl.evaluateSharded(tr, lay, opts)
+	} else {
+		t = fl.evaluateSerial(tr, lay, opts)
+	}
+	return t.results(tr.App, lay, opts), nil
 }
 
 // slotAddr keys per-(predictor slot, block) arc state. One flat map
@@ -137,97 +206,56 @@ type slotAddr struct {
 }
 
 // evaluateSerial is the reference implementation: one pass over the
-// records in arrival order. The per-record body lives in
-// serialEval.observe (stream.go), shared with EvaluateStream and with
-// each slot of evaluateSharded, so no path can drift from the others.
-func evaluateSerial(tr *trace.Trace, cfg core.Config, opts Options) (*Result, error) {
-	ev, err := newSerialEval(tr.App, tr.Nodes, cfg, opts)
-	if err != nil {
-		return nil, err
-	}
+// records in arrival order, with a bank per slot. The per-record body
+// lives in serialEval.observe (stream.go), shared with EvaluateStream
+// and with each slot of evaluateSharded, so no path can drift from the
+// others.
+func (fl *Banks) evaluateSerial(tr *trace.Trace, lay *core.Layout, opts Options) *tally {
+	banks := fl.take(lay, 2*tr.Nodes)
+	defer fl.release(banks)
+	ev := newSerialEval(lay, opts, 0, banks)
 	ev.observe(tr.Records)
-	return ev.finish(), nil
+	return ev.finish()
 }
 
 // evaluateSharded fans the trace's slot streams over the worker pool:
 // each slot runs serialEval.observe over its own sub-stream with a
-// one-predictor table, and the per-slot results merge in fixed slot
-// order. Exactness rests on the slot-independence argument from
-// trace.Partition: a slot's predictor (and its arc state, keyed per
-// block within the slot) is driven only by that slot's records, in
-// original relative order, so each partial equals the serial walk's
+// bank from fl, and the per-slot tallies merge in fixed slot order.
+// Exactness rests on the slot-independence argument from
+// trace.Partition: a slot's bank (and its arc state, keyed per block
+// within the slot) is driven only by that slot's records, in original
+// relative order, so each partial equals the serial walk's
 // contribution from that slot and the merged sums equal the serial
 // totals.
-func evaluateSharded(tr *trace.Trace, cfg core.Config, opts Options) (*Result, error) {
+func (fl *Banks) evaluateSharded(tr *trace.Trace, lay *core.Layout, opts Options) *tally {
 	part := tr.Partition()
-	// Empty high slots still contribute (zero) memory stats.
-	slots := max(part.Slots(), 2*tr.Nodes)
-	preds := make([]*core.Predictor, slots)
-	partials, err := parallel.Map(slots, opts.Workers, func(s int) (Result, error) {
-		var ev serialEval
-		if err := ev.init(tr.App, s, preds[s:s+1], cfg, opts); err != nil {
-			return Result{}, err
-		}
+	// Slots without records contribute nothing, not even memory.
+	partials, _ := parallel.Map(part.Slots(), opts.Workers, func(s int) (*tally, error) {
 		recs := part.Records(s)
-		if n := len(recs); n > 0 {
-			// Records arrive in iteration order, so the slot's last one
-			// sizes its per-iteration counters in one allocation.
-			iters := int(recs[n-1].Iter) + 1
-			if opts.MaxIterations > 0 {
-				iters = min(iters, opts.MaxIterations)
-			}
-			ev.res.PerIter = make([]Counter, 0, iters)
+		if len(recs) == 0 {
+			return nil, nil
 		}
+		banks := fl.take(lay, 1)
+		defer fl.release(banks)
+		ev := newSerialEval(lay, opts, s, banks)
+		// Records arrive in iteration order, so the slot's last one
+		// sizes its per-iteration counters in one allocation.
+		iters := int(recs[len(recs)-1].Iter) + 1
+		if opts.MaxIterations > 0 {
+			iters = min(iters, opts.MaxIterations)
+		}
+		ev.iterTotal = make([]uint64, 0, iters)
+		ev.iterHits = make([]uint64, 0, iters*lay.Lanes())
 		ev.observe(recs)
-		return *ev.finish(), nil
+		return ev.finish(), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{App: tr.App, Config: cfg}
-	if opts.TrackArcs {
-		res.Arcs = make(map[Arc]*Counter)
-	}
-	for s := range partials {
-		res.merge(&partials[s])
-	}
-	return res, nil
-}
-
-// merge adds o's counts to r. o must cover predictor slots disjoint
-// from r's, as the slot partials of a sharded evaluation do: every
-// field is then a plain sum.
-func (r *Result) merge(o *Result) {
-	r.Overall.merge(o.Overall)
-	r.Cache.merge(o.Cache)
-	r.Dir.merge(o.Dir)
-	for t := range o.Types {
-		r.Types[t].merge(o.Types[t])
-	}
-	if n := len(o.PerIter) - len(r.PerIter); n > 0 {
-		r.PerIter = append(r.PerIter, make([]Counter, n)...)
-	}
-	for i, c := range o.PerIter {
-		r.PerIter[i].merge(c)
-	}
-	// Counter totals are order-insensitive sums; the map range only
-	// accumulates into keyed counters.
-	for arc, c := range o.Arcs {
-		rc := r.Arcs[arc]
-		if rc == nil {
-			rc = &Counter{}
-			r.Arcs[arc] = rc
+	t := newTally(lay, opts)
+	for _, p := range partials {
+		if p != nil {
+			t.merge(p)
 		}
-		rc.merge(*c)
 	}
-	mergeMemory(&r.Memory, o.Memory)
-	mergeMemory(&r.CacheMemory, o.CacheMemory)
-	mergeMemory(&r.DirMemory, o.DirMemory)
-}
-
-func mergeMemory(m *core.MemoryStats, o core.MemoryStats) {
-	m.MHREntries += o.MHREntries
-	m.PHTEntries += o.PHTEntries
+	return &t
 }
 
 // DominantArcs returns the side's arcs sorted by descending reference

@@ -39,53 +39,59 @@ func messyTrace(nodes, records int) *trace.Trace {
 }
 
 // TestEvaluateStreamMatchesSerial pins the three evaluation paths to
-// one another, with arcs and ForgetOnWriteback on: Evaluate at 1
-// worker (the serial walk), 2 and 8 workers (sharded), and a windowed
-// evaluation over the encoded stream for window sizes that split
-// records at every awkward boundary, each produce a Result identical
-// to the serial walk.
+// one another, with arcs on and ForgetOnWriteback and MaxIterations
+// each on and off: EvaluateAll over the paper's eight configurations
+// at 1 worker (the serial walk), 2 and 8 workers (sharded), and a
+// windowed evaluation of each configuration over the encoded stream
+// for window sizes that split records at every awkward boundary, each
+// produce Results identical to the serial walk's.
 func TestEvaluateStreamMatchesSerial(t *testing.T) {
 	tr := messyTrace(5, 4000)
-	cfg := core.Config{Depth: 2}
-	opts := Options{TrackArcs: true, ForgetOnWriteback: true}
-	want, err := Evaluate(tr, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		o := opts
-		o.Workers = workers
-		got, err := Evaluate(tr, cfg, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers %d: sharded result diverges from serial", workers)
-		}
-	}
 	var enc bytes.Buffer
 	if err := trace.Write(&enc, tr); err != nil {
 		t.Fatal(err)
 	}
-	for _, win := range []int{1, 7, 4000, 10000} {
-		sr, err := trace.NewStreamReader(bytes.NewReader(enc.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		windows := 0
-		got, err := EvaluateStream(sr, sr.App(), sr.Nodes(), cfg, StreamOptions{
-			Options:    opts,
-			WindowSize: win,
-			OnWindow:   func(int) { windows++ },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("window %d: streaming result diverges from serial", win)
-		}
-		if wantWindows := (len(tr.Records) + win - 1) / win; windows != wantWindows {
-			t.Errorf("window %d: OnWindow ran %d times, want %d", win, windows, wantWindows)
+	for _, forget := range []bool{false, true} {
+		for _, maxIter := range []int{0, 5} {
+			opts := Options{TrackArcs: true, ForgetOnWriteback: forget, MaxIterations: maxIter}
+			want, err := EvaluateAll(tr, paperSet, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{2, 8} {
+				o := opts
+				o.Workers = workers
+				got, err := EvaluateAll(tr, paperSet, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%+v workers %d: sharded results diverge from serial", opts, workers)
+				}
+			}
+			for i, cfg := range paperSet {
+				for _, win := range []int{1, 7, 4000, 10000} {
+					sr, err := trace.NewStreamReader(bytes.NewReader(enc.Bytes()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					windows := 0
+					got, err := EvaluateStream(sr, sr.App(), sr.Nodes(), cfg, StreamOptions{
+						Options:    opts,
+						WindowSize: win,
+						OnWindow:   func(int) { windows++ },
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("%+v %+v window %d: streaming result diverges from serial", opts, cfg, win)
+					}
+					if wantWindows := (len(tr.Records) + win - 1) / win; windows != wantWindows {
+						t.Errorf("window %d: OnWindow ran %d times, want %d", win, windows, wantWindows)
+					}
+				}
+			}
 		}
 	}
 }
