@@ -87,27 +87,31 @@ func run() error {
 	fmt.Printf("trace: app=%s nodes=%d iterations=%d records=%d\n\n",
 		tr.App, tr.Nodes, tr.Iterations, len(tr.Records))
 
-	depths := []int{*depth}
+	cfgs := []core.Config{{Depth: *depth, FilterMax: *filter}}
 	if *sweep {
-		depths = []int{1, 2, 3, 4}
+		cfgs = nil
+		for d := 1; d <= 4; d++ {
+			cfgs = append(cfgs, core.Config{Depth: d, FilterMax: *filter})
+		}
+	}
+	// One walk of the trace evaluates every configuration.
+	results, err := stats.EvaluateAll(tr, cfgs,
+		stats.Options{TrackArcs: *arcs, MaxIterations: *maxIter})
+	if err != nil {
+		return err
 	}
 	fmt.Printf("%-6s %-7s %8s %10s %8s %10s %10s\n",
 		"depth", "filter", "cache", "directory", "overall", "MHR", "PHT")
-	var last *stats.Result
-	for _, d := range depths {
-		res, err := stats.Evaluate(tr, core.Config{Depth: d, FilterMax: *filter},
-			stats.Options{TrackArcs: *arcs, MaxIterations: *maxIter})
-		if err != nil {
-			return err
-		}
+	for i, res := range results {
 		fmt.Printf("%-6d %-7d %7.1f%% %9.1f%% %7.1f%% %10d %10d\n",
-			d, *filter,
+			cfgs[i].Depth, cfgs[i].FilterMax,
 			100*res.Cache.Accuracy(), 100*res.Dir.Accuracy(), 100*res.Overall.Accuracy(),
 			res.Memory.MHREntries, res.Memory.PHTEntries)
-		last = res
 	}
+	// -arcs, -types and -adapt report the last (deepest) configuration.
+	last := results[len(results)-1]
 
-	if *arcs && last != nil {
+	if *arcs {
 		for _, side := range []trace.Side{trace.CacheSide, trace.DirectorySide} {
 			fmt.Printf("\ndominant arcs at the %s (accuracy / reference share):\n", side)
 			for _, a := range last.DominantArcs(side, 10) {
@@ -117,7 +121,7 @@ func run() error {
 		}
 	}
 
-	if *types && last != nil {
+	if *types {
 		fmt.Println("\naccuracy by message type:")
 		for _, ts := range last.ByType() {
 			fmt.Printf("  %-22s %5.1f%%  (%.1f%% of messages)\n",
@@ -125,7 +129,7 @@ func run() error {
 		}
 	}
 
-	if *adapt && last != nil {
+	if *adapt {
 		fmt.Println("\nper-iteration accuracy (cumulative messages in parentheses):")
 		var cum uint64
 		for i, c := range last.PerIter {

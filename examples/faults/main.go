@@ -53,6 +53,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// A trace record numbers at most trace.MaxIter+1 application
+	// iterations; refuse a longer run before simulating it.
+	if err := trace.CheckIterations(app.Name(), app.Iterations(), app.PhasesPerIteration()); err != nil {
+		return err
+	}
 	m, err := machine.New(cfg.Machine, cfg.Stache, app)
 	if err != nil {
 		return err

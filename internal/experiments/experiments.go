@@ -82,6 +82,9 @@ func DefaultConfig() Config {
 
 // Run simulates one app and captures its trace.
 func Run(app workload.App, cfg Config) (*trace.Trace, error) {
+	if err := checkCapture(app); err != nil {
+		return nil, err
+	}
 	m, err := machine.New(cfg.Machine, cfg.Stache, app)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building machine for %s: %w", app.Name(), err)
@@ -92,6 +95,15 @@ func Run(app workload.App, cfg Config) (*trace.Trace, error) {
 		return nil, fmt.Errorf("experiments: simulating %s: %w", app.Name(), err)
 	}
 	return rec.Trace(), nil
+}
+
+// checkCapture refuses, before anything is simulated, an app whose
+// iterations a trace record cannot number (trace.MaxIter).
+func checkCapture(app workload.App) error {
+	if err := trace.CheckIterations(app.Name(), app.Iterations(), app.PhasesPerIteration()); err != nil {
+		return fmt.Errorf("experiments: %w", err)
+	}
+	return nil
 }
 
 // Suite lazily generates and memoizes the five benchmark traces for a

@@ -63,6 +63,9 @@ func FaultSweep(cfg Config, dropProbs []float64, seed uint64) ([]FaultRow, error
 		if err != nil {
 			return FaultRow{}, err
 		}
+		if err := checkCapture(app); err != nil {
+			return FaultRow{}, err
+		}
 		m, err := machine.New(c.Machine, c.Stache, app)
 		if err != nil {
 			return FaultRow{}, err

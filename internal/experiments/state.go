@@ -99,6 +99,9 @@ func StateEquivalence(cfg Config) ([]StateEquivalenceRow, error) {
 		if err != nil {
 			return StateEquivalenceRow{}, err
 		}
+		if err := checkCapture(app); err != nil {
+			return StateEquivalenceRow{}, err
+		}
 		m, err := machine.New(cfg.Machine, cfg.Stache, app)
 		if err != nil {
 			return StateEquivalenceRow{}, err

@@ -101,6 +101,9 @@ func (s *Suite) openStream(name string) (*os.File, func(), error) {
 // captureStream simulates app and streams its trace into f, leaving a
 // complete CTRC file (footer written, offset at end).
 func captureStream(app workload.App, cfg Config, f *os.File) error {
+	if err := checkCapture(app); err != nil {
+		return err
+	}
 	m, err := machine.New(cfg.Machine, cfg.Stache, app)
 	if err != nil {
 		return fmt.Errorf("experiments: building machine for %s: %w", app.Name(), err)

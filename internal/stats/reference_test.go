@@ -88,7 +88,7 @@ func TestEvaluateAllMatchesReference(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		tr.Records = append(tr.Records, trace.Record{
 			Node: 4, Side: trace.CacheSide, Sender: coherence.NodeID(i % 3),
-			Type: coherence.GetROResp, Addr: coherence.Addr(i%4) * 64, Iter: int32(8 + i/20),
+			Type: coherence.GetROResp, Addr: coherence.Addr(i%4) * 64, Iter: uint16(8 + i/20),
 		})
 	}
 	tr.Iterations = 11

@@ -14,8 +14,8 @@ func loopTrace(rounds int) *trace.Trace {
 	tr := &trace.Trace{App: "loop", Nodes: 2, Iterations: rounds}
 	for i := 0; i < rounds; i++ {
 		tr.Records = append(tr.Records,
-			trace.Record{Node: 0, Side: trace.DirectorySide, Sender: 1, Type: coherence.GetRWReq, Addr: 0x40, Iter: int32(i)},
-			trace.Record{Node: 0, Side: trace.DirectorySide, Sender: 1, Type: coherence.InvalRWResp, Addr: 0x40, Iter: int32(i)},
+			trace.Record{Node: 0, Side: trace.DirectorySide, Sender: 1, Type: coherence.GetRWReq, Addr: 0x40, Iter: uint16(i)},
+			trace.Record{Node: 0, Side: trace.DirectorySide, Sender: 1, Type: coherence.InvalRWResp, Addr: 0x40, Iter: uint16(i)},
 		)
 	}
 	return tr

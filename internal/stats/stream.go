@@ -11,7 +11,7 @@ import (
 )
 
 // DefaultWindowSize is the streaming evaluation window: 64Ki records
-// (~1.1 MiB of Record structs) — large enough to amortize the calls
+// (1 MiB of 16-byte Records) — large enough to amortize the calls
 // into the source, small enough that peak evaluation memory is dominated by
 // predictor state, not trace storage, at any node count.
 const DefaultWindowSize = 64 * 1024

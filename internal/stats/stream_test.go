@@ -22,7 +22,7 @@ func messyTrace(nodes, records int) *trace.Trace {
 	}
 	tr := &trace.Trace{App: "messy", Nodes: nodes}
 	for i := 0; i < records; i++ {
-		iter := int32(i * 8 / records)
+		iter := uint16(i * 8 / records)
 		tr.Records = append(tr.Records, trace.Record{
 			Node:   coherence.NodeID(rng.Intn(nodes)),
 			Side:   trace.Side(rng.Intn(2)),

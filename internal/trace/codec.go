@@ -19,7 +19,10 @@ import (
 //	appLen u16 | app bytes | count u64 | records... | footer
 //
 // Each record is 18 bytes little-endian: node i16, side u8, sender
-// i16, type u8, addr u64, iter i32.
+// i16, type u8, addr u64, iter u32. The wire order is not Record's
+// field order, and iter takes four bytes on the wire though a Record
+// holds two: the decoders reject an iter above MaxIter and a header
+// iterations above MaxIter+1.
 //
 // The v2 footer is 16 bytes: magic "CTRE" | payload length u64 |
 // CRC-32C u32, where the length and checksum cover every byte from the
@@ -55,18 +58,21 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // encodeHeader writes the CTRC header, refusing values the fixed-width
 // fields cannot hold. StreamWriter writes zero counts here and patches
 // them at Close.
-func encodeHeader(w io.Writer, app string, nodes int, iters uint32, count uint64) error {
+func encodeHeader(w io.Writer, app string, nodes, iters int, count uint64) error {
 	if len(app) > 1<<16-1 {
 		return fmt.Errorf("trace: app name of %d bytes does not fit the header", len(app))
 	}
 	if nodes < 0 || nodes > 1<<16-1 {
 		return fmt.Errorf("trace: node count %d does not fit the header", nodes)
 	}
+	if iters < 0 || iters > MaxIter+1 {
+		return fmt.Errorf("trace: iteration count %d is outside [0, %d]", iters, MaxIter+1)
+	}
 	var hdr [headerSize]byte
 	copy(hdr[:], traceMagic)
 	binary.LittleEndian.PutUint16(hdr[4:], Version)
 	binary.LittleEndian.PutUint16(hdr[6:], uint16(nodes))
-	binary.LittleEndian.PutUint32(hdr[8:], iters)
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(iters))
 	binary.LittleEndian.PutUint16(hdr[12:], uint16(len(app)))
 	// hdr[14:18] reserved (zero).
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -93,20 +99,22 @@ func encodeRecord(b *[recordSize]byte, r Record) {
 
 // decodeRecord unpacks b and validates everything an evaluator indexes
 // or encodes with: out-of-range nodes would index predictor slices out
-// of bounds; senders beyond 12 bits would panic tuple packing. nodes is
-// the header's node count (0 when unknown).
+// of bounds; senders beyond 12 bits would panic tuple packing; an iter
+// above MaxIter does not fit Record.Iter. nodes is the header's node
+// count (0 when unknown).
 func decodeRecord(b *[recordSize]byte, nodes int) (Record, bool) {
+	iter := binary.LittleEndian.Uint32(b[14:])
 	r := Record{
 		Node:   coherence.NodeID(int16(binary.LittleEndian.Uint16(b[0:]))),
 		Side:   Side(b[2]),
 		Sender: coherence.NodeID(int16(binary.LittleEndian.Uint16(b[3:]))),
 		Type:   coherence.MsgType(b[5]),
 		Addr:   coherence.Addr(binary.LittleEndian.Uint64(b[6:])),
-		Iter:   int32(binary.LittleEndian.Uint32(b[14:])),
+		Iter:   uint16(iter),
 	}
 	ok := r.Side < numSides && r.Type.Valid() &&
 		r.Node >= 0 && (nodes == 0 || int(r.Node) < nodes) &&
-		r.Sender >= 0 && r.Sender < 1<<12 && r.Iter >= 0
+		r.Sender >= 0 && r.Sender < 1<<12 && iter <= MaxIter
 	return r, ok
 }
 
@@ -134,7 +142,7 @@ func Write(w io.Writer, t *Trace) error {
 	sum := crc32.New(crcTable)
 	mw := io.MultiWriter(bw, sum)
 	count := uint64(len(t.Records))
-	if err := encodeHeader(mw, t.App, t.Nodes, uint32(t.Iterations), count); err != nil {
+	if err := encodeHeader(mw, t.App, t.Nodes, t.Iterations, count); err != nil {
 		return err
 	}
 	var rec [recordSize]byte

@@ -23,7 +23,7 @@ func bigTrace(n int) *Trace {
 			Sender: coherence.NodeID((i / 16) % 16),
 			Type:   coherence.MsgType(1 + i%14),
 			Addr:   coherence.Addr(i) * 64,
-			Iter:   int32(i / 1000),
+			Iter:   uint16(i / 1000),
 		})
 	}
 	tr.Iterations = (n-1)/1000 + 1
@@ -156,7 +156,7 @@ func TestRecorderAcrossChunks(t *testing.T) {
 	rec := NewRecorder(want.App, want.Nodes, 1, 0)
 	feed := func(rs []Record) {
 		for _, r := range rs {
-			for int32(rec.currentPhase) < r.Iter {
+			for rec.currentPhase < int(r.Iter) {
 				rec.EndIteration(rec.currentPhase)
 			}
 			msg := coherence.Msg{Src: r.Sender, Dst: r.Node, Type: r.Type, Addr: r.Addr}
@@ -201,6 +201,10 @@ func FuzzRead(f *testing.F) {
 		f.Add(c)
 	}
 	f.Add(encode(f, &Trace{App: "", Nodes: 0}))
+	f.Add(encode(f, maxIterTrace()))
+	for _, c := range overCapEncodings(f) {
+		f.Add(c)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		tr, err := Read(bytes.NewReader(b))
 		if err != nil {

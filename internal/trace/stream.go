@@ -68,7 +68,7 @@ func (w *StreamWriter) Append(r Record) error {
 		return err
 	}
 	w.count++
-	if it := uint32(r.Iter) + 1; r.Iter >= 0 && it > w.iters {
+	if it := uint32(r.Iter) + 1; it > w.iters {
 		w.iters = it
 	}
 	return nil
@@ -177,6 +177,9 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 		cr:  cr,
 		n:   int(binary.LittleEndian.Uint16(hdr[6:])),
 		its: int(binary.LittleEndian.Uint32(hdr[8:])),
+	}
+	if sr.its > MaxIter+1 {
+		return nil, fmt.Errorf("trace: header counts %d iterations, more than the %d a record can number", sr.its, MaxIter+1)
 	}
 	app := make([]byte, binary.LittleEndian.Uint16(hdr[12:]))
 	if _, err := io.ReadFull(cr, app); err != nil {

@@ -12,6 +12,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/cosmos-coherence/cosmos/internal/coherence"
@@ -42,15 +43,45 @@ func (s Side) String() string {
 }
 
 // Record is one observed message reception.
+//
+// Its fields run from widest to narrowest, so the struct packs into 16
+// bytes with no padding (TestRecordSize pins it): every copy of a trace
+// the evaluators hold — decoded, partitioned, recorded or windowed — is
+// 16 bytes a record. Declared in the reading order (node, side, sender,
+// type, addr, iter), the same fields pad out to 24.
 type Record struct {
-	Node   coherence.NodeID
-	Side   Side
-	Sender coherence.NodeID
-	Type   coherence.MsgType
 	Addr   coherence.Addr
+	Node   coherence.NodeID
+	Sender coherence.NodeID
 	// Iter is the application-level iteration (phases divided by the
 	// workload's PhasesPerIteration) during which the message arrived.
-	Iter int32
+	// It is at most MaxIter.
+	Iter uint16
+	Side Side
+	Type coherence.MsgType
+}
+
+// MaxIter is the largest application iteration a Record can carry. The
+// decoders reject a record beyond it and a header counting more than
+// MaxIter+1 iterations; capture helpers refuse, before simulating, a
+// run that would reach past it (CheckIterations).
+const MaxIter = math.MaxUint16
+
+// CheckIterations returns an error when a run of phases machine phases,
+// grouped phasesPerIter to an application iteration, would stamp a
+// record with an iteration above MaxIter. Its last phase falls in
+// iteration (phases-1)/phasesPerIter, so a run of whole iterations
+// passes while workload.AppIterations is at most MaxIter+1. Capture
+// helpers call it before a run; the recorders themselves only panic.
+func CheckIterations(app string, phases, phasesPerIter int) error {
+	if phasesPerIter < 1 {
+		phasesPerIter = 1
+	}
+	if phases > 0 && (phases-1)/phasesPerIter > MaxIter {
+		return fmt.Errorf("trace: %s runs %d phases of %d per iteration, past the %d application iterations a trace records",
+			app, phases, phasesPerIter, MaxIter+1)
+	}
+	return nil
 }
 
 // Tuple returns the <sender, type> pair the predictor at the receiving
@@ -145,13 +176,16 @@ func (c *capture) observe(node coherence.NodeID, side Side, msg coherence.Msg) {
 	if it < 0 {
 		return // startup phase: excluded
 	}
+	if it > MaxIter {
+		panic(fmt.Sprintf("trace: iteration %d exceeds MaxIter; check the run with CheckIterations first", it))
+	}
 	c.emit(Record{
 		Node:   node,
 		Side:   side,
 		Sender: msg.Src,
 		Type:   msg.Type,
 		Addr:   msg.Addr,
-		Iter:   int32(it),
+		Iter:   uint16(it),
 	})
 }
 

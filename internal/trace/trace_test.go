@@ -160,7 +160,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 				Sender: coherence.NodeID((v >> 6) % 64),
 				Type:   coherence.MsgType(1 + (v>>12)%14),
 				Addr:   coherence.Addr(v) * 64,
-				Iter:   int32(v % 1000),
+				Iter:   uint16(v % 1000),
 			}
 			tr.Records = append(tr.Records, rec)
 			if int(rec.Iter)+1 > tr.Iterations {
@@ -216,10 +216,11 @@ func TestReadRejectsHostileInputs(t *testing.T) {
 	if _, err := Read(bytes.NewReader(bad)); err == nil {
 		t.Error("accepted sender beyond 12 bits")
 	}
-	// Negative iteration.
-	bad = mutate(func(tr *Trace) { tr.Records[0].Iter = -1 })
-	if _, err := Read(bytes.NewReader(bad)); err == nil {
-		t.Error("accepted negative iteration")
+	// Iterations beyond MaxIter, in a record or in the header.
+	for name, bad := range overCapEncodings(t) {
+		if _, err := Read(bytes.NewReader(bad)); err == nil {
+			t.Errorf("accepted %s", name)
+		}
 	}
 	// Giant record count with a tiny body: must fail on the short read,
 	// not by allocating count*recordSize bytes.
