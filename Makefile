@@ -9,7 +9,7 @@ GO ?= go
 
 check: lint build race
 
-ci: lint build test fuzz-smoke perfbench bench-gate race chaos chaos-spec serve-chaos scale-smoke
+ci: lint build test fuzz-smoke perfbench bench-gate race chaos chaos-spec serve-chaos scale-smoke examples
 
 lint: fmt vet cosmosvet
 
@@ -102,6 +102,7 @@ serve-chaos:
 	$(GO) run ./cmd/cosmos-serve -seeds 4 -corrupt wal >/dev/null; test $$? -eq 1
 	$(GO) run ./cmd/cosmos-serve -seeds 4 -corrupt version >/dev/null; test $$? -eq 1
 
+# Every documented example must still run to completion.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/producer_consumer

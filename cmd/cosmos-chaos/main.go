@@ -24,8 +24,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -35,8 +37,8 @@ import (
 )
 
 func main() {
-	switch err := run(); {
-	case err == nil:
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
 	case err == errFailuresFound:
 		os.Exit(1)
 	default:
@@ -49,31 +51,36 @@ func main() {
 // (exit 1, already reported) from usage errors (exit 2).
 var errFailuresFound = fmt.Errorf("failures found")
 
-func run() error {
+// run drives the whole command against an explicit argument list and
+// writer, so tests can pin the rendered output byte for byte.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("cosmos-chaos", flag.ContinueOnError)
 	def := chaos.DefaultConfig()
 	var (
-		seeds    = flag.Int("seeds", 25, "number of consecutive seeds to sweep")
-		seed     = flag.Int64("seed", 1, "first seed")
-		quick    = flag.Bool("quick", false, "shrink run length for fast CI sweeps")
-		nodes    = flag.Int("nodes", def.Nodes, "machine size")
-		blocks   = flag.Int("blocks", def.Blocks, "conflict-pool size in cache blocks")
-		iters    = flag.Int("iters", def.Iters, "barrier-separated iterations per run")
-		accesses = flag.Int("accesses", def.Accesses, "accesses per processor per iteration")
-		drop     = flag.Float64("drop", def.Drop, "per-packet drop probability")
-		dup      = flag.Float64("dup", def.Dup, "per-packet duplication probability")
-		jitter   = flag.Uint64("jitter", def.JitterNs, "max per-packet delivery jitter (ns)")
-		perturb  = flag.Uint64("perturb", def.PerturbNs, "max event-scheduling perturbation (ns); 0 disables")
-		every    = flag.Uint64("check-every", def.CheckEvery, "invariant sweep cadence in events")
-		spec     = flag.Bool("spec", false, "arm the speculation axis: all Table 2 actions, governor-gated, under faults")
-		corrupt  = flag.String("corrupt", "", "inject protocol damage: dir-owner | dir-sharer | cache-writer | spec-dangling")
-		atNs     = flag.Uint64("corrupt-at", 0, "injection time in ns (0 = default)")
-		outDir   = flag.String("o", ".", "directory for repro bundles")
-		replay   = flag.String("replay", "", "replay a repro bundle instead of sweeping")
-		verbose  = flag.Bool("v", false, "print every seed, not just failures")
-		workers  = flag.Int("workers", parallel.DefaultWorkers(), "worker pool size for the seed sweep (1 = serial)")
+		seeds    = fs.Int("seeds", 25, "number of consecutive seeds to sweep")
+		seed     = fs.Int64("seed", 1, "first seed")
+		quick    = fs.Bool("quick", false, "shrink run length for fast CI sweeps")
+		nodes    = fs.Int("nodes", def.Nodes, "machine size")
+		blocks   = fs.Int("blocks", def.Blocks, "conflict-pool size in cache blocks")
+		iters    = fs.Int("iters", def.Iters, "barrier-separated iterations per run")
+		accesses = fs.Int("accesses", def.Accesses, "accesses per processor per iteration")
+		drop     = fs.Float64("drop", def.Drop, "per-packet drop probability")
+		dup      = fs.Float64("dup", def.Dup, "per-packet duplication probability")
+		jitter   = fs.Uint64("jitter", def.JitterNs, "max per-packet delivery jitter (ns)")
+		perturb  = fs.Uint64("perturb", def.PerturbNs, "max event-scheduling perturbation (ns); 0 disables")
+		every    = fs.Uint64("check-every", def.CheckEvery, "invariant sweep cadence in events")
+		spec     = fs.Bool("spec", false, "arm the speculation axis: all Table 2 actions, governor-gated, under faults")
+		corrupt  = fs.String("corrupt", "", "inject protocol damage: dir-owner | dir-sharer | cache-writer | spec-dangling")
+		atNs     = fs.Uint64("corrupt-at", 0, "injection time in ns (0 = default)")
+		outDir   = fs.String("o", ".", "directory for repro bundles")
+		replay   = fs.String("replay", "", "replay a repro bundle instead of sweeping")
+		verbose  = fs.Bool("v", false, "print every seed, not just failures")
+		workers  = fs.Int("workers", parallel.DefaultWorkers(), "worker pool size for the seed sweep (1 = serial)")
 	)
-	pf := prof.AddFlags(flag.CommandLine)
-	flag.Parse()
+	pf := prof.AddFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *workers < 1 {
 		return fmt.Errorf("-workers must be positive")
@@ -88,7 +95,7 @@ func run() error {
 	}()
 
 	if *replay != "" {
-		return replayBundle(*replay)
+		return replayBundle(stdout, *replay)
 	}
 
 	cfg := chaos.Config{
@@ -125,19 +132,19 @@ func run() error {
 		switch {
 		case res.Failed():
 			failures = append(failures, res)
-			fmt.Printf("seed %d: %s [%s] after %d events\n", res.Seed, res.Outcome, res.Rule, res.Events)
+			fmt.Fprintf(stdout, "seed %d: %s [%s] after %d events\n", res.Seed, res.Outcome, res.Rule, res.Events)
 		case res.Outcome == chaos.OutcomeStall:
 			stalls++
-			fmt.Printf("seed %d: stall (fault plan too hostile, not counted as a bug)\n", res.Seed)
+			fmt.Fprintf(stdout, "seed %d: stall (fault plan too hostile, not counted as a bug)\n", res.Seed)
 		default:
 			ok++
 			if *verbose {
-				fmt.Printf("seed %d: ok (%d events, %d accesses, %d messages)\n",
+				fmt.Fprintf(stdout, "seed %d: ok (%d events, %d accesses, %d messages)\n",
 					res.Seed, res.Events, res.Accesses, res.Messages)
 			}
 		}
 	}
-	fmt.Printf("swept %d seeds: %d ok, %d stalls, %d failures\n", *seeds, ok, stalls, len(failures))
+	fmt.Fprintf(stdout, "swept %d seeds: %d ok, %d stalls, %d failures\n", *seeds, ok, stalls, len(failures))
 
 	if len(failures) > 0 {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -154,9 +161,9 @@ func run() error {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("seed %d shrunk in %d trials -> %s\n", f.Seed, len(b.ShrinkTrace), path)
-		fmt.Printf("  repro: cosmos-chaos -replay %s\n", path)
-		fmt.Printf("  %s\n", firstLine(b.Diagnostic))
+		fmt.Fprintf(stdout, "seed %d shrunk in %d trials -> %s\n", f.Seed, len(b.ShrinkTrace), path)
+		fmt.Fprintf(stdout, "  repro: cosmos-chaos -replay %s\n", path)
+		fmt.Fprintf(stdout, "  %s\n", firstLine(b.Diagnostic))
 	}
 	if len(failures) > 0 {
 		return errFailuresFound
@@ -166,7 +173,7 @@ func run() error {
 
 // replayBundle re-executes a repro bundle and verifies the failure
 // reproduces byte-identically.
-func replayBundle(path string) error {
+func replayBundle(stdout io.Writer, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -177,13 +184,13 @@ func replayBundle(path string) error {
 	}
 	res, err := chaos.Replay(b)
 	if err != nil {
-		fmt.Println(res.Diagnostic)
+		fmt.Fprintln(stdout, res.Diagnostic)
 		fmt.Fprintln(os.Stderr, "cosmos-chaos:", err)
 		return errFailuresFound
 	}
-	fmt.Printf("replayed seed %d: %s [%s] reproduced byte-identically after %d events\n",
+	fmt.Fprintf(stdout, "replayed seed %d: %s [%s] reproduced byte-identically after %d events\n",
 		b.Seed, res.Outcome, res.Rule, res.Events)
-	fmt.Println(res.Diagnostic)
+	fmt.Fprintln(stdout, res.Diagnostic)
 	return nil
 }
 

@@ -7,7 +7,7 @@
 //	func (h *eventHeap) push(it item) { ... }
 //
 //	//cosmosvet:hotpath loops
-//	func evaluateSerial(...) { ... }
+//	func evaluateSlot(...) { ... }
 //
 // The bare form checks the whole function body; the `loops` form
 // checks only the bodies of its for/range loops (setup allocations

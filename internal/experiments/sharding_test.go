@@ -16,7 +16,8 @@ import (
 // TestShardedEvaluateEquivalence is the slot-sharding regression test:
 // for every workload and every predictor variant the evaluators drive,
 // the sharded path at 1, 2 and 8 workers must DeepEqual the serial
-// arrival-order walk. This is the exactness claim the whole tentpole
+// arrival-order walk (for Cosmos, the streamed walk of
+// stats.EvaluateStream). This is the exactness claim slot sharding
 // rests on — predictor state never crosses a (node, side) slot
 // boundary, so sharding may never change a single counter.
 func TestShardedEvaluateEquivalence(t *testing.T) {
@@ -34,10 +35,18 @@ func TestShardedEvaluateEquivalence(t *testing.T) {
 		}
 
 		// stats.Evaluate: Cosmos depths 1-3, arcs and iteration caps on.
+		var enc bytes.Buffer
+		if err := trace.Write(&enc, tr); err != nil {
+			t.Fatal(err)
+		}
 		for depth := 1; depth <= 3; depth++ {
 			pcfg := core.Config{Depth: depth}
 			opts := stats.Options{TrackArcs: true, MaxIterations: 3}
-			serial, err := stats.Evaluate(tr, pcfg, opts)
+			sr, err := trace.NewStreamReader(bytes.NewReader(enc.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial, err := stats.EvaluateStream(sr, sr.App(), sr.Nodes(), pcfg, stats.StreamOptions{Options: opts})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -73,7 +73,8 @@ type Attached struct {
 }
 
 // Attach wires the speculation stack into a machine: a Cosmos oracle
-// beside every directory, the enabled subset of Table 2's actions, the
+// beside every directory (unless the run is ungated and takes no
+// directory action), the enabled subset of Table 2's actions, the
 // shared governor that gates them when one is configured, and an
 // end-of-run reconciler that discards whatever speculative state is
 // still outstanding at the final barrier — barriers live outside the
@@ -98,22 +99,28 @@ func Attach(m *machine.Machine, cfg AttachConfig) (*Attached, error) {
 	} else if rollback {
 		return nil, fmt.Errorf("speculate: actions %v need a governor", acts)
 	}
-	oracles := make([]*Oracle, m.Geometry().Nodes())
-	for i := range oracles {
-		o, err := NewOracle(cfg.Predictor)
-		if err != nil {
-			return nil, err
+	// The directory oracles drive the directory actions and, in a gated
+	// run, score every arriving message for the governor's misprediction
+	// breaker (gate.Observe). An ungated self-invalidation-only run reads
+	// neither, so it trains none.
+	if acts.RMW || rollback || gate != nil {
+		oracles := make([]*Oracle, m.Geometry().Nodes())
+		for i := range oracles {
+			o, err := NewOracle(cfg.Predictor)
+			if err != nil {
+				return nil, err
+			}
+			oracles[i] = o
+			node := coherence.NodeID(i)
+			m.Directory(node).AttachSpeculation(o, gate, stache.SpecActions{
+				RMW:       acts.RMW,
+				Downgrade: acts.Downgrade,
+				Forward:   acts.Forward,
+			})
+			m.Cache(node).AttachGate(gate)
 		}
-		oracles[i] = o
-		node := coherence.NodeID(i)
-		m.Directory(node).AttachSpeculation(o, gate, stache.SpecActions{
-			RMW:       acts.RMW,
-			Downgrade: acts.Downgrade,
-			Forward:   acts.Forward,
-		})
-		m.Cache(node).AttachGate(gate)
+		m.AddObserver(&trainer{oracles: oracles})
 	}
-	m.AddObserver(&trainer{oracles: oracles})
 	if acts.DSI {
 		si, err := AttachSelfInvalidation(m, cfg.Predictor, gate)
 		if err != nil {

@@ -278,3 +278,76 @@ func TestByteEquivalenceOnMispredictions(t *testing.T) {
 		t.Errorf("message count changed: %d -> %d", cmp.Baseline.Messages, cmp.Accelerated.Messages)
 	}
 }
+
+// TestUngatedDSIRunStats pins both runs of examples/accelerate's
+// self-invalidation comparison to the values recorded while Attach
+// still trained a directory oracle for every run. An ungated DSI-only
+// run now attaches none, since nothing reads it; the outcome must not
+// move.
+func TestUngatedDSIRunStats(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	geom := coherence.MustGeometry(cfg.CacheBlockBytes, cfg.PageBytes, cfg.Nodes)
+	app := func() workload.App {
+		return workload.ProducerConsumer(cfg.Nodes, 1, []int{2, 5}, workload.NewArena(geom).Alloc(64), 60)
+	}
+	cmp, err := AccelerateActions(app, cfg, stache.DefaultOptions(),
+		AttachConfig{Actions: Actions{DSI: true}, Predictor: core.Config{Depth: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const digest = "0cd232646b8dee9903c31c2682ccdb0e51a9880cfe94986c74e8f279ba0518c0"
+	want := Comparison{
+		Baseline: RunStats{
+			Messages:      45824,
+			Invalidations: 11392,
+			FinalTime:     4978740,
+			GovState:      "closed",
+			Digest:        digest,
+		},
+		Accelerated: RunStats{
+			Messages:      45824,
+			Invalidations: 9472,
+			Speculations:  1920,
+			FinalTime:     4364430,
+			SpecDSI:       1920,
+			GovState:      "closed",
+			Digest:        digest,
+		},
+	}
+	if *cmp != want {
+		t.Errorf("comparison = %+v\nwant         %+v", *cmp, want)
+	}
+}
+
+// TestGatedDSIKeepsDirectoryOracles: a governed self-invalidation run
+// takes no directory action, but its directory oracles still score
+// every arriving message for the governor's misprediction breaker, so
+// Attach must keep them. Without them this run self-invalidates 1680
+// times and never trips; the values below were recorded while Attach
+// trained the oracles for every run.
+func TestGatedDSIKeepsDirectoryOracles(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	geom := coherence.MustGeometry(cfg.CacheBlockBytes, cfg.PageBytes, cfg.Nodes)
+	app := func() workload.App {
+		return workload.Migratory(cfg.Nodes, workload.NewArena(geom).Alloc(64), 60)
+	}
+	cmp, err := AccelerateActions(app, cfg, stache.DefaultOptions(),
+		AttachConfig{Actions: Actions{DSI: true}, Predictor: core.Config{Depth: 1}, Governor: lenientGov()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := RunStats{
+		Messages:        21480,
+		UpgradeRequests: 3600,
+		Invalidations:   3479,
+		Speculations:    61,
+		FinalTime:       266980,
+		SpecDSI:         61,
+		GovTrips:        1,
+		GovState:        "half-open",
+		Digest:          "d719f3cf28ad096169fb3919f16016e8614a8b9cc74cd2adca2e7257d75b5921",
+	}
+	if cmp.Accelerated != want {
+		t.Errorf("accelerated = %+v\nwant          %+v", cmp.Accelerated, want)
+	}
+}

@@ -103,12 +103,12 @@ type Options struct {
 	// history and patterns are discarded. Only meaningful on traces
 	// from bounded-cache runs.
 	ForgetOnWriteback bool
-	// Workers > 1 fans the trace's per-(node, side) slot streams over
-	// a bounded worker pool (slot sharding): predictor state never
-	// crosses a slot boundary, so each stream evaluates independently
-	// and the counters merge in fixed slot order, giving results
-	// identical to the serial arrival-order walk for every width.
-	// 0 or 1 runs the serial reference path.
+	// Workers bounds the worker pool over which EvaluateAll fans the
+	// trace's per-(node, side) slot streams (slot sharding): predictor
+	// state never crosses a slot boundary, so each stream evaluates
+	// independently and the counters merge in fixed slot order, giving
+	// identical results for every width. 0 or 1 walks the slots one
+	// after another on the calling goroutine.
 	Workers int
 }
 
@@ -129,20 +129,19 @@ func Evaluate(tr *trace.Trace, cfg core.Config, opts Options) (*Result, error) {
 // identical to what Evaluate would return for it. Each (node, side)
 // slot runs one core.Bank, which shares the block lookup, the history
 // and the pattern tables between the configurations; a set with more
-// than core.BankLanes filter settings at one depth is refused. With
-// opts.Workers > 1 the evaluation is slot-sharded (see
-// Options.Workers); every path produces identical results, which the
-// equivalence regression tests pin.
+// than core.BankLanes filter settings at one depth is refused. The
+// slots are walked on a pool of opts.Workers (see Options.Workers);
+// every width produces identical results, which the equivalence
+// regression tests pin.
 func EvaluateAll(tr *trace.Trace, cfgs []core.Config, opts Options) ([]*Result, error) {
 	return new(Banks).EvaluateAll(tr, cfgs, opts)
 }
 
-// Banks is a free list of predictor banks: an evaluation takes a bank
-// per slot it walks at once — every slot for the arrival-order walk,
-// one per worker for a sharded one — and puts them back afterwards, so
-// a caller that keeps one Banks across evaluations builds its banks
-// once and reuses their arrays. The zero value is an empty list. It is
-// safe for concurrent use.
+// Banks is a free list of predictor banks: EvaluateAll takes a bank
+// for each slot it walks, so one per worker at a time, and puts it
+// back afterwards, so a caller that keeps one Banks across evaluations
+// builds its banks once and reuses their arrays. The zero value is an
+// empty list. It is safe for concurrent use.
 type Banks struct {
 	mu   sync.Mutex
 	free []*core.Bank
@@ -187,13 +186,7 @@ func (fl *Banks) EvaluateAll(tr *trace.Trace, cfgs []core.Config, opts Options) 
 	if err != nil {
 		return nil, err
 	}
-	var t *tally
-	if opts.Workers > 1 {
-		t = fl.evaluateSharded(tr, lay, opts)
-	} else {
-		t = fl.evaluateSerial(tr, lay, opts)
-	}
-	return t.results(tr.App, lay, opts), nil
+	return fl.evaluateSharded(tr, lay, opts).results(tr.App, lay, opts), nil
 }
 
 // slotAddr keys per-(predictor slot, block) arc state. One flat map
@@ -205,28 +198,15 @@ type slotAddr struct {
 	addr coherence.Addr
 }
 
-// evaluateSerial is the reference implementation: one pass over the
-// records in arrival order, with a bank per slot. The per-record body
-// lives in serialEval.observe (stream.go), shared with EvaluateStream
-// and with each slot of evaluateSharded, so no path can drift from the
-// others.
-func (fl *Banks) evaluateSerial(tr *trace.Trace, lay *core.Layout, opts Options) *tally {
-	banks := fl.take(lay, 2*tr.Nodes)
-	defer fl.release(banks)
-	ev := newSerialEval(lay, opts, 0, banks)
-	ev.observe(tr.Records)
-	return ev.finish()
-}
-
 // evaluateSharded fans the trace's slot streams over the worker pool:
 // each slot runs serialEval.observe over its own sub-stream with a
 // bank from fl, and the per-slot tallies merge in fixed slot order.
 // Exactness rests on the slot-independence argument from
 // trace.Partition: a slot's bank (and its arc state, keyed per block
 // within the slot) is driven only by that slot's records, in original
-// relative order, so each partial equals the serial walk's
-// contribution from that slot and the merged sums equal the serial
-// totals.
+// relative order, so each partial equals an arrival-order walk's
+// contribution from that slot and the merged sums equal its totals
+// (referenceEvaluate in reference_test.go is that walk).
 func (fl *Banks) evaluateSharded(tr *trace.Trace, lay *core.Layout, opts Options) *tally {
 	part := tr.Partition()
 	// Slots without records contribute nothing, not even memory.

@@ -40,17 +40,16 @@ type StreamOptions struct {
 	OnWindow func(records int)
 }
 
-// serialEval is the shared per-record state of every evaluator:
-// evaluateSerial drives it from a materialized record slice,
-// EvaluateStream from bounded windows, and evaluateSharded runs one
-// per slot over that slot's sub-stream. One observe body keeps every
-// path identical to the serial reference by construction.
+// serialEval is the shared per-record state of both evaluators:
+// EvaluateStream drives it over every slot from bounded windows in
+// arrival order, and evaluateSharded runs one per slot over that
+// slot's sub-stream. One observe body keeps the paths identical by
+// construction.
 type serialEval struct {
 	tally
 	opts Options
 	// banks holds one bank per slot, starting at slot base: all
-	// 2*nodes slots for the arrival-order walks, a single slot for a
-	// shard.
+	// 2*nodes slots for the streamed walk, a single slot for a shard.
 	base     int
 	banks    []*core.Bank
 	lastType map[slotAddr]coherence.MsgType

@@ -38,13 +38,13 @@ func messyTrace(nodes, records int) *trace.Trace {
 	return tr
 }
 
-// TestEvaluateStreamMatchesSerial pins the three evaluation paths to
-// one another, with arcs on and ForgetOnWriteback and MaxIterations
-// each on and off: EvaluateAll over the paper's eight configurations
-// at 1 worker (the serial walk), 2 and 8 workers (sharded), and a
-// windowed evaluation of each configuration over the encoded stream
+// TestEvaluateStreamMatchesSerial pins the two evaluation walks to one
+// another, with arcs on and ForgetOnWriteback and MaxIterations each on
+// and off: EvaluateAll's per-slot walk over the paper's eight
+// configurations at 1, 2 and 8 workers, and the serial arrival-order
+// walk of EvaluateStream over the encoded stream of each configuration,
 // for window sizes that split records at every awkward boundary, each
-// produce Results identical to the serial walk's.
+// produce Results identical to EvaluateAll's at 1 worker.
 func TestEvaluateStreamMatchesSerial(t *testing.T) {
 	tr := messyTrace(5, 4000)
 	var enc bytes.Buffer
@@ -54,19 +54,20 @@ func TestEvaluateStreamMatchesSerial(t *testing.T) {
 	for _, forget := range []bool{false, true} {
 		for _, maxIter := range []int{0, 5} {
 			opts := Options{TrackArcs: true, ForgetOnWriteback: forget, MaxIterations: maxIter}
-			want, err := EvaluateAll(tr, paperSet, opts)
+			o := opts
+			o.Workers = 1
+			want, err := EvaluateAll(tr, paperSet, o)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 8} {
-				o := opts
 				o.Workers = workers
 				got, err := EvaluateAll(tr, paperSet, o)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%+v workers %d: sharded results diverge from serial", opts, workers)
+					t.Errorf("%+v workers %d: results diverge from 1 worker", opts, workers)
 				}
 			}
 			for i, cfg := range paperSet {
@@ -85,7 +86,7 @@ func TestEvaluateStreamMatchesSerial(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got, want[i]) {
-						t.Errorf("%+v %+v window %d: streaming result diverges from serial", opts, cfg, win)
+						t.Errorf("%+v %+v window %d: streaming result diverges from the batch walk", opts, cfg, win)
 					}
 					if wantWindows := (len(tr.Records) + win - 1) / win; windows != wantWindows {
 						t.Errorf("window %d: OnWindow ran %d times, want %d", win, windows, wantWindows)
@@ -97,7 +98,7 @@ func TestEvaluateStreamMatchesSerial(t *testing.T) {
 }
 
 // TestEvaluateStreamMaxIterations checks the windowed path honors the
-// iteration cutoff the same way the serial path does.
+// iteration cutoff the same way the batch walk does.
 func TestEvaluateStreamMaxIterations(t *testing.T) {
 	tr := messyTrace(3, 800)
 	cfg := core.Config{Depth: 1}
@@ -119,7 +120,7 @@ func TestEvaluateStreamMaxIterations(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("streaming MaxIterations result diverges from serial")
+		t.Error("streaming MaxIterations result diverges from the batch walk")
 	}
 }
 
