@@ -253,7 +253,7 @@ func BenchmarkFigure8(b *testing.B) {
 	var res *experiments.Figure8Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiments.RunFigure8(cfg)
+		res, err = experiments.RunFigure8(experiments.NewSuite(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func BenchmarkLatencyInsensitivity(b *testing.B) {
 	var rows []experiments.LatencyRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.LatencySweep(cfg, []uint64{40, 1000})
+		rows, err = experiments.LatencySweep(experiments.NewSuite(cfg), []uint64{40, 1000})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -299,7 +299,7 @@ func BenchmarkHalfMigratoryAblation(b *testing.B) {
 	cfg := experiments.DefaultConfig()
 	cfg.Scale = benchScale(b, workload.ScaleMedium)
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.HalfMigratoryAblation(cfg); err != nil {
+		if _, err := experiments.HalfMigratoryAblation(experiments.NewSuite(cfg)); err != nil {
 			b.Fatal(err)
 		}
 	}

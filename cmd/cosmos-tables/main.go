@@ -156,12 +156,12 @@ func run(w io.Writer, args []string) error {
 	cfg.TraceCache = *tcache
 	suite := experiments.NewSuite(cfg)
 
-	// The scalesweep re-simulates the whole benchmark suite at every
+	// The scalesweep simulates the whole benchmark suite at every
 	// (node count, directory format) point — roughly ten machine shapes
 	// with the default axis — so it runs only on explicit request, never
 	// as part of the render-everything default.
 	if *extra == "scalesweep" {
-		rows, err := experiments.ScaleSweep(cfg, sweepNodes, sweepFormats)
+		rows, err := experiments.ScaleSweep(suite, sweepNodes, sweepFormats)
 		if err != nil {
 			return err
 		}
@@ -260,7 +260,7 @@ func run(w io.Writer, args []string) error {
 		}
 	}
 	if wantF(8) {
-		res, err := experiments.RunFigure8(cfg)
+		res, err := experiments.RunFigure8(suite)
 		if err != nil {
 			return err
 		}
@@ -268,7 +268,7 @@ func run(w io.Writer, args []string) error {
 		fmt.Fprintln(w)
 	}
 	if wantX("latency") {
-		rows, err := experiments.LatencySweep(cfg, []uint64{40, 200, 1000})
+		rows, err := experiments.LatencySweep(suite, []uint64{40, 200, 1000})
 		if err != nil {
 			return err
 		}
@@ -292,7 +292,7 @@ func run(w io.Writer, args []string) error {
 		fmt.Fprintln(w)
 	}
 	if wantX("halfmig") {
-		rows, err := experiments.HalfMigratoryAblation(cfg)
+		rows, err := experiments.HalfMigratoryAblation(suite)
 		if err != nil {
 			return err
 		}
@@ -308,7 +308,7 @@ func run(w io.Writer, args []string) error {
 		fmt.Fprintln(w)
 	}
 	if wantX("accelerate") {
-		rows, err := experiments.AccelerateBenchmarks(cfg, core.Config{Depth: 1})
+		rows, err := experiments.AccelerateBenchmarks(suite, core.Config{Depth: 1})
 		if err != nil {
 			return err
 		}
@@ -316,7 +316,7 @@ func run(w io.Writer, args []string) error {
 		fmt.Fprintln(w)
 	}
 	if wantX("replacement") {
-		rows, err := experiments.Replacement(cfg, 256, 2)
+		rows, err := experiments.Replacement(suite, 256, 2)
 		if err != nil {
 			return err
 		}
@@ -332,7 +332,7 @@ func run(w io.Writer, args []string) error {
 		fmt.Fprintln(w)
 	}
 	if wantX("forwarding") {
-		rows, err := experiments.ForwardingComparison(cfg)
+		rows, err := experiments.ForwardingComparison(suite)
 		if err != nil {
 			return err
 		}
@@ -340,7 +340,7 @@ func run(w io.Writer, args []string) error {
 		fmt.Fprintln(w)
 	}
 	if wantX("states") {
-		rows, err := experiments.StateEquivalence(cfg)
+		rows, err := experiments.StateEquivalence(suite)
 		if err != nil {
 			return err
 		}
@@ -348,7 +348,7 @@ func run(w io.Writer, args []string) error {
 		fmt.Fprintln(w)
 	}
 	if wantX("faultsweep") {
-		rows, err := experiments.FaultSweep(cfg, []float64{0, 0.01, 0.02, 0.05}, ff.Plan().Seed)
+		rows, err := experiments.FaultSweep(suite, []float64{0, 0.01, 0.02, 0.05}, ff.Plan().Seed)
 		if err != nil {
 			return err
 		}

@@ -17,9 +17,6 @@ import (
 //     aggressive predictor could ignore the senders for the
 //     get_ro_request messages" — generalized here to ignoring senders
 //     in the *history* (index) while still predicting full tuples.
-//   - LimitLESS-style PHT allocation accounting (Section 3.7): how many
-//     blocks fit in a small number of preallocated PHT entries, with
-//     overflow served from a dynamically allocated pool.
 
 // MacroConfig parameterizes a variant predictor.
 type MacroConfig struct {
@@ -196,37 +193,4 @@ func (p *Predictor) observeIndexed(addr coherence.Addr, indexTuple, payload cohe
 	bs.mhr = (bs.mhr<<16 | uint64(bits)) & p.mhrMask
 	bs.seen++
 	return pred, predicted, correct
-}
-
-// PreallocStats reports, for a predictor, how a LimitLESS-style PHT
-// implementation (Section 3.7) would fare: PHTs get `prealloc` entries
-// statically per block; patterns beyond that spill into a shared
-// dynamically-allocated pool.
-type PreallocStats struct {
-	// Blocks is the number of blocks with any PHT.
-	Blocks uint64
-	// WithinPrealloc counts blocks whose whole PHT fits the static
-	// entries.
-	WithinPrealloc uint64
-	// PoolEntries counts entries that spill into the dynamic pool.
-	PoolEntries uint64
-}
-
-// Prealloc computes the Section 3.7 allocation split for the given
-// static per-block entry count.
-func (p *Predictor) Prealloc(prealloc int) PreallocStats {
-	var s PreallocStats
-	p.index.Each(func(_ uint64, slot *int32) {
-		n := p.slab[*slot].pht.Len()
-		if n == 0 {
-			return
-		}
-		s.Blocks++
-		if n <= prealloc {
-			s.WithinPrealloc++
-		} else {
-			s.PoolEntries += uint64(n - prealloc)
-		}
-	})
-	return s
 }

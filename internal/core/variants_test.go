@@ -140,41 +140,6 @@ func TestSenderAgnosticPayload(t *testing.T) {
 	}
 }
 
-func TestPrealloc(t *testing.T) {
-	p := MustNew(Config{Depth: 1})
-	// Block A: 2 patterns; block B: 5 patterns; block C: no PHT.
-	a, b := coherence.Addr(0x40), coherence.Addr(0x80)
-	for i := 0; i < 2; i++ {
-		p.Update(a, tup(1, coherence.GetROReq))
-		p.Update(a, tup(2, coherence.GetRWReq))
-	}
-	types := []coherence.MsgType{
-		coherence.GetROReq, coherence.GetRWReq, coherence.UpgradeReq,
-		coherence.InvalROResp, coherence.InvalRWResp,
-	}
-	for i := 0; i < 2; i++ {
-		for s, mt := range types {
-			p.Update(b, tup(s, mt))
-		}
-	}
-	p.Update(coherence.Addr(0xc0), tup(0, coherence.GetROReq))
-
-	s4 := p.Prealloc(4)
-	if s4.Blocks != 2 {
-		t.Fatalf("Blocks = %d, want 2", s4.Blocks)
-	}
-	if s4.WithinPrealloc != 1 {
-		t.Errorf("WithinPrealloc = %d, want 1", s4.WithinPrealloc)
-	}
-	if s4.PoolEntries != 1 { // block B has 5 patterns, 1 spills
-		t.Errorf("PoolEntries = %d, want 1", s4.PoolEntries)
-	}
-	s8 := p.Prealloc(8)
-	if s8.WithinPrealloc != 2 || s8.PoolEntries != 0 {
-		t.Errorf("Prealloc(8) = %+v", s8)
-	}
-}
-
 func TestPAgValidation(t *testing.T) {
 	if _, err := NewPAg(Config{Depth: 0}); err == nil {
 		t.Error("NewPAg accepted bad config")

@@ -27,9 +27,10 @@ type AccelerateRow struct {
 // appbt's read-then-write producers) benefit — their upgrade round
 // trips collapse into the read — while dsmc, whose producers write
 // without reading, offers the RMW action almost nothing.
-func AccelerateBenchmarks(cfg Config, pcfg core.Config) ([]AccelerateRow, error) {
-	apps := NewSuite(cfg).Apps()
-	return parallel.Map(len(apps), cfg.workerCount(), func(i int) (AccelerateRow, error) {
+func AccelerateBenchmarks(s *Suite, pcfg core.Config) ([]AccelerateRow, error) {
+	cfg := s.cfg
+	apps := s.Apps()
+	return parallel.Map(len(apps), s.workers, func(i int) (AccelerateRow, error) {
 		name := apps[i]
 		app := func() workload.App {
 			a, err := workload.ByName(name, cfg.Machine.Nodes, cfg.Scale)

@@ -75,22 +75,19 @@ func TestWorkerInvariance(t *testing.T) {
 
 	drivers := []struct {
 		name string
-		run  func(cfg Config) (any, error)
+		run  func(s *Suite) (any, error)
 	}{
-		{"Table5", func(cfg Config) (any, error) { return Table5(NewSuite(cfg)) }},
-		{"Table6", func(cfg Config) (any, error) { return Table6(NewSuite(cfg)) }},
-		{"Table8", func(cfg Config) (any, error) { return Table8(NewSuite(cfg)) }},
-		{"SignaturePanels", func(cfg Config) (any, error) {
-			s := NewSuite(cfg)
-			return SignaturePanels(s, s.Apps(), 8)
-		}},
-		{"DirectedComparison", func(cfg Config) (any, error) { return DirectedComparison(NewSuite(cfg)) }},
-		{"Variants", func(cfg Config) (any, error) { return Variants(NewSuite(cfg)) }},
-		{"PApVsPAg", func(cfg Config) (any, error) { return PApVsPAg(NewSuite(cfg), 1) }},
-		{"LatencySweep", func(cfg Config) (any, error) { return LatencySweep(cfg, []uint64{40, 1000}) }},
-		{"FilterDepth", func(cfg Config) (any, error) { return FilterDepth(NewSuite(cfg)) }},
-		{"StateEquivalence", func(cfg Config) (any, error) { return StateEquivalence(cfg) }},
-		{"FaultSweep", func(cfg Config) (any, error) { return FaultSweep(cfg, []float64{0, 0.02}, 42) }},
+		{"Table5", func(s *Suite) (any, error) { return Table5(s) }},
+		{"Table6", func(s *Suite) (any, error) { return Table6(s) }},
+		{"Table8", func(s *Suite) (any, error) { return Table8(s) }},
+		{"SignaturePanels", func(s *Suite) (any, error) { return SignaturePanels(s, s.Apps(), 8) }},
+		{"DirectedComparison", func(s *Suite) (any, error) { return DirectedComparison(s) }},
+		{"Variants", func(s *Suite) (any, error) { return Variants(s) }},
+		{"PApVsPAg", func(s *Suite) (any, error) { return PApVsPAg(s, 1) }},
+		{"LatencySweep", func(s *Suite) (any, error) { return LatencySweep(s, []uint64{40, 1000}) }},
+		{"FilterDepth", func(s *Suite) (any, error) { return FilterDepth(s) }},
+		{"StateEquivalence", func(s *Suite) (any, error) { return StateEquivalence(s) }},
+		{"FaultSweep", func(s *Suite) (any, error) { return FaultSweep(s, []float64{0, 0.02}, 42) }},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
@@ -98,7 +95,7 @@ func TestWorkerInvariance(t *testing.T) {
 			for i, workers := range []int{1, 8, 8} {
 				cfg := base
 				cfg.Workers = workers
-				got, err := d.run(cfg)
+				got, err := d.run(NewSuite(cfg))
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -121,13 +118,11 @@ func TestFaultSweepSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates all five workloads at three drop rates")
 	}
-	cfg := DefaultConfig()
-	cfg.Scale = workload.ScaleSmall
-	rows, err := FaultSweep(cfg, []float64{0, 0.01, 0.05}, 42)
+	rows, err := FaultSweep(smallSuite, []float64{0, 0.01, 0.05}, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 3 * len(NewSuite(cfg).Apps()); len(rows) != want {
+	if want := 3 * len(smallSuite.Apps()); len(rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}
 	for _, r := range rows {

@@ -6,7 +6,10 @@
 // The methodology mirrors Section 5: each benchmark is simulated once
 // on the Table 3 machine running the Stache protocol, the per-node
 // incoming coherence message traces are captured, and predictor
-// variants are evaluated over the captured traces.
+// variants are evaluated over the captured traces. Every driver takes
+// the Suite that holds those traces; a machine variant (another
+// latency, protocol option or cache bound) simulates on a Suite of its
+// own only when it changes the machine.
 package experiments
 
 import (
@@ -62,14 +65,6 @@ func (c Config) traceKey(app string) string {
 	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 
-// workerCount normalizes Workers for the drivers.
-func (c Config) workerCount() int {
-	if c.Workers < 1 {
-		return 1
-	}
-	return c.Workers
-}
-
 // DefaultConfig is the paper's setup: Table 3 machine, half-migratory
 // Stache, full-scale workloads.
 func DefaultConfig() Config {
@@ -82,6 +77,17 @@ func DefaultConfig() Config {
 
 // Run simulates one app and captures its trace.
 func Run(app workload.App, cfg Config) (*trace.Trace, error) {
+	rec := trace.NewRecorder(app.Name(), cfg.Machine.Nodes, app.PhasesPerIteration(), 0)
+	if _, err := simulate(app, cfg, func(m *machine.Machine) { m.AddObserver(rec) }); err != nil {
+		return nil, err
+	}
+	return rec.Trace(), nil
+}
+
+// simulate runs app to completion on a fresh machine built from cfg,
+// after attach has wired its observers in, and returns the machine for
+// its end-of-run statistics.
+func simulate(app workload.App, cfg Config, attach func(*machine.Machine)) (*machine.Machine, error) {
 	if err := checkCapture(app); err != nil {
 		return nil, err
 	}
@@ -89,12 +95,11 @@ func Run(app workload.App, cfg Config) (*trace.Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building machine for %s: %w", app.Name(), err)
 	}
-	rec := trace.NewRecorder(app.Name(), cfg.Machine.Nodes, app.PhasesPerIteration(), 0)
-	m.AddObserver(rec)
+	attach(m)
 	if err := m.Run(maxSimEvents); err != nil {
 		return nil, fmt.Errorf("experiments: simulating %s: %w", app.Name(), err)
 	}
-	return rec.Trace(), nil
+	return m, nil
 }
 
 // checkCapture refuses, before anything is simulated, an app whose
@@ -155,12 +160,42 @@ type traceEntry struct {
 // NewSuite creates an empty suite; the pool width comes from
 // cfg.Workers (overridable with SetWorkers).
 func NewSuite(cfg Config) *Suite {
-	return &Suite{
+	return (&Suite{
 		cfg:     cfg,
-		workers: cfg.workerCount(),
 		traces:  make(map[string]*traceEntry),
 		results: make(map[resultKey]*resultEntry),
+	}).SetWorkers(cfg.Workers)
+}
+
+// variant returns the suite for a machine variant of s: s's
+// configuration changed by edit. An edit that leaves the trace key
+// alone (no change, or only Workers or TraceCache) yields s itself, so
+// the variant reads s's memoized traces and results; any other edit
+// yields a fresh Suite at s's pool width.
+func (s *Suite) variant(edit func(*Config)) *Suite {
+	c := s.cfg
+	edit(&c)
+	if c.traceKey("") == s.cfg.traceKey("") {
+		return s
 	}
+	return NewSuite(c).SetWorkers(s.workers)
+}
+
+// sweep runs cell on every (variant, benchmark) pair, variants outer
+// and benchmarks in table order, over s's worker pool, and returns the
+// results in that order. Variant x's suite is s.variant of edit(x), so
+// the variant that keeps s's machine reads s's memoized traces and
+// results instead of simulating again.
+func sweep[V, R any](s *Suite, xs []V, edit func(*Config, V), cell func(v *Suite, x V, app string) (R, error)) ([]R, error) {
+	suites := make([]*Suite, len(xs))
+	for i, x := range xs {
+		suites[i] = s.variant(func(c *Config) { edit(c, x) })
+	}
+	apps := s.Apps()
+	return parallel.Map(len(xs)*len(apps), s.workers, func(i int) (R, error) {
+		v := i / len(apps)
+		return cell(suites[v], xs[v], apps[i%len(apps)])
+	})
 }
 
 // Config returns the suite's configuration.

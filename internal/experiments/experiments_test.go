@@ -166,8 +166,7 @@ func TestFigures6and7(t *testing.T) {
 }
 
 func TestRunFigure8(t *testing.T) {
-	cfg := smallConfig()
-	res, err := RunFigure8(cfg)
+	res, err := RunFigure8(smallSuite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +218,7 @@ func TestDirectedComparison(t *testing.T) {
 }
 
 func TestLatencySweepInsensitivity(t *testing.T) {
-	rows, err := LatencySweep(smallConfig(), []uint64{40, 1000})
+	rows, err := LatencySweep(smallSuite, []uint64{40, 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +243,7 @@ func TestLatencySweepInsensitivity(t *testing.T) {
 }
 
 func TestHalfMigratoryAblation(t *testing.T) {
-	rows, err := HalfMigratoryAblation(smallConfig())
+	rows, err := HalfMigratoryAblation(smallSuite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +310,7 @@ func TestScaleFor(t *testing.T) {
 }
 
 func TestReplacementStudy(t *testing.T) {
-	rows, err := Replacement(smallConfig(), 4, 1)
+	rows, err := Replacement(smallSuite, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +336,7 @@ func TestReplacementStudy(t *testing.T) {
 }
 
 func TestAccelerateBenchmarks(t *testing.T) {
-	rows, err := AccelerateBenchmarks(smallConfig(), core.Config{Depth: 1})
+	rows, err := AccelerateBenchmarks(smallSuite, core.Config{Depth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +378,7 @@ func TestPApVsPAg(t *testing.T) {
 }
 
 func TestStateEquivalence(t *testing.T) {
-	rows, err := StateEquivalence(smallConfig())
+	rows, err := StateEquivalence(smallSuite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +455,7 @@ func TestPrefetchMatchesLazy(t *testing.T) {
 }
 
 func TestForwardingComparison(t *testing.T) {
-	rows, err := ForwardingComparison(smallConfig())
+	rows, err := ForwardingComparison(smallSuite)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 package experiments
 
 import (
+	"slices"
+
 	"github.com/cosmos-coherence/cosmos/internal/coherence"
 	"github.com/cosmos-coherence/cosmos/internal/core"
-	"github.com/cosmos-coherence/cosmos/internal/parallel"
 	"github.com/cosmos-coherence/cosmos/internal/sim"
 	"github.com/cosmos-coherence/cosmos/internal/stats"
 	"github.com/cosmos-coherence/cosmos/internal/workload"
@@ -19,40 +20,19 @@ type LatencyRow struct {
 // LatencySweep reproduces the Section 5 claim that Cosmos' accuracy is
 // largely insensitive to network latency: "changing the network
 // latency from 40 nanoseconds to one microsecond hardly changes
-// Cosmos' prediction rates". Each benchmark is re-simulated at each
-// latency (traces cannot be shared across timing configurations) and
-// evaluated with a depth-1 filterless Cosmos.
-func LatencySweep(cfg Config, latenciesNs []uint64) ([]LatencyRow, error) {
-	// One suite per latency point keeps the per-latency traces shared;
-	// the (latency, app) sweep cells then fan out over the pool.
-	suites := make([]*Suite, len(latenciesNs))
-	for i, lat := range latenciesNs {
-		c := cfg
-		c.Machine.NetworkLatencyNs = sim.Time(lat)
-		suites[i] = NewSuite(c)
-	}
-	type cell struct {
-		lat int
-		app string
-	}
-	var cells []cell
-	for i := range latenciesNs {
-		for _, app := range suites[i].Apps() {
-			cells = append(cells, cell{lat: i, app: app})
-		}
-	}
-	return parallel.Map(len(cells), cfg.workerCount(), func(i int) (LatencyRow, error) {
-		c := cells[i]
-		res, err := suites[c.lat].Evaluate(c.app, core.Config{Depth: 1}, stats.Options{})
-		if err != nil {
-			return LatencyRow{}, err
-		}
-		return LatencyRow{
-			App:       c.app,
-			LatencyNs: latenciesNs[c.lat],
-			Overall:   100 * res.Overall.Accuracy(),
-		}, nil
-	})
+// Cosmos' prediction rates". Each benchmark is simulated at each
+// latency (traces cannot be shared across timing configurations; the
+// suite's own latency reuses its traces) and evaluated with a depth-1
+// filterless Cosmos.
+func LatencySweep(s *Suite, latenciesNs []uint64) ([]LatencyRow, error) {
+	return sweep(s, latenciesNs, func(c *Config, lat uint64) { c.Machine.NetworkLatencyNs = sim.Time(lat) },
+		func(v *Suite, lat uint64, app string) (LatencyRow, error) {
+			res, err := v.Evaluate(app, core.Config{Depth: 1}, stats.Options{})
+			if err != nil {
+				return LatencyRow{}, err
+			}
+			return LatencyRow{App: app, LatencyNs: lat, Overall: 100 * res.Overall.Accuracy()}, nil
+		})
 }
 
 // AblationRow is one cell of the half-migratory ablation.
@@ -66,52 +46,34 @@ type AblationRow struct {
 	DirMessages uint64
 }
 
-// HalfMigratoryAblation re-simulates every benchmark with the
+// HalfMigratoryAblation simulates every benchmark with the
 // half-migratory optimization on and off, reporting traffic and
 // depth-1 accuracy under both protocols. This is the DESIGN.md ablation
 // for the paper's Section 5.1 protocol choice.
-func HalfMigratoryAblation(cfg Config) ([]AblationRow, error) {
-	variants := []bool{true, false}
-	suites := make([]*Suite, len(variants))
-	for i, hm := range variants {
-		c := cfg
-		c.Stache.HalfMigratory = hm
-		suites[i] = NewSuite(c)
-	}
-	type cell struct {
-		variant int
-		app     string
-	}
-	var cells []cell
-	for i := range variants {
-		for _, app := range suites[i].Apps() {
-			cells = append(cells, cell{variant: i, app: app})
-		}
-	}
-	return parallel.Map(len(cells), cfg.workerCount(), func(i int) (AblationRow, error) {
-		c := cells[i]
-		suite := suites[c.variant]
-		tr, err := suite.Trace(c.app)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		res, err := suite.Evaluate(c.app, core.Config{Depth: 1}, stats.Options{})
-		if err != nil {
-			return AblationRow{}, err
-		}
-		_, dir := tr.CountBySide()
-		return AblationRow{
-			App:           c.app,
-			HalfMigratory: variants[c.variant],
-			Overall:       100 * res.Overall.Accuracy(),
-			DirMessages:   dir,
-		}, nil
-	})
+func HalfMigratoryAblation(s *Suite) ([]AblationRow, error) {
+	return sweep(s, []bool{true, false}, func(c *Config, hm bool) { c.Stache.HalfMigratory = hm },
+		func(v *Suite, hm bool, app string) (AblationRow, error) {
+			tr, err := v.Trace(app)
+			if err != nil {
+				return AblationRow{}, err
+			}
+			res, err := v.Evaluate(app, core.Config{Depth: 1}, stats.Options{})
+			if err != nil {
+				return AblationRow{}, err
+			}
+			_, dir := tr.CountBySide()
+			return AblationRow{
+				App:           app,
+				HalfMigratory: hm,
+				Overall:       100 * res.Overall.Accuracy(),
+				DirMessages:   dir,
+			}, nil
+		})
 }
 
-// FilterDepthInteraction is the DESIGN.md ablation for Section 3.6's
-// claim that filters and history are substitutes: it extends Table 6
-// to depths 1-4 so the vanishing filter benefit is visible.
+// FilterDepthCell is one cell of the DESIGN.md ablation for Section
+// 3.6's claim that filters and history are substitutes: Table 6
+// extended to depths 1-4, so the vanishing filter benefit is visible.
 type FilterDepthCell struct {
 	App       string
 	Depth     int
@@ -181,39 +143,19 @@ type ReplacementRow struct {
 // benchmark is simulated unbounded and with a cacheBlocks-entry
 // bounded cache; bounded traces are evaluated both with persistent
 // predictor tables and with ForgetOnWriteback.
-func Replacement(cfg Config, cacheBlocks, assoc int) ([]ReplacementRow, error) {
-	bounds := []bool{false, true}
-	suites := make([]*Suite, len(bounds))
-	for i, bounded := range bounds {
-		c := cfg
+func Replacement(s *Suite, cacheBlocks, assoc int) ([]ReplacementRow, error) {
+	edit := func(c *Config, bounded bool) {
 		if bounded {
 			c.Stache.CacheBlocks = cacheBlocks
 			c.Stache.CacheAssoc = assoc
 		}
-		suites[i] = NewSuite(c)
 	}
-	// One cell per (bounded, app, forget) row, in the table's order;
-	// forget variants of one bounded app share that suite's trace.
-	type cell struct {
-		bound  int
-		app    string
-		forget bool
-	}
-	var cells []cell
-	for i, bounded := range bounds {
-		for _, app := range suites[i].Apps() {
-			cells = append(cells, cell{bound: i, app: app, forget: false})
-			if bounded {
-				cells = append(cells, cell{bound: i, app: app, forget: true})
-			}
-		}
-	}
-	return parallel.Map(len(cells), cfg.workerCount(), func(i int) (ReplacementRow, error) {
-		c := cells[i]
-		suite := suites[c.bound]
-		tr, err := suite.Trace(c.app)
+	// One cell per (bounded, app); a bounded cell yields the persistent
+	// row and then the forgetting row over the same trace.
+	cells, err := sweep(s, []bool{false, true}, edit, func(v *Suite, bounded bool, app string) ([]ReplacementRow, error) {
+		tr, err := v.Trace(app)
 		if err != nil {
-			return ReplacementRow{}, err
+			return nil, err
 		}
 		var writebacks uint64
 		for _, rec := range tr.Records {
@@ -221,23 +163,31 @@ func Replacement(cfg Config, cacheBlocks, assoc int) ([]ReplacementRow, error) {
 				writebacks++
 			}
 		}
-		res, err := suite.Evaluate(c.app, core.Config{Depth: 1},
-			stats.Options{ForgetOnWriteback: c.forget})
-		if err != nil {
-			return ReplacementRow{}, err
+		forgets, blocks := []bool{false}, 0
+		if bounded {
+			forgets, blocks = []bool{false, true}, cacheBlocks
 		}
-		row := ReplacementRow{
-			App:               c.app,
-			ForgetOnWriteback: c.forget,
-			Overall:           100 * res.Overall.Accuracy(),
-			Writebacks:        writebacks,
-			Messages:          uint64(len(tr.Records)),
+		var rows []ReplacementRow
+		for _, forget := range forgets {
+			res, err := v.Evaluate(app, core.Config{Depth: 1}, stats.Options{ForgetOnWriteback: forget})
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, ReplacementRow{
+				App:               app,
+				CacheBlocks:       blocks,
+				ForgetOnWriteback: forget,
+				Overall:           100 * res.Overall.Accuracy(),
+				Writebacks:        writebacks,
+				Messages:          uint64(len(tr.Records)),
+			})
 		}
-		if bounds[c.bound] {
-			row.CacheBlocks = cacheBlocks
-		}
-		return row, nil
+		return rows, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return slices.Concat(cells...), nil
 }
 
 // ForwardingRow is one cell of the Section 2.1 protocol-variant check.
@@ -258,42 +208,24 @@ type ForwardingRow struct {
 // changes *who* sends data to a cache (previous owners instead of the
 // fixed home directory), so cache-side senders diversify; the claim is
 // that accuracy stays in the same band.
-func ForwardingComparison(cfg Config) ([]ForwardingRow, error) {
-	variants := []bool{false, true}
-	suites := make([]*Suite, len(variants))
-	for i, fwd := range variants {
-		c := cfg
-		c.Stache.Forwarding = fwd
-		suites[i] = NewSuite(c)
-	}
-	type cell struct {
-		variant int
-		app     string
-	}
-	var cells []cell
-	for i := range variants {
-		for _, app := range suites[i].Apps() {
-			cells = append(cells, cell{variant: i, app: app})
-		}
-	}
-	return parallel.Map(len(cells), cfg.workerCount(), func(i int) (ForwardingRow, error) {
-		c := cells[i]
-		suite := suites[c.variant]
-		tr, err := suite.Trace(c.app)
-		if err != nil {
-			return ForwardingRow{}, err
-		}
-		res, err := suite.Evaluate(c.app, core.Config{Depth: 1}, stats.Options{})
-		if err != nil {
-			return ForwardingRow{}, err
-		}
-		return ForwardingRow{
-			App:        c.app,
-			Forwarding: variants[c.variant],
-			Cache:      100 * res.Cache.Accuracy(),
-			Dir:        100 * res.Dir.Accuracy(),
-			Overall:    100 * res.Overall.Accuracy(),
-			Messages:   uint64(len(tr.Records)),
-		}, nil
-	})
+func ForwardingComparison(s *Suite) ([]ForwardingRow, error) {
+	return sweep(s, []bool{false, true}, func(c *Config, fwd bool) { c.Stache.Forwarding = fwd },
+		func(v *Suite, fwd bool, app string) (ForwardingRow, error) {
+			tr, err := v.Trace(app)
+			if err != nil {
+				return ForwardingRow{}, err
+			}
+			res, err := v.Evaluate(app, core.Config{Depth: 1}, stats.Options{})
+			if err != nil {
+				return ForwardingRow{}, err
+			}
+			return ForwardingRow{
+				App:        app,
+				Forwarding: fwd,
+				Cache:      100 * res.Cache.Accuracy(),
+				Dir:        100 * res.Dir.Accuracy(),
+				Overall:    100 * res.Overall.Accuracy(),
+				Messages:   uint64(len(tr.Records)),
+			}, nil
+		})
 }

@@ -6,7 +6,6 @@ import (
 	"github.com/cosmos-coherence/cosmos/internal/core"
 	"github.com/cosmos-coherence/cosmos/internal/faults"
 	"github.com/cosmos-coherence/cosmos/internal/machine"
-	"github.com/cosmos-coherence/cosmos/internal/parallel"
 	"github.com/cosmos-coherence/cosmos/internal/stats"
 	"github.com/cosmos-coherence/cosmos/internal/trace"
 	"github.com/cosmos-coherence/cosmos/internal/workload"
@@ -31,7 +30,7 @@ type FaultRow struct {
 }
 
 // FaultSweep measures how coherence prediction holds up on a lossy
-// interconnect. Each benchmark is re-simulated at each drop
+// interconnect. Each benchmark is simulated at each drop
 // probability with the reliable transport repairing the wire (losses
 // become retransmission latency, not protocol errors), and the
 // captured trace is evaluated with a depth-1 filterless Cosmos.
@@ -42,38 +41,19 @@ type FaultRow struct {
 // by the wire itself. The transport restores per-link exactly-once
 // FIFO delivery, so the predictor sees the same *kind* of stream —
 // only timing-dependent race resolutions may differ.
-func FaultSweep(cfg Config, dropProbs []float64, seed uint64) ([]FaultRow, error) {
-	// Every (drop probability, app) sweep point is an independent
-	// simulation on its own machine; fan them all out at once.
-	type cell struct {
-		prob float64
-		app  string
-	}
-	var cells []cell
-	for _, p := range dropProbs {
-		for _, name := range NewSuite(cfg).Apps() {
-			cells = append(cells, cell{prob: p, app: name})
-		}
-	}
-	return parallel.Map(len(cells), cfg.workerCount(), func(i int) (FaultRow, error) {
-		name, p := cells[i].app, cells[i].prob
-		c := cfg
-		c.Machine.Faults = faults.Plan{Seed: seed, DropProb: p}
-		app, err := workload.ByName(name, c.Machine.Nodes, c.Scale)
+func FaultSweep(s *Suite, dropProbs []float64, seed uint64) ([]FaultRow, error) {
+	edit := func(c *Config, p float64) { c.Machine.Faults = faults.Plan{Seed: seed, DropProb: p} }
+	return sweep(s, dropProbs, edit, func(v *Suite, p float64, name string) (FaultRow, error) {
+		// The row needs the transport's counters, which only a live
+		// machine has, so every point simulates.
+		app, err := workload.ByName(name, v.cfg.Machine.Nodes, v.cfg.Scale)
 		if err != nil {
 			return FaultRow{}, err
 		}
-		if err := checkCapture(app); err != nil {
-			return FaultRow{}, err
-		}
-		m, err := machine.New(c.Machine, c.Stache, app)
+		rec := trace.NewRecorder(name, v.cfg.Machine.Nodes, app.PhasesPerIteration(), 0)
+		m, err := simulate(app, v.cfg, func(m *machine.Machine) { m.AddObserver(rec) })
 		if err != nil {
-			return FaultRow{}, err
-		}
-		rec := trace.NewRecorder(app.Name(), c.Machine.Nodes, app.PhasesPerIteration(), 0)
-		m.AddObserver(rec)
-		if err := m.Run(maxSimEvents); err != nil {
-			return FaultRow{}, fmt.Errorf("experiments: %s at drop %.3f: %w", name, p, err)
+			return FaultRow{}, fmt.Errorf("experiments: faultsweep at drop %.3f: %w", p, err)
 		}
 		tr := rec.Trace()
 		res, err := stats.Evaluate(tr, core.Config{Depth: 1}, stats.Options{})

@@ -146,7 +146,8 @@ type Figure8Result struct {
 // and feeds them to the Figure 8 signature detectors. Both must
 // classify blocks and predict with high implied accuracy — showing
 // that Cosmos' message vocabulary subsumes the directed signatures.
-func RunFigure8(cfg Config) (*Figure8Result, error) {
+func RunFigure8(s *Suite) (*Figure8Result, error) {
+	cfg := s.cfg
 	geom, err := coherence.NewGeometry(cfg.Machine.CacheBlockBytes, cfg.Machine.PageBytes, cfg.Machine.Nodes)
 	if err != nil {
 		return nil, err

@@ -159,3 +159,92 @@ func TestResultHoldsNoBank(t *testing.T) {
 	}
 	walk(reflect.TypeOf(stats.Result{}), "Result")
 }
+
+// TestVariantSharesTraceKey: an edit that leaves the trace key alone
+// yields the receiver itself, so its memo is shared; any other edit
+// yields a distinct suite at the receiver's pool width.
+func TestVariantSharesTraceKey(t *testing.T) {
+	s := NewSuite(smallConfig()).SetWorkers(3)
+	for name, edit := range map[string]func(*Config){
+		"no-op":      func(*Config) {},
+		"Workers":    func(c *Config) { c.Workers = 8 },
+		"TraceCache": func(c *Config) { c.TraceCache = t.TempDir() },
+	} {
+		if v := s.variant(edit); v != s {
+			t.Errorf("%s edit: variant is a new suite, want the receiver", name)
+		}
+	}
+	v := s.variant(func(c *Config) { c.Machine.NetworkLatencyNs = 1000 })
+	if v == s {
+		t.Fatal("a 1000 ns variant is the 40 ns receiver")
+	}
+	if v.Workers() != s.Workers() {
+		t.Errorf("variant pool width %d, want the receiver's %d", v.Workers(), s.Workers())
+	}
+	if got := v.Config().Machine.NetworkLatencyNs; got != 1000 {
+		t.Errorf("variant latency %d ns, want 1000", got)
+	}
+}
+
+// TestBaseVariantReadsMemo: the sweep point that is the suite's own
+// machine reports exactly what the suite's memoized trace and depth-1
+// evaluation give, and adds only that evaluation to the memo.
+func TestBaseVariantReadsMemo(t *testing.T) {
+	lat, err := LatencySweep(smallSuite, []uint64{40, 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	abl, err := HalfMigratoryAblation(smallSuite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(app string) (float64, uint64) {
+		t.Helper()
+		res, err := smallSuite.Evaluate(app, core.Config{Depth: 1}, stats.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := smallSuite.Trace(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, dir := tr.CountBySide()
+		return 100 * res.Overall.Accuracy(), dir
+	}
+	var base int
+	for _, r := range lat {
+		if r.LatencyNs != 40 {
+			continue
+		}
+		base++
+		if acc, _ := want(r.App); r.Overall != acc {
+			t.Errorf("%s at 40 ns: %v, suite's depth-1 evaluation gives %v", r.App, r.Overall, acc)
+		}
+	}
+	for _, r := range abl {
+		if !r.HalfMigratory {
+			continue
+		}
+		base++
+		if acc, dir := want(r.App); r.Overall != acc || r.DirMessages != dir {
+			t.Errorf("%s half-migratory on: %v%% / %d dir messages, suite gives %v%% / %d",
+				r.App, r.Overall, r.DirMessages, acc, dir)
+		}
+	}
+	if n := 2 * len(smallSuite.Apps()); base != n {
+		t.Errorf("%d base-machine rows, want %d", base, n)
+	}
+
+	s := emptyMemo(smallSuite)
+	if _, err := LatencySweep(s, []uint64{40}); err != nil {
+		t.Fatal(err)
+	}
+	for _, app := range s.Apps() {
+		if s.results[resultKey{app: app, cfg: core.Config{Depth: 1}}] == nil {
+			t.Errorf("%s: the 40 ns sweep point left no depth-1 result in the suite's memo", app)
+		}
+	}
+	if len(s.results) != len(s.Apps()) {
+		t.Errorf("memo holds %d results after one sweep point, want %d", len(s.results), len(s.Apps()))
+	}
+}

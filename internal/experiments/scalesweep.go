@@ -5,7 +5,6 @@ import (
 
 	"github.com/cosmos-coherence/cosmos/internal/coherence"
 	"github.com/cosmos-coherence/cosmos/internal/core"
-	"github.com/cosmos-coherence/cosmos/internal/parallel"
 	"github.com/cosmos-coherence/cosmos/internal/stache"
 	"github.com/cosmos-coherence/cosmos/internal/stats"
 )
@@ -38,7 +37,7 @@ type ScaleSweepRow struct {
 
 // ScaleSweep measures how prediction accuracy and protocol traffic
 // scale with machine size under each directory format: every benchmark
-// is re-simulated at each node count in nodes under each format in
+// is simulated at each node count in nodes under each format in
 // formats, and a depth-1 Cosmos is evaluated over the captured stream.
 // The full-map format is skipped above stache's 64-node bound rather
 // than erroring, so one sweep spans both sides of the scalability
@@ -48,7 +47,7 @@ type ScaleSweepRow struct {
 // 1024-node cell never materializes its trace, so the sweep's memory
 // stays flat in the node axis — the property the scale acceptance test
 // pins.
-func ScaleSweep(cfg Config, nodes []int, formats []stache.DirectoryFormat) ([]ScaleSweepRow, error) {
+func ScaleSweep(s *Suite, nodes []int, formats []stache.DirectoryFormat) ([]ScaleSweepRow, error) {
 	if len(nodes) == 0 {
 		nodes = ScaleSweepNodes
 	}
@@ -60,43 +59,38 @@ func ScaleSweep(cfg Config, nodes []int, formats []stache.DirectoryFormat) ([]Sc
 			return nil, fmt.Errorf("experiments: scalesweep node count %d out of range [2, %d]", n, stache.MaxNodes)
 		}
 	}
-	// One suite per (nodes, format) machine shape; each holds exactly
-	// one streamed cell per app, sharing only the on-disk trace cache.
-	type cell struct {
-		suite *Suite
-		app   string
-		row   ScaleSweepRow
+	// One variant per (nodes, format) machine shape, each holding one
+	// streamed cell per app that shares only the on-disk trace cache.
+	type shape struct {
+		nodes  int
+		format stache.DirectoryFormat
 	}
-	var cells []cell
+	var shapes []shape
 	for _, n := range nodes {
 		for _, f := range formats {
 			if f == stache.DirFullMap && n > 64 {
 				continue
 			}
-			c := cfg
-			c.Machine.Nodes = n
-			c.Stache.DirFormat = f
-			suite := NewSuite(c)
-			for _, app := range suite.Apps() {
-				cells = append(cells, cell{
-					suite: suite,
-					app:   app,
-					row:   ScaleSweepRow{App: app, Nodes: n, Format: f},
-				})
-			}
+			shapes = append(shapes, shape{n, f})
 		}
 	}
-	return parallel.Map(len(cells), cfg.workerCount(), func(i int) (ScaleSweepRow, error) {
-		c := cells[i]
-		res, err := c.suite.EvaluateStreamed(c.app, core.Config{Depth: 1}, stats.StreamOptions{})
+	edit := func(c *Config, sh shape) {
+		c.Machine.Nodes = sh.nodes
+		c.Stache.DirFormat = sh.format
+	}
+	return sweep(s, shapes, edit, func(v *Suite, sh shape, app string) (ScaleSweepRow, error) {
+		res, err := v.EvaluateStreamed(app, core.Config{Depth: 1}, stats.StreamOptions{})
 		if err != nil {
 			return ScaleSweepRow{}, fmt.Errorf("experiments: scalesweep %s/%d/%s: %w",
-				c.app, c.row.Nodes, c.row.Format, err)
+				app, sh.nodes, sh.format, err)
 		}
-		row := c.row
-		row.Overall = 100 * res.Overall.Accuracy()
-		row.Messages = res.Overall.Total
-		row.Invals = res.Types[coherence.InvalROReq].Total + res.Types[coherence.InvalRWReq].Total
-		return row, nil
+		return ScaleSweepRow{
+			App:      app,
+			Nodes:    sh.nodes,
+			Format:   sh.format,
+			Overall:  100 * res.Overall.Accuracy(),
+			Messages: res.Overall.Total,
+			Invals:   res.Types[coherence.InvalROReq].Total + res.Types[coherence.InvalRWReq].Total,
+		}, nil
 	})
 }

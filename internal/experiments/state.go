@@ -6,7 +6,6 @@ import (
 	"github.com/cosmos-coherence/cosmos/internal/machine"
 	"github.com/cosmos-coherence/cosmos/internal/parallel"
 	"github.com/cosmos-coherence/cosmos/internal/stats"
-	"github.com/cosmos-coherence/cosmos/internal/trace"
 	"github.com/cosmos-coherence/cosmos/internal/workload"
 )
 
@@ -20,9 +19,9 @@ type StateEquivalenceRow struct {
 	// StateAccuracy is the analogous accuracy of a depth-1 per-block
 	// state predictor over the directory-state stream.
 	StateAccuracy float64
-	// StateSpaceBytes and MessageSpaceBytes compare the encodings, the
-	// paper's reason to prefer messages (footnote 1: Stache directory
-	// state takes eight bytes where the message fits in two).
+	// DistinctStates counts the distinct directory states observed: the
+	// state space a state predictor must encode, where a message fits
+	// in two bytes (footnote 1's reason to prefer messages).
 	DistinctStates int
 }
 
@@ -88,37 +87,29 @@ func (o *stateObserver) ObserveDirectory(n coherence.NodeID, msg coherence.Msg) 
 // StateEquivalence tests footnote 1's claim ("Cosmos could predict the
 // next coherence protocol state, instead of the next incoming
 // coherence message. We believe these two approaches are equivalent")
-// by running both predictors side by side: depth-1 Cosmos over the
-// directory message stream, and a depth-1 state predictor over the
-// directory state trajectory, on fresh simulations of each benchmark.
-func StateEquivalence(cfg Config) ([]StateEquivalenceRow, error) {
-	apps := NewSuite(cfg).Apps()
-	return parallel.Map(len(apps), cfg.workerCount(), func(i int) (StateEquivalenceRow, error) {
+// by comparing depth-1 Cosmos over the directory message stream, read
+// from the suite, with a depth-1 state predictor driven by the
+// directory state trajectory of a fresh simulation of each benchmark.
+func StateEquivalence(s *Suite) ([]StateEquivalenceRow, error) {
+	apps := s.Apps()
+	return parallel.Map(len(apps), s.workers, func(i int) (StateEquivalenceRow, error) {
 		name := apps[i]
-		app, err := workload.ByName(name, cfg.Machine.Nodes, cfg.Scale)
+		res, err := s.Evaluate(name, core.Config{Depth: 1}, stats.Options{})
 		if err != nil {
 			return StateEquivalenceRow{}, err
 		}
-		if err := checkCapture(app); err != nil {
-			return StateEquivalenceRow{}, err
-		}
-		m, err := machine.New(cfg.Machine, cfg.Stache, app)
+		app, err := workload.ByName(name, s.cfg.Machine.Nodes, s.cfg.Scale)
 		if err != nil {
 			return StateEquivalenceRow{}, err
 		}
-		so := &stateObserver{m: m, distinct: make(map[string]bool)}
-		for i := 0; i < cfg.Machine.Nodes; i++ {
+		so := &stateObserver{distinct: make(map[string]bool)}
+		for i := 0; i < s.cfg.Machine.Nodes; i++ {
 			so.preds = append(so.preds, newStatePredictor())
 		}
-		rec := trace.NewRecorder(name, cfg.Machine.Nodes, app.PhasesPerIteration(), 0)
-		m.AddObserver(so)
-		m.AddObserver(rec)
-		if err := m.Run(maxSimEvents); err != nil {
-			return StateEquivalenceRow{}, err
-		}
-
-		res, err := stats.Evaluate(rec.Trace(), core.Config{Depth: 1}, stats.Options{})
-		if err != nil {
+		if _, err := simulate(app, s.cfg, func(m *machine.Machine) {
+			so.m = m
+			m.AddObserver(so)
+		}); err != nil {
 			return StateEquivalenceRow{}, err
 		}
 		row := StateEquivalenceRow{

@@ -101,21 +101,13 @@ func (s *Suite) openStream(name string) (*os.File, func(), error) {
 // captureStream simulates app and streams its trace into f, leaving a
 // complete CTRC file (footer written, offset at end).
 func captureStream(app workload.App, cfg Config, f *os.File) error {
-	if err := checkCapture(app); err != nil {
-		return err
-	}
-	m, err := machine.New(cfg.Machine, cfg.Stache, app)
-	if err != nil {
-		return fmt.Errorf("experiments: building machine for %s: %w", app.Name(), err)
-	}
 	w, err := trace.NewStreamWriter(f, app.Name(), cfg.Machine.Nodes)
 	if err != nil {
 		return fmt.Errorf("experiments: starting capture for %s: %w", app.Name(), err)
 	}
 	rec := trace.NewStreamRecorder(w, app.PhasesPerIteration(), 0)
-	m.AddObserver(rec)
-	if err := m.Run(maxSimEvents); err != nil {
-		return fmt.Errorf("experiments: simulating %s: %w", app.Name(), err)
+	if _, err := simulate(app, cfg, func(m *machine.Machine) { m.AddObserver(rec) }); err != nil {
+		return err
 	}
 	if err := rec.Close(); err != nil {
 		return fmt.Errorf("experiments: finishing capture for %s: %w", app.Name(), err)

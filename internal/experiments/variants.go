@@ -3,6 +3,7 @@ package experiments
 import (
 	"github.com/cosmos-coherence/cosmos/internal/core"
 	"github.com/cosmos-coherence/cosmos/internal/parallel"
+	"github.com/cosmos-coherence/cosmos/internal/stats"
 	"github.com/cosmos-coherence/cosmos/internal/trace"
 )
 
@@ -146,63 +147,55 @@ type PApVsPAgRow struct {
 // shape: PAg's shared table is orders of magnitude smaller but
 // aliasing across blocks with identical histories and different
 // sharers costs accuracy — the quantitative justification for the
-// paper's per-block PHT choice.
+// paper's per-block PHT choice. The PAp column is the suite's Cosmos
+// evaluation at that depth.
 func PApVsPAg(s *Suite, depth int) ([]PApVsPAgRow, error) {
-	if err := s.Prefetch(); err != nil {
-		return nil, err
-	}
 	apps := s.Apps()
 	return parallel.Map(len(apps), s.workers, func(i int) (PApVsPAgRow, error) {
 		appName := apps[i]
+		pap, err := s.Evaluate(appName, core.Config{Depth: depth}, stats.Options{})
+		if err != nil {
+			return PApVsPAgRow{}, err
+		}
 		tr, err := s.Trace(appName)
 		if err != nil {
 			return PApVsPAgRow{}, err
 		}
-		row := PApVsPAgRow{App: appName, Depth: depth}
-
-		// Each slot drives its own PAp and PAg instance; PAg shares its
-		// PHT across blocks only *within* one predictor, so slot
-		// sharding stays exact for it too.
-		type partial struct {
-			total, papHits, pagHits, papPHT, pagPHT uint64
+		row := PApVsPAgRow{
+			App:        appName,
+			Depth:      depth,
+			PApOverall: 100 * pap.Overall.Accuracy(),
+			PApPHT:     pap.Memory.PHTEntries,
 		}
+
+		// Each slot drives its own PAg instance; PAg shares its PHT
+		// across blocks only *within* one predictor, so slot sharding
+		// stays exact for it.
+		type partial struct{ hits, pht uint64 }
 		parts, err := slotShard(tr, s.workers, func(recs []trace.Record) (partial, error) {
-			pap, err := core.New(core.Config{Depth: depth})
-			if err != nil {
-				return partial{}, err
-			}
 			pag, err := core.NewPAg(core.Config{Depth: depth})
 			if err != nil {
 				return partial{}, err
 			}
 			var sp partial
 			for _, rec := range recs {
-				sp.total++
-				if _, _, ok := pap.Observe(rec.Addr, rec.Tuple()); ok {
-					sp.papHits++
-				}
 				if _, _, ok := pag.Observe(rec.Addr, rec.Tuple()); ok {
-					sp.pagHits++
+					sp.hits++
 				}
 			}
-			sp.papPHT = pap.PHTEntries()
-			sp.pagPHT = pag.PHTEntries()
+			sp.pht = pag.PHTEntries()
 			return sp, nil
 		})
 		if err != nil {
 			return PApVsPAgRow{}, err
 		}
-		var total, papHits, pagHits uint64
+		var hits uint64
 		for _, sp := range parts {
-			total += sp.total
-			papHits += sp.papHits
-			pagHits += sp.pagHits
-			row.PApPHT += sp.papPHT
-			row.PAgPHT += sp.pagPHT
+			hits += sp.hits
+			row.PAgPHT += sp.pht
 		}
-		if total > 0 {
-			row.PApOverall = 100 * float64(papHits) / float64(total)
-			row.PAgOverall = 100 * float64(pagHits) / float64(total)
+		if total := pap.Overall.Total; total > 0 {
+			row.PAgOverall = 100 * float64(hits) / float64(total)
 		}
 		return row, nil
 	})
