@@ -36,8 +36,9 @@ test:
 # whatever bytes the CTRC trace decoder (Read), the CPSS container
 # decoder (DecodeCPSS), the core predictor snapshot decoder (Restore) or
 # WAL replay (less its torn tail) accepts must re-encode to exactly
-# those bytes, and a predictor bank must report what one predictor per
-# configuration reports. `go test` alone only replays the seed corpora.
+# those bytes, and a predictor bank and one predictor per configuration
+# must report what a map-based reference Cosmos reports. `go test`
+# alone only replays the seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCPSS$$' -fuzztime 10s ./internal/serve

@@ -13,10 +13,11 @@
 //	cosmos-bench -update   # run and refresh the values that moved
 //
 // The environment is fixed because allocation counts are not
-// deterministic at default runtime settings: the sync.Pools in
-// internal/stats are per-P and emptied by every GC, so a row's allocs/op
-// depends on how many Ps there are and when the collector runs. With
-// one P and no collection, every value repeats from run to run.
+// deterministic at default runtime settings: how many predictor banks
+// a sharded evaluation builds from its free list depends on how many
+// of its workers overlap, and a collection mid-run moves the runtime's
+// own allocations. With one P and no collection, every value repeats
+// from run to run.
 // The settings reach only the test binaries (through go test -exec);
 // the build itself runs with the caller's, since a compile without a
 // collector needs twice the memory.

@@ -9,12 +9,14 @@ import (
 	"github.com/cosmos-coherence/cosmos/internal/table"
 )
 
-// A Bank runs several Cosmos configurations over one message stream
-// and reports, for each, exactly what a separate Predictor would: the
-// same predictions, the same MHR count and the same PHT count. Tables
-// 5-7 evaluate eight configurations over the same traces; a bank pays
-// one block lookup per message instead of eight, and one PHT probe per
-// configured depth instead of one per configuration.
+// A Bank is the one Cosmos block store: it runs several
+// configurations over one message stream and reports, for each,
+// exactly what Cosmos with that configuration alone would: the same
+// predictions, the same MHR count and the same PHT count. Tables 5-7
+// evaluate eight configurations over the same traces; a bank pays one
+// block lookup per message instead of eight, and one PHT probe per
+// configured depth instead of one per configuration. A Predictor is a
+// bank of one configuration.
 //
 // What the configurations share:
 //
@@ -171,18 +173,25 @@ func (b *Bank) Reset(lay *Layout) {
 	b.phtEntries = [MaxDepth]uint64{}
 }
 
-// laneBits encodes a tuple for a bank history. Beyond tupleBits' range
-// checks it rejects message type 0: only a nonzero lane keeps the keys
-// of different depths apart.
+// laneBits encodes a tuple for a history or a prediction. Beyond
+// tupleBits' range checks it rejects message type 0: only a nonzero
+// lane keeps the keys of different depths apart, and a zero prediction
+// means "none".
 func laneBits(t coherence.Tuple) uint16 {
 	if t.Type == coherence.MsgInvalid {
-		panic(fmt.Errorf("core: bank: tuple %v has message type 0", t))
+		panic(fmt.Errorf("core: tuple %v has message type 0", t))
 	}
 	bits, err := tupleBits(t)
 	if err != nil {
 		panic(err)
 	}
 	return bits
+}
+
+// laneTuple decodes a lane back into its tuple; lane 0 decodes to the
+// zero tuple.
+func laneTuple(bits uint16) coherence.Tuple {
+	return coherence.Tuple{Sender: coherence.NodeID(bits >> 4), Type: coherence.MsgType(bits & 0xf)}
 }
 
 // Observe is every configuration's predict-then-update step for one
@@ -193,6 +202,20 @@ func laneBits(t coherence.Tuple) uint16 {
 //cosmosvet:hotpath
 func (b *Bank) Observe(addr coherence.Addr, actual coherence.Tuple) (correct uint32) {
 	tb := laneBits(actual)
+	correct, _ = b.observe(addr, tb, tb)
+	return correct
+}
+
+// observe is the one per-message step every Cosmos predictor takes.
+// The PHT entries of the current history are checked against, and
+// trained toward, payload; the MHR then shifts in index. The two
+// differ only for a sender-agnostic history (MacroPredictor), whose
+// index is payload's type alone. pred is the lane-0 prediction of the
+// deepest depth that had an entry, before training, and 0 when none
+// did: for a one-configuration layout, that configuration's
+// prediction. The step probes the MHT once and the PHT once per
+// configured depth: the entry consulted is the entry trained.
+func (b *Bank) observe(addr coherence.Addr, index, payload uint16) (correct uint32, pred uint16) {
 	bs := b.ensureBlock(addr)
 	for i := range b.lay.depths {
 		ld := &b.lay.depths[i]
@@ -204,30 +227,58 @@ func (b *Bank) Observe(addr coherence.Addr, actual coherence.Tuple) (correct uin
 		if e == nil {
 			var fresh bankEntry
 			for l := range fresh {
-				fresh[l].pred = tb
+				fresh[l].pred = payload
 			}
 			bs.pht.Insert(key, fresh)
 			b.phtEntries[ld.depth-1]++
 			continue
 		}
+		pred = e[0].pred
 		for l := 0; l < ld.n; l++ {
 			ln := &e[l]
-			if ln.pred == tb {
+			if ln.pred == payload {
 				correct |= 1 << (ld.first + l)
 			}
-			train(&ln.pred, &ln.counter, tb, ld.filters[l])
+			train(ln, payload, ld.filters[l])
 		}
 	}
-	bs.mhr = (bs.mhr<<16 | uint64(tb)) & b.lay.mhrMask
+	bs.mhr = (bs.mhr<<16 | uint64(index)) & b.lay.mhrMask
 	bs.seen++
-	return correct
+	return correct, pred
+}
+
+// train is the Section 3.4 update rule, filtered by the Section 3.6
+// saturating counter: a hit strengthens the counter up to filterMax, a
+// miss weakens it, and only a miss at zero replaces the prediction.
+func train(ln *bankLane, payload, filterMax uint16) {
+	switch {
+	case ln.pred == payload:
+		if ln.counter < filterMax {
+			ln.counter++
+		}
+	case ln.counter > 0:
+		ln.counter--
+	default:
+		ln.pred = payload
+	}
+}
+
+// block returns the block's state, or nil if the block is untracked.
+// The pointer is valid until the next block is added (slab growth may
+// move the backing array), so callers use it within one operation and
+// never retain it.
+func (b *Bank) block(addr coherence.Addr) *bankBlock {
+	if i := b.index.Find(uint64(addr)); i != nil {
+		return &b.slab[*i]
+	}
+	return nil
 }
 
 // ensureBlock returns the block's state, allocating a slab slot on
 // first reference; a slot kept by Reset revives its PHT arrays.
 func (b *Bank) ensureBlock(addr coherence.Addr) *bankBlock {
-	if i := b.index.Find(uint64(addr)); i != nil {
-		return &b.slab[*i]
+	if bs := b.block(addr); bs != nil {
+		return bs
 	}
 	var slot int32
 	switch {
@@ -247,7 +298,7 @@ func (b *Bank) ensureBlock(addr coherence.Addr) *bankBlock {
 }
 
 // Forget discards a block's history and patterns for every
-// configuration, as Predictor.Forget does for one.
+// configuration (Predictor.Forget, Section 3.7).
 func (b *Bank) Forget(addr coherence.Addr) {
 	i := b.index.Find(uint64(addr))
 	if i == nil {

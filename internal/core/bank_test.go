@@ -52,9 +52,10 @@ func decodeBankCase(data []byte) (bankCase, bool) {
 	return c, true
 }
 
-// checkBank drives a bank and one Predictor per configuration through
-// the same operations and fails on the first difference in outcome,
-// MHR count or PHT count.
+// checkBank drives a bank over every configuration, one Predictor per
+// configuration and one reference per configuration through the same
+// operations, and fails on the first difference from the reference in
+// outcome, prediction, MHR count or PHT count.
 func checkBank(t *testing.T, c bankCase) {
 	t.Helper()
 	lay, err := NewLayout(c.cfgs)
@@ -63,8 +64,9 @@ func checkBank(t *testing.T, c bankCase) {
 	}
 	bank := NewBank(lay)
 	preds := make([]*Predictor, len(c.cfgs))
+	refs := make([]*refCosmos, len(c.cfgs))
 	for i, cfg := range c.cfgs {
-		preds[i] = MustNew(cfg)
+		preds[i], refs[i] = MustNew(cfg), newRefCosmos(cfg)
 	}
 	for step, op := range c.ops {
 		var correct uint32
@@ -73,22 +75,43 @@ func checkBank(t *testing.T, c bankCase) {
 		} else {
 			correct = bank.Observe(op.addr, op.tup)
 		}
-		for i, p := range preds {
-			want := false
+		for i, ref := range refs {
+			p := preds[i]
+			var want, got observation
 			if op.forget {
+				ref.forget(op.addr)
 				p.Forget(op.addr)
 			} else {
-				_, _, want = p.Observe(op.addr, op.tup)
+				peek, peekOK := p.Predict(op.addr)
+				want = observe(ref.observe(op.addr, op.tup))
+				got = observe(p.Observe(op.addr, op.tup))
+				if peek != got.pred || peekOK != got.predicted {
+					t.Fatalf("step %d %+v: config %+v Predict = %v, %v but Observe saw %+v", step, op, c.cfgs[i], peek, peekOK, got)
+				}
 			}
-			if got := correct>>lay.Lane(i)&1 == 1; got != want {
-				t.Fatalf("step %d %+v: config %+v correct = %v, predictor says %v", step, op, c.cfgs[i], got, want)
+			if got != want {
+				t.Fatalf("step %d %+v: config %+v predictor says %+v, reference %+v", step, op, c.cfgs[i], got, want)
 			}
-			if bank.MHREntries() != p.MHREntries() || bank.PHTEntries(i) != p.PHTEntries() {
-				t.Fatalf("step %d: config %+v holds %d MHR / %d PHT entries, predictor %d / %d",
-					step, c.cfgs[i], bank.MHREntries(), bank.PHTEntries(i), p.MHREntries(), p.PHTEntries())
+			if inBank := correct>>lay.Lane(i)&1 == 1; inBank != want.correct {
+				t.Fatalf("step %d %+v: config %+v correct = %v in the bank, reference says %v", step, op, c.cfgs[i], inBank, want.correct)
+			}
+			mhr, pht := ref.mhrEntries(), ref.phtEntries()
+			if bank.MHREntries() != mhr || bank.PHTEntries(i) != pht || p.MHREntries() != mhr || p.PHTEntries() != pht {
+				t.Fatalf("step %d: config %+v holds %d MHR / %d PHT entries in the bank, %d / %d in the predictor, reference %d / %d",
+					step, c.cfgs[i], bank.MHREntries(), bank.PHTEntries(i), p.MHREntries(), p.PHTEntries(), mhr, pht)
 			}
 		}
 	}
+}
+
+// observation is one Observe result, comparable in one step.
+type observation struct {
+	pred               coherence.Tuple
+	predicted, correct bool
+}
+
+func observe(pred coherence.Tuple, predicted, correct bool) observation {
+	return observation{pred, predicted, correct}
 }
 
 // randomBankBytes is a seed input: configuration bytes then random
@@ -101,8 +124,9 @@ func randomBankBytes(rng *rand.Rand, cfgBytes []byte, ops int) []byte {
 	return data
 }
 
-// TestBankMatchesPredictors runs the fuzz property over seeded random
-// streams: the paper's eight-configuration set, single configurations
+// TestBankMatchesPredictors runs the fuzz property (the bank and a
+// Predictor per configuration match the map-based reference) over
+// seeded random streams: the paper's eight-configuration set, single configurations
 // at every depth, and a set with a repeated configuration.
 func TestBankMatchesPredictors(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -149,6 +173,24 @@ func TestBankRejectsTypeZero(t *testing.T) {
 		}
 	}()
 	NewBank(mustLayout(t, Config{Depth: 2})).Observe(0x40, coherence.Tuple{})
+}
+
+// TestPredictorRejectsTypeZero: a Predictor is a one-configuration
+// bank, so Observe and Update refuse type 0 as the bank does.
+func TestPredictorRejectsTypeZero(t *testing.T) {
+	for name, step := range map[string]func(*Predictor){
+		"Observe": func(p *Predictor) { p.Observe(0x40, coherence.Tuple{Sender: 1}) },
+		"Update":  func(p *Predictor) { p.Update(0x40, coherence.Tuple{Sender: 1}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a type-0 tuple", name)
+				}
+			}()
+			step(MustNew(Config{Depth: 1}))
+		}()
+	}
 }
 
 func mustLayout(t *testing.T, cfgs ...Config) *Layout {
@@ -204,8 +246,8 @@ func TestBankResetReobserveAllocatesNothing(t *testing.T) {
 }
 
 // FuzzBank: for any configuration set and message stream, with Forget
-// calls mixed in, a bank reports exactly what one Predictor per
-// configuration reports.
+// calls mixed in, a bank and one Predictor per configuration report
+// exactly what the map-based reference reports.
 func FuzzBank(f *testing.F) {
 	rng := rand.New(rand.NewSource(2))
 	f.Add(randomBankBytes(rng, []byte{0, 1, 2, 3, 4, 8, 5, 9}, 300))

@@ -33,7 +33,6 @@ import (
 	"fmt"
 
 	"github.com/cosmos-coherence/cosmos/internal/coherence"
-	"github.com/cosmos-coherence/cosmos/internal/table"
 )
 
 // MaxDepth is the largest supported MHR depth. Histories are packed
@@ -87,71 +86,32 @@ func tupleBits(t coherence.Tuple) (uint16, error) {
 	return uint16(t.Sender)<<4 | uint16(t.Type), nil
 }
 
-// phtEntry is one pattern-history entry: the predicted tuple plus the
-// saturating noise-filter counter (Section 3.6).
-type phtEntry struct {
-	pred    coherence.Tuple
-	counter int
-}
-
-// blockState is one MHR and its PHT.
-type blockState struct {
-	// mhr holds the last depth tuples, packed; most recent in the low
-	// 16 bits. Only meaningful once seen >= depth.
-	mhr uint64
-	// seen counts messages received for this block.
-	seen uint64
-	// pht maps a packed history pattern to its entry.
-	pht table.Table[phtEntry]
-}
-
-// Predictor is one Cosmos predictor instance. It is not safe for
-// concurrent use; the simulated machine is single-threaded.
-//
-// Block states live in one slab indexed through the address table, not
-// behind per-block pointers: the evaluator walks millions of messages
-// over thousands of blocks, and keeping the states contiguous removes
-// an allocation per block plus a cache miss per access.
+// Predictor is one Cosmos predictor instance: a Bank of one
+// configuration. It is not safe for concurrent use; the simulated
+// machine is single-threaded.
 type Predictor struct {
-	cfg     Config
-	mhrMask uint64
-	// index is the MHT: it maps a block address to its slot in slab.
-	index table.Table[int32]
-	slab  []blockState
-	// free lists slab slots released by Forget for reuse.
-	free []int32
-
-	phtEntries uint64
+	cfg  Config
+	bank Bank
 
 	// snap is AppendSnapshot's sort scratch, allocated on first use:
-	// most predictors (the evaluator makes one per node and side) never
-	// snapshot, and a pointer keeps them in their allocation size class.
+	// most predictors never snapshot, and a pointer keeps them in their
+	// allocation size class.
 	snap *snapScratch
 }
 
 // New creates a predictor.
 func New(cfg Config) (*Predictor, error) {
-	if err := cfg.Validate(); err != nil {
+	p := &Predictor{}
+	if err := p.Reset(cfg); err != nil {
 		return nil, err
 	}
-	return &Predictor{cfg: cfg, mhrMask: (uint64(1) << (16 * cfg.Depth)) - 1}, nil
-}
-
-// block returns the state for addr, or nil if the block is untracked.
-// The pointer is valid until the next block is added (slab growth may
-// move the backing array), so callers use it within one operation and
-// never retain it.
-func (p *Predictor) block(addr coherence.Addr) *blockState {
-	if i := p.index.Find(uint64(addr)); i != nil {
-		return &p.slab[*i]
-	}
-	return nil
+	return p, nil
 }
 
 // Reset returns the predictor to its freshly-constructed state for
 // cfg, as if New(cfg) had been called — but retains every allocation
-// the previous use grew: the address index's arrays, the slab's
-// capacity, and each slab slot's PHT arrays. Restore builds on it, so
+// the previous use grew (Bank.Reset), and with an unchanged cfg its
+// layout too, so a reset takes no allocation. Restore builds on it, so
 // restoring similar snapshots into one predictor reaches a steady
 // state with no per-restore growth. A reset predictor is
 // observationally identical to a new one.
@@ -159,17 +119,15 @@ func (p *Predictor) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	p.cfg = cfg
-	p.mhrMask = (uint64(1) << (16 * cfg.Depth)) - 1
-	p.index.Reset()
-	for i := range p.slab {
-		p.slab[i].mhr = 0
-		p.slab[i].seen = 0
-		p.slab[i].pht.Reset()
+	lay := p.bank.lay
+	if cfg != p.cfg {
+		var err error
+		if lay, err = NewLayout([]Config{cfg}); err != nil {
+			return err
+		}
 	}
-	p.slab = p.slab[:0]
-	p.free = p.free[:0]
-	p.phtEntries = 0
+	p.cfg = cfg
+	p.bank.Reset(lay)
 	return nil
 }
 
@@ -194,7 +152,7 @@ func (p *Predictor) Config() Config { return p.cfg }
 //
 //cosmosvet:hotpath
 func (p *Predictor) Predict(addr coherence.Addr) (pred coherence.Tuple, ok bool) {
-	bs := p.block(addr)
+	bs := p.bank.block(addr)
 	if bs == nil || bs.seen < uint64(p.cfg.Depth) {
 		return coherence.Tuple{}, false
 	}
@@ -202,18 +160,20 @@ func (p *Predictor) Predict(addr coherence.Addr) (pred coherence.Tuple, ok bool)
 	if e == nil {
 		return coherence.Tuple{}, false
 	}
-	return e.pred, true
+	return laneTuple(e[0].pred), true
 }
 
 // Update trains the predictor with the actual next message for the
 // block: it installs (or filter-adjusts) the PHT entry for the current
 // history and shifts the tuple into the MHR (Section 3.4). PHTs are
 // allocated lazily, so blocks with fewer protocol references than the
-// MHR depth never own one (the Table 7 accounting convention).
+// MHR depth never own one (the Table 7 accounting convention). It
+// panics on message type 0, which no protocol message carries.
 //
 //cosmosvet:hotpath
 func (p *Predictor) Update(addr coherence.Addr, actual coherence.Tuple) {
-	p.observeIndexed(addr, actual, actual)
+	tb := laneBits(actual)
+	p.bank.observe(addr, tb, tb)
 }
 
 // Observe is the combined predict-then-update step a hardware
@@ -226,28 +186,29 @@ func (p *Predictor) Update(addr coherence.Addr, actual coherence.Tuple) {
 //
 //cosmosvet:hotpath
 func (p *Predictor) Observe(addr coherence.Addr, actual coherence.Tuple) (pred coherence.Tuple, predicted, correct bool) {
-	return p.observeIndexed(addr, actual, actual)
+	tb := laneBits(actual)
+	_, pb := p.bank.observe(addr, tb, tb)
+	return outcome(pb, tb)
+}
+
+// outcome turns a bank step's lane-0 prediction into Observe's
+// results for the actual tuple's lane.
+func outcome(pred, actual uint16) (coherence.Tuple, bool, bool) {
+	return laneTuple(pred), pred != 0, pred == actual
 }
 
 // History returns the tuples currently in the block's MHR, oldest
 // first. It returns fewer than depth tuples while the register is
 // still filling.
 func (p *Predictor) History(addr coherence.Addr) []coherence.Tuple {
-	bs := p.block(addr)
+	bs := p.bank.block(addr)
 	if bs == nil {
 		return nil
 	}
-	n := int(bs.seen)
-	if n > p.cfg.Depth {
-		n = p.cfg.Depth
-	}
+	n := int(min(bs.seen, uint64(p.cfg.Depth)))
 	out := make([]coherence.Tuple, n)
-	for i := 0; i < n; i++ {
-		bits := uint16(bs.mhr >> (16 * (n - 1 - i)))
-		out[i] = coherence.Tuple{
-			Sender: coherence.NodeID(bits >> 4),
-			Type:   coherence.MsgType(bits & 0xf),
-		}
+	for i := range out {
+		out[i] = laneTuple(uint16(bs.mhr >> (16 * (n - 1 - i))))
 	}
 	return out
 }
@@ -259,30 +220,19 @@ func (p *Predictor) History(addr coherence.Addr) []coherence.Tuple {
 // Cosmos' history information when cache blocks are replaced").
 // Stand-alone Cosmos tables never need it; the replacement experiment
 // quantifies what merging would cost.
-func (p *Predictor) Forget(addr coherence.Addr) {
-	i := p.index.Find(uint64(addr))
-	if i == nil {
-		return
-	}
-	slot := *i
-	p.index.Delete(uint64(addr))
-	bs := &p.slab[slot]
-	p.phtEntries -= uint64(bs.pht.Len())
-	*bs = blockState{}
-	p.free = append(p.free, slot)
-}
+func (p *Predictor) Forget(addr coherence.Addr) { p.bank.Forget(addr) }
 
 // MHREntries returns the number of blocks tracked (MHT size): blocks
 // that received at least one message.
-func (p *Predictor) MHREntries() uint64 { return uint64(p.index.Len()) }
+func (p *Predictor) MHREntries() uint64 { return p.bank.MHREntries() }
 
 // PHTEntries returns the total number of pattern-history entries
 // across all blocks.
-func (p *Predictor) PHTEntries() uint64 { return p.phtEntries }
+func (p *Predictor) PHTEntries() uint64 { return p.bank.PHTEntries(0) }
 
 // PHTEntriesFor returns the PHT size of one block.
 func (p *Predictor) PHTEntriesFor(addr coherence.Addr) int {
-	bs := p.block(addr)
+	bs := p.bank.block(addr)
 	if bs == nil {
 		return 0
 	}

@@ -24,8 +24,9 @@ type PAg struct {
 	mhrMask uint64
 	// mhrs holds per-block history registers (first level, as in PAp).
 	mhrs table.Table[pagMHR]
-	// pht is the single shared pattern table (second level).
-	pht table.Table[phtEntry]
+	// pht is the single shared pattern table (second level), one
+	// prediction lane per pattern.
+	pht table.Table[bankLane]
 }
 
 type pagMHR struct {
@@ -39,7 +40,7 @@ func NewPAg(cfg Config) (*PAg, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &PAg{cfg: cfg, mhrMask: (uint64(1) << (16 * cfg.Depth)) - 1}, nil
+	return &PAg{cfg: cfg, mhrMask: depthMask(cfg.Depth)}, nil
 }
 
 // Predict returns the shared-table prediction for the block's current
@@ -53,27 +54,24 @@ func (p *PAg) Predict(addr coherence.Addr) (coherence.Tuple, bool) {
 	if e == nil {
 		return coherence.Tuple{}, false
 	}
-	return e.pred, true
+	return laneTuple(e.pred), true
 }
 
 // Update trains the shared table and shifts the block's history.
 func (p *PAg) Update(addr coherence.Addr, actual coherence.Tuple) {
-	bits, err := tupleBits(actual)
-	if err != nil {
-		panic(err)
-	}
+	tb := laneBits(actual)
 	m := p.mhrs.Find(uint64(addr))
 	if m == nil {
 		m = p.mhrs.Insert(uint64(addr), pagMHR{})
 	}
 	if m.seen >= uint64(p.cfg.Depth) {
 		if e := p.pht.Find(m.mhr); e != nil {
-			e.train(actual, p.cfg.FilterMax)
+			train(e, tb, uint16(p.cfg.FilterMax))
 		} else {
-			p.pht.Insert(m.mhr, phtEntry{pred: actual})
+			p.pht.Insert(m.mhr, bankLane{pred: tb})
 		}
 	}
-	m.mhr = (m.mhr<<16 | uint64(bits)) & p.mhrMask
+	m.mhr = (m.mhr<<16 | uint64(tb)) & p.mhrMask
 	m.seen++
 }
 

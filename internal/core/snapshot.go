@@ -38,11 +38,11 @@ const (
 	snapEntrySize       = 8 + 2 + 1 + 4
 )
 
-// phtPair is one (pattern, entry) pair pulled out of a PHT for
-// canonical emission.
+// phtPair is one pattern and its lane-0 entry, pulled out of a PHT
+// for canonical emission.
 type phtPair struct {
 	key uint64
-	e   phtEntry
+	ln  bankLane
 }
 
 // snapScratch holds the block addresses, and one block's PHT pairs,
@@ -55,7 +55,7 @@ type snapScratch struct {
 // SnapshotSize returns the exact length of the predictor's canonical
 // snapshot, so an encoder can reserve its space before writing it.
 func (p *Predictor) SnapshotSize() int {
-	return 9 + snapBlockHeaderSize*p.index.Len() + snapEntrySize*int(p.phtEntries)
+	return 9 + snapBlockHeaderSize*int(p.MHREntries()) + snapEntrySize*int(p.PHTEntries())
 }
 
 // AppendSnapshot appends the canonical serialization of the predictor's
@@ -69,7 +69,7 @@ func (p *Predictor) AppendSnapshot(buf []byte) []byte {
 	out := buf[n:]
 	out[0] = byte(p.cfg.Depth)
 	binary.LittleEndian.PutUint32(out[1:], uint32(p.cfg.FilterMax))
-	binary.LittleEndian.PutUint32(out[5:], uint32(p.index.Len()))
+	binary.LittleEndian.PutUint32(out[5:], uint32(p.MHREntries()))
 	off := 9
 
 	if p.snap == nil {
@@ -77,13 +77,13 @@ func (p *Predictor) AppendSnapshot(buf []byte) []byte {
 	}
 	sc := p.snap
 	sc.addrs = sc.addrs[:0]
-	p.index.Each(func(a uint64, _ *int32) { sc.addrs = append(sc.addrs, a) })
+	p.bank.index.Each(func(a uint64, _ *int32) { sc.addrs = append(sc.addrs, a) })
 	slices.Sort(sc.addrs)
 
 	for _, a := range sc.addrs {
-		bs := &p.slab[*p.index.Find(a)]
+		bs := p.bank.block(coherence.Addr(a))
 		sc.pairs = sc.pairs[:0]
-		bs.pht.Each(func(k uint64, e *phtEntry) { sc.pairs = append(sc.pairs, phtPair{k, *e}) })
+		bs.pht.Each(func(k uint64, e *bankEntry) { sc.pairs = append(sc.pairs, phtPair{k, e[0]}) })
 		slices.SortFunc(sc.pairs, func(x, y phtPair) int { return cmp.Compare(x.key, y.key) })
 		binary.LittleEndian.PutUint64(out[off:], a)
 		binary.LittleEndian.PutUint64(out[off+8:], bs.mhr)
@@ -92,9 +92,9 @@ func (p *Predictor) AppendSnapshot(buf []byte) []byte {
 		off += snapBlockHeaderSize
 		for _, pr := range sc.pairs {
 			binary.LittleEndian.PutUint64(out[off:], pr.key)
-			binary.LittleEndian.PutUint16(out[off+8:], uint16(pr.e.pred.Sender))
-			out[off+10] = byte(pr.e.pred.Type)
-			binary.LittleEndian.PutUint32(out[off+11:], uint32(pr.e.counter))
+			binary.LittleEndian.PutUint16(out[off+8:], pr.ln.pred>>4)
+			out[off+10] = byte(pr.ln.pred & 0xf)
+			binary.LittleEndian.PutUint32(out[off+11:], uint32(pr.ln.counter))
 			off += snapEntrySize
 		}
 	}
@@ -126,13 +126,13 @@ func (p *Predictor) Restore(data []byte) error {
 		return err
 	}
 	for _, b := range blocks {
-		bs := p.ensureBlock(b.addr)
+		bs := p.bank.ensureBlock(b.addr)
 		bs.mhr = b.mhr
 		bs.seen = b.seen
 		for _, pr := range b.pairs {
-			bs.pht.Insert(pr.key, pr.e)
-			p.phtEntries++
+			bs.pht.Insert(pr.key, bankEntry{pr.ln})
 		}
+		p.bank.phtEntries[cfg.Depth-1] += uint64(len(b.pairs))
 	}
 	return nil
 }
@@ -161,7 +161,7 @@ func parseSnapshot(data []byte) (Config, []snapBlock, error) {
 	if err := cfg.Validate(); err != nil {
 		return fail("invalid config: %v", err)
 	}
-	mhrMask := (uint64(1) << (16 * cfg.Depth)) - 1
+	mhrMask := depthMask(cfg.Depth)
 	nBlocks := binary.LittleEndian.Uint32(data[5:])
 	off := 9
 	// Never size an allocation from an untrusted count (the trace codec
@@ -190,6 +190,13 @@ func parseSnapshot(data []byte) (Config, []snapBlock, error) {
 		if b.mhr&^mhrMask != 0 {
 			return fail("block %#x: MHR %#x exceeds depth-%d mask", uint64(b.addr), b.mhr, cfg.Depth)
 		}
+		// Every tuple shifted in is a nonzero lane, so the lanes that
+		// will form a pattern (the last min(seen, depth) messages) must
+		// be nonzero: a zero one would make a key that Forget counts
+		// at the wrong depth.
+		if !lanesNonzero(b.mhr, int(min(b.seen, uint64(cfg.Depth)))) {
+			return fail("block %#x: MHR %#x has an empty tuple lane", uint64(b.addr), b.mhr)
+		}
 		if b.seen < uint64(cfg.Depth) && nEntries > 0 {
 			return fail("block %#x: %d PHT entries but only %d messages seen", uint64(b.addr), nEntries, b.seen)
 		}
@@ -216,13 +223,16 @@ func parseSnapshot(data []byte) (Config, []snapBlock, error) {
 			if key&^mhrMask != 0 {
 				return fail("block %#x: pattern %#x exceeds depth-%d mask", uint64(b.addr), key, cfg.Depth)
 			}
+			if !lanesNonzero(key, cfg.Depth) {
+				return fail("block %#x: pattern %#x has an empty tuple lane", uint64(b.addr), key)
+			}
 			if pred.Sender < 0 || pred.Sender >= 1<<12 || !pred.Type.Valid() {
 				return fail("block %#x: invalid prediction %v", uint64(b.addr), pred)
 			}
 			if counter < 0 || counter > cfg.FilterMax {
 				return fail("block %#x: counter %d outside [0, %d]", uint64(b.addr), counter, cfg.FilterMax)
 			}
-			b.pairs = append(b.pairs, phtPair{key: key, e: phtEntry{pred: pred, counter: counter}})
+			b.pairs = append(b.pairs, phtPair{key: key, ln: bankLane{pred: laneBits(pred), counter: uint16(counter)}})
 		}
 		blocks = append(blocks, b)
 	}
@@ -230,4 +240,15 @@ func parseSnapshot(data []byte) (Config, []snapBlock, error) {
 		return fail("%d trailing bytes after %d blocks", len(data)-off, nBlocks)
 	}
 	return cfg, blocks, nil
+}
+
+// lanesNonzero reports whether the low n 16-bit lanes of v are all
+// nonzero.
+func lanesNonzero(v uint64, n int) bool {
+	for i := 0; i < n; i++ {
+		if uint16(v>>(16*i)) == 0 {
+			return false
+		}
+	}
+	return true
 }

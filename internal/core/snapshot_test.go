@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -155,6 +156,40 @@ func TestRestoreRejectsDamage(t *testing.T) {
 	if !bytes.Equal(q.Snapshot(), before) {
 		t.Fatal("failed Restore mutated the receiver")
 	}
+
+	// Observe never shifts in an empty (type-0) lane, so a pattern or a
+	// filled MHR holding one is damage too, however well-formed.
+	for i, enc := range zeroLaneSnapshots() {
+		if err := MustNew(Config{Depth: 1}).Restore(enc); err == nil {
+			t.Errorf("zero-lane snapshot %d not rejected", i)
+		}
+	}
+}
+
+// zeroLaneSnapshots returns depth-2 snapshots of one block that are
+// well-formed in every field except an empty tuple lane: in a pattern,
+// in the MHR of a block that has seen depth messages, and in the one
+// filled lane of a block that has seen one.
+func zeroLaneSnapshots() [][]byte {
+	enc := func(mhr, seen uint64, keys ...uint64) []byte {
+		b := []byte{2, 0, 0, 0, 0, 1, 0, 0, 0}
+		b = binary.LittleEndian.AppendUint64(b, 0x40)
+		b = binary.LittleEndian.AppendUint64(b, mhr)
+		b = binary.LittleEndian.AppendUint64(b, seen)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(keys)))
+		for _, key := range keys {
+			b = binary.LittleEndian.AppendUint64(b, key)
+			b = binary.LittleEndian.AppendUint16(b, 1)
+			b = append(b, byte(coherence.GetROReq))
+			b = binary.LittleEndian.AppendUint32(b, 0)
+		}
+		return b
+	}
+	return [][]byte{
+		enc(0x0011_0012, 2, 0x0000_0011),
+		enc(0x0000_0012, 2, 0x0011_0011),
+		enc(0x0011_0000, 1),
+	}
 }
 
 // TestRestoreAfterForget pins interaction with Forget: a snapshot taken
@@ -230,12 +265,18 @@ func TestAppendSnapshotAllocs(t *testing.T) {
 
 // FuzzRestore: whatever bytes Restore accepts must snapshot back to
 // exactly those bytes, so a predictor state has one encoding and a
-// restore is never a lossy reading. The seeds are the truncations and
-// byte flips of TestRestoreRejectsDamage, on a smaller predictor.
+// restore is never a lossy reading; and the restored predictor must
+// keep training, then forget every block down to empty tables, without
+// panicking. The seeds are the truncations and byte flips of
+// TestRestoreRejectsDamage, on a smaller predictor, then its zero-lane
+// snapshots.
 func FuzzRestore(f *testing.F) {
 	p := MustNew(Config{Depth: 2, FilterMax: 1})
 	drive(f, p, rand.New(rand.NewSource(3)), 40)
 	for _, d := range damaged(p.Snapshot(), 0x40) {
+		f.Add(d)
+	}
+	for _, d := range zeroLaneSnapshots() {
 		f.Add(d)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -245,6 +286,27 @@ func FuzzRestore(f *testing.F) {
 		}
 		if got := q.Snapshot(); !bytes.Equal(got, data) {
 			t.Fatalf("Restore accepted %d bytes that snapshot back as %d different bytes", len(data), len(got))
+		}
+		var addrs []coherence.Addr
+		q.bank.index.Each(func(a uint64, _ *int32) { addrs = append(addrs, coherence.Addr(a)) })
+		// Enough messages per block that each restored MHR lane takes
+		// part in a pattern.
+		for n := 0; n < MaxDepth; n++ {
+			for i, a := range addrs {
+				q.Observe(a, tup((i+n)%4, coherence.GetROReq))
+			}
+		}
+		if got := q.Snapshot(); len(got) != q.SnapshotSize() {
+			t.Fatalf("after training, the snapshot is %d bytes, SnapshotSize says %d", len(got), q.SnapshotSize())
+		}
+		for _, a := range addrs {
+			q.Forget(a)
+		}
+		if q.MHREntries() != 0 || q.PHTEntries() != 0 {
+			t.Fatalf("forgetting every block leaves %d MHR / %d PHT entries", q.MHREntries(), q.PHTEntries())
+		}
+		for _, a := range addrs {
+			q.Observe(a, tup(1, coherence.GetRWReq))
 		}
 	})
 }

@@ -56,6 +56,9 @@ func (c MacroConfig) Validate() error {
 type MacroPredictor struct {
 	cfg  MacroConfig
 	mask uint64
+	// hist keeps the bits of a tuple the history register stores: all
+	// of them, or the type alone for a sender-agnostic history.
+	hist uint16
 	p    *Predictor
 }
 
@@ -68,49 +71,30 @@ func NewMacro(cfg MacroConfig) (*MacroPredictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MacroPredictor{
+	m := &MacroPredictor{
 		cfg:  cfg,
 		mask: ^(uint64(cfg.BlockGroup)*cfg.BlockBytes - 1),
+		hist: 0xffff,
 		p:    p,
-	}, nil
+	}
+	if cfg.SenderAgnosticHistory {
+		m.hist = 0xf
+	}
+	return m, nil
 }
 
 // Config returns the variant configuration.
 func (m *MacroPredictor) Config() MacroConfig { return m.cfg }
 
-// key folds an address onto its macroblock base.
-func (m *MacroPredictor) key(addr coherence.Addr) coherence.Addr {
-	return coherence.Addr(uint64(addr) & m.mask)
-}
-
-// strip removes the sender when the variant ignores senders in
-// histories. The *training* of the PHT still records the true tuple as
-// the prediction; only the index is coarsened, which we achieve by
-// feeding the underlying predictor a two-step update: the history
-// register stores stripped tuples while predictions return the last
-// full tuple recorded for the pattern.
-func (m *MacroPredictor) strip(t coherence.Tuple) coherence.Tuple {
-	if !m.cfg.SenderAgnosticHistory {
-		return t
-	}
-	return coherence.Tuple{Sender: 0, Type: t.Type}
-}
-
-// Predict returns the predicted next tuple for the block containing
-// addr.
-func (m *MacroPredictor) Predict(addr coherence.Addr) (coherence.Tuple, bool) {
-	return m.p.Predict(m.key(addr))
-}
-
-// Update trains the predictor with the actual tuple.
-func (m *MacroPredictor) Update(addr coherence.Addr, actual coherence.Tuple) {
-	m.p.observeIndexed(m.key(addr), m.strip(actual), actual)
-}
-
-// Observe is the combined predict-then-update step, fused into one
-// index probe like the base predictor's.
+// Observe is the combined predict-then-update step on the block's
+// macroblock. The PHT entry for the current history is trained toward
+// the full tuple, so predictions keep their sender; only the history
+// register, which indexes the PHT, drops it when the variant is
+// sender-agnostic.
 func (m *MacroPredictor) Observe(addr coherence.Addr, actual coherence.Tuple) (pred coherence.Tuple, predicted, correct bool) {
-	return m.p.observeIndexed(m.key(addr), m.strip(actual), actual)
+	tb := laneBits(actual)
+	_, pb := m.p.bank.observe(coherence.Addr(uint64(addr)&m.mask), tb&m.hist, tb)
+	return outcome(pb, tb)
 }
 
 // MHREntries returns the (macro)block count tracked.
@@ -118,79 +102,3 @@ func (m *MacroPredictor) MHREntries() uint64 { return m.p.MHREntries() }
 
 // PHTEntries returns the total pattern entries.
 func (m *MacroPredictor) PHTEntries() uint64 { return m.p.PHTEntries() }
-
-// ensureBlock returns the block's state, allocating a slab slot on
-// first reference. A slot reclaimed by Reset keeps its PHT arrays, so
-// the length-extension branch revives that capacity instead of
-// discarding it with a zero blockState.
-func (p *Predictor) ensureBlock(addr coherence.Addr) *blockState {
-	if bs := p.block(addr); bs != nil {
-		return bs
-	}
-	var slot int32
-	switch {
-	case len(p.free) > 0:
-		slot = p.free[len(p.free)-1]
-		p.free = p.free[:len(p.free)-1]
-	case len(p.slab) < cap(p.slab):
-		slot = int32(len(p.slab))
-		p.slab = p.slab[:slot+1]
-	default:
-		slot = int32(len(p.slab))
-		//cosmosvet:allow hotpath slab growth is amortized; Reset retains the capacity
-		p.slab = append(p.slab, blockState{})
-	}
-	p.index.Insert(uint64(addr), slot)
-	return &p.slab[slot]
-}
-
-// train installs (or filter-adjusts) e's prediction toward payload,
-// the Section 3.4 update rule shared by every predictor.
-func (e *phtEntry) train(payload coherence.Tuple, filterMax int) {
-	train(&e.pred, &e.counter, payload, filterMax)
-}
-
-// train is the Section 3.4 update rule, filtered by the Section 3.6
-// saturating counter: a hit strengthens the counter up to filterMax, a
-// miss weakens it, and only a miss at zero replaces the prediction.
-// Predictors and banks store predictions and counters in different
-// widths and all train through this one rule.
-func train[P comparable, C int | uint16](pred *P, counter *C, payload P, filterMax C) {
-	switch {
-	case *pred == payload:
-		if *counter < filterMax {
-			*counter++
-		}
-	case *counter > 0:
-		*counter--
-	default:
-		*pred = payload
-	}
-}
-
-// observeIndexed is Observe with distinct index and payload tuples: the
-// history register shifts in indexTuple (possibly sender-stripped)
-// while the PHT entry trained for the current history predicts payload.
-// It probes the address index once and the PHT once per message: the
-// entry consulted for the prediction is the same entry the update rule
-// trains. Update is this step with its results dropped.
-func (p *Predictor) observeIndexed(addr coherence.Addr, indexTuple, payload coherence.Tuple) (pred coherence.Tuple, predicted, correct bool) {
-	bits, err := tupleBits(indexTuple)
-	if err != nil {
-		panic(err)
-	}
-	bs := p.ensureBlock(addr)
-	if bs.seen >= uint64(p.cfg.Depth) {
-		if e := bs.pht.Find(bs.mhr); e != nil {
-			pred, predicted = e.pred, true
-			correct = pred == payload
-			e.train(payload, p.cfg.FilterMax)
-		} else {
-			bs.pht.Insert(bs.mhr, phtEntry{pred: payload})
-			p.phtEntries++
-		}
-	}
-	bs.mhr = (bs.mhr<<16 | uint64(bits)) & p.mhrMask
-	bs.seen++
-	return pred, predicted, correct
-}

@@ -36,20 +36,20 @@ func TestMacroGroupingFoldsBlocks(t *testing.T) {
 	a, b := tup(1, coherence.GetROReq), tup(2, coherence.GetRWReq)
 	// Train the pattern a->b on block 0.
 	for i := 0; i < 3; i++ {
-		m.Update(coherence.Addr(0x000), a)
-		m.Update(coherence.Addr(0x000), b)
+		m.Observe(coherence.Addr(0x000), a)
+		m.Observe(coherence.Addr(0x000), b)
 	}
 	// Block 0xc0 is in the same 256-byte macroblock: prediction carries
 	// over.
-	m.Update(coherence.Addr(0x0c0), a)
-	if pred, ok := m.Predict(coherence.Addr(0x0c0)); !ok || pred != b {
-		t.Errorf("Predict on grouped neighbour = %v, %v; want %v", pred, ok, b)
+	m.Observe(coherence.Addr(0x0c0), a)
+	if pred, ok, correct := m.Observe(coherence.Addr(0x0c0), b); !ok || !correct {
+		t.Errorf("Observe on grouped neighbour predicted %v, %v; want %v", pred, ok, b)
 	}
 	// Block 0x100 is the next macroblock: no carry-over.
-	if _, ok := m.Predict(coherence.Addr(0x100)); ok {
-		t.Error("prediction leaked across macroblock boundary")
+	m.Observe(coherence.Addr(0x100), a)
+	if pred, ok, _ := m.Observe(coherence.Addr(0x100), b); ok {
+		t.Errorf("prediction %v leaked across macroblock boundary", pred)
 	}
-	m.Update(coherence.Addr(0x100), a)
 	// Blocks 0x000 and 0x0c0 share one MHR; 0x100 has its own.
 	if m.MHREntries() != 2 {
 		t.Errorf("MHREntries = %d, want 2 macroblocks", m.MHREntries())
@@ -107,34 +107,34 @@ func TestSenderAgnosticHistory(t *testing.T) {
 	resp := tup(3, coherence.InvalRWResp)
 
 	// Train: any read (regardless of sender) is followed by resp.
-	m.Update(addr, readP1)
-	m.Update(addr, resp)
-	m.Update(addr, readP2) // history indexes the same stripped pattern
-	if pred, ok := m.Predict(addr); !ok || pred != resp {
-		t.Errorf("sender-agnostic Predict = %v, %v; want %v", pred, ok, resp)
+	m.Observe(addr, readP1)
+	m.Observe(addr, resp)
+	m.Observe(addr, readP2) // history indexes the same stripped pattern
+	if pred, ok, correct := m.Observe(addr, resp); !ok || !correct {
+		t.Errorf("sender-agnostic prediction = %v, %v; want %v", pred, ok, resp)
 	}
-	// The base predictor would have no entry for P2's read history.
+	// The base predictor has no entry for P2's read history.
 	base := MustNew(Config{Depth: 1})
-	base.Update(addr, readP1)
-	base.Update(addr, resp)
-	base.Update(addr, readP2)
-	if _, ok := base.Predict(addr); ok {
-		t.Error("base predictor should not predict for unseen history")
+	base.Observe(addr, readP1)
+	base.Observe(addr, resp)
+	base.Observe(addr, readP2)
+	if pred, ok, _ := base.Observe(addr, resp); ok {
+		t.Errorf("base predictor predicted %v for an unseen history", pred)
 	}
 }
 
-// TestSenderAgnosticStillPredictsFullTuples: the prediction payload
-// keeps the sender even though histories drop it.
+// TestSenderAgnosticPayload: the prediction payload keeps the sender
+// even though histories drop it.
 func TestSenderAgnosticPayload(t *testing.T) {
 	m, _ := NewMacro(MacroConfig{
 		Base: Config{Depth: 1}, BlockGroup: 1, BlockBytes: 64,
 		SenderAgnosticHistory: true,
 	})
 	const addr = coherence.Addr(0x40)
-	m.Update(addr, tup(1, coherence.GetROReq))
-	m.Update(addr, tup(7, coherence.InvalRWResp))
-	m.Update(addr, tup(2, coherence.GetROReq))
-	pred, ok := m.Predict(addr)
+	m.Observe(addr, tup(1, coherence.GetROReq))
+	m.Observe(addr, tup(7, coherence.InvalRWResp))
+	m.Observe(addr, tup(2, coherence.GetROReq))
+	pred, ok, _ := m.Observe(addr, tup(5, coherence.InvalRWResp))
 	if !ok || pred.Sender != 7 || pred.Type != coherence.InvalRWResp {
 		t.Errorf("payload = %v, %v; want full tuple <P7, inval_rw_response>", pred, ok)
 	}

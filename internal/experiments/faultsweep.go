@@ -30,10 +30,12 @@ type FaultRow struct {
 }
 
 // FaultSweep measures how coherence prediction holds up on a lossy
-// interconnect. Each benchmark is simulated at each drop
+// interconnect. Each benchmark is simulated at each nonzero drop
 // probability with the reliable transport repairing the wire (losses
 // become retransmission latency, not protocol errors), and the
-// captured trace is evaluated with a depth-1 filterless Cosmos.
+// captured trace is evaluated with a depth-1 filterless Cosmos. A
+// point whose plan injects nothing reads its variant's memoized trace
+// and evaluation instead, and reports zero transport counters.
 //
 // The paper assumes a reliable FIFO network (Section 5.1); this sweep
 // tests the robustness of its accuracy claims when that assumption is
@@ -44,31 +46,41 @@ type FaultRow struct {
 func FaultSweep(s *Suite, dropProbs []float64, seed uint64) ([]FaultRow, error) {
 	edit := func(c *Config, p float64) { c.Machine.Faults = faults.Plan{Seed: seed, DropProb: p} }
 	return sweep(s, dropProbs, edit, func(v *Suite, p float64, name string) (FaultRow, error) {
-		// The row needs the transport's counters, which only a live
-		// machine has, so every point simulates.
-		app, err := workload.ByName(name, v.cfg.Machine.Nodes, v.cfg.Scale)
-		if err != nil {
-			return FaultRow{}, err
+		row := FaultRow{App: name, DropProb: p}
+		var tr *trace.Trace
+		var res *stats.Result
+		var err error
+		if !v.cfg.Machine.Faults.Enabled() {
+			// A fault-free wire keeps the reliable transport out of the
+			// message flow, so there is nothing to count, and the trace
+			// is the variant's memoized one: under default flags, the
+			// suite's own.
+			if tr, err = v.Trace(name); err != nil {
+				return row, err
+			}
+			if res, err = v.Evaluate(name, core.Config{Depth: 1}, stats.Options{}); err != nil {
+				return row, err
+			}
+		} else {
+			// The transport's counters live only on the machine.
+			app, err := workload.ByName(name, v.cfg.Machine.Nodes, v.cfg.Scale)
+			if err != nil {
+				return row, err
+			}
+			rec := trace.NewRecorder(name, v.cfg.Machine.Nodes, app.PhasesPerIteration(), 0)
+			m, err := simulate(app, v.cfg, func(m *machine.Machine) { m.AddObserver(rec) })
+			if err != nil {
+				return row, fmt.Errorf("experiments: faultsweep at drop %.3f: %w", p, err)
+			}
+			tr = rec.Trace()
+			if res, err = stats.Evaluate(tr, core.Config{Depth: 1}, stats.Options{}); err != nil {
+				return row, err
+			}
+			ns := m.Network().Stats()
+			row.Dropped, row.Duplicated, row.Retransmits = ns.FaultDropped, ns.FaultDuplicated, ns.Retransmits
 		}
-		rec := trace.NewRecorder(name, v.cfg.Machine.Nodes, app.PhasesPerIteration(), 0)
-		m, err := simulate(app, v.cfg, func(m *machine.Machine) { m.AddObserver(rec) })
-		if err != nil {
-			return FaultRow{}, fmt.Errorf("experiments: faultsweep at drop %.3f: %w", p, err)
-		}
-		tr := rec.Trace()
-		res, err := stats.Evaluate(tr, core.Config{Depth: 1}, stats.Options{})
-		if err != nil {
-			return FaultRow{}, err
-		}
-		ns := m.Network().Stats()
-		return FaultRow{
-			App:         name,
-			DropProb:    p,
-			Overall:     100 * res.Overall.Accuracy(),
-			Messages:    uint64(len(tr.Records)),
-			Dropped:     ns.FaultDropped,
-			Duplicated:  ns.FaultDuplicated,
-			Retransmits: ns.Retransmits,
-		}, nil
+		row.Overall = 100 * res.Overall.Accuracy()
+		row.Messages = uint64(len(tr.Records))
+		return row, nil
 	})
 }

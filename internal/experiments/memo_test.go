@@ -248,3 +248,43 @@ func TestBaseVariantReadsMemo(t *testing.T) {
 		t.Errorf("memo holds %d results after one sweep point, want %d", len(s.results), len(s.Apps()))
 	}
 }
+
+// TestFaultFreePointReadsMemo: the fault sweep's drop-0 point, whose
+// plan is the suite's own, reports the suite's memoized depth-1
+// evaluation and trace length with zero transport counters, and adds
+// only that evaluation to the memo; a drop-0 plan with another seed (a
+// fresh variant suite) reports the same row.
+func TestFaultFreePointReadsMemo(t *testing.T) {
+	s := emptyMemo(smallSuite)
+	rows, err := FaultSweep(s, []float64{0}, s.cfg.Machine.Faults.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(s.Apps()) {
+		t.Fatalf("%d rows, want %d", len(rows), len(s.Apps()))
+	}
+	for _, r := range rows {
+		res := s.results[resultKey{app: r.App, cfg: core.Config{Depth: 1}}]
+		if res == nil {
+			t.Fatalf("%s: the drop-0 point left no depth-1 result in the suite's memo", r.App)
+		}
+		tr, err := s.Trace(r.App)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Overall != 100*res.res.Overall.Accuracy() || r.Messages != uint64(len(tr.Records)) ||
+			r.Dropped != 0 || r.Duplicated != 0 || r.Retransmits != 0 {
+			t.Errorf("%s: drop-0 row %+v, suite gives %v%% over %d messages", r.App, r, 100*res.res.Overall.Accuracy(), len(tr.Records))
+		}
+	}
+	if len(s.results) != len(s.Apps()) {
+		t.Errorf("memo holds %d results after the drop-0 point, want %d", len(s.results), len(s.Apps()))
+	}
+	fresh, err := FaultSweep(s, []float64{0}, s.cfg.Machine.Faults.Seed+42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh, rows) {
+		t.Errorf("drop-0 rows on a fresh variant %+v, on the suite %+v", fresh, rows)
+	}
+}

@@ -133,14 +133,52 @@ func TestEachRuleFails(t *testing.T) {
 		t.Run(tc.rule, func(t *testing.T) {
 			f := cleanFixture(t)
 			tc.mutate(f)
-			err := quiesce(f)
-			var v *Violation
-			if !errors.As(err, &v) {
-				t.Fatalf("CheckQuiesce = %v, want a *Violation", err)
-			}
-			if v.Rule != tc.rule || !strings.Contains(v.Detail, tc.detail) {
-				t.Errorf("got [%s] %q, want [%s] naming %q", v.Rule, v.Detail, tc.rule, tc.detail)
-			}
+			wantViolation(t, quiesce(f), tc.rule, tc.detail)
 		})
+	}
+}
+
+// wantViolation fails unless err is a *Violation of rule whose detail
+// names detail.
+func wantViolation(t *testing.T, err error, rule, detail string) {
+	t.Helper()
+	var v *Violation
+	if !errors.As(err, &v) {
+		t.Fatalf("got %v, want a *Violation", err)
+	}
+	if v.Rule != rule || !strings.Contains(v.Detail, detail) {
+		t.Errorf("got [%s] %q, want [%s] naming %q", v.Rule, v.Detail, rule, detail)
+	}
+}
+
+// TestTransitionRuleFails: a read response delivered to a cache that
+// never asked for one is illegal for the cache's shadow state machine,
+// whatever the machine state looks like afterwards.
+func TestTransitionRuleFails(t *testing.T) {
+	f := cleanFixture(t)
+	m := New(Config{})
+	m.Bind(nil, f.geom, f.opts)
+	resp := coherence.Msg{Src: f.geom.Home(sharedBlock), Dst: 2, Type: coherence.GetROResp, Addr: sharedBlock}
+	m.ObserveSend(resp)
+	m.ObserveCache(2, resp)
+	wantViolation(t, m.Check(f), RuleTransition, "no read fetch outstanding")
+}
+
+// TestTickCadence: with Every 3, Tick sweeps the state on the third
+// tick and not on the first two, so a defect present from the start
+// surfaces only then.
+func TestTickCadence(t *testing.T) {
+	f := cleanFixture(t)
+	f.caches[nodeBlock{1, exclusiveBlock}] = stache.CacheReadWrite
+	m := New(Config{Every: 3})
+	m.Bind(nil, f.geom, f.opts)
+	for tick := 1; tick <= 2; tick++ {
+		if err := m.Tick(f); err != nil || m.Sweeps() != 0 {
+			t.Fatalf("tick %d: %v after %d sweeps, want no sweep yet", tick, err, m.Sweeps())
+		}
+	}
+	wantViolation(t, m.Tick(f), RuleSWMR, "multiple writable copies")
+	if m.Sweeps() != 1 {
+		t.Errorf("%d sweeps after three ticks, want 1", m.Sweeps())
 	}
 }
