@@ -24,7 +24,7 @@ vet:
 	$(GO) vet ./...
 
 cosmosvet:
-	$(GO) run ./cmd/cosmosvet -allow-report ./...
+	@$(GO) run ./cmd/cosmosvet ./...
 
 build:
 	$(GO) build ./...
@@ -36,15 +36,18 @@ test:
 # whatever bytes the CTRC trace decoder (Read), the CPSS container
 # decoder (DecodeCPSS), the core predictor snapshot decoder (Restore) or
 # WAL replay (less its torn tail) accepts must re-encode to exactly
-# those bytes, and a predictor bank and one predictor per configuration
-# must report what a map-based reference Cosmos reports. `go test`
-# alone only replays the seed corpora.
+# those bytes, a chaos repro bundle ParseBundle accepts must carry a
+# config Validate accepts, and a predictor bank and one predictor per
+# configuration must report what a map-based reference Cosmos reports.
+# -fuzzminimizetime 0 keeps the budget on executing inputs rather than
+# minimizing new ones. `go test` alone only replays the seed corpora.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCPSS$$' -fuzztime 10s ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime 10s ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzBank$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCPSS$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzBank$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzParseBundle$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/chaos
 
 # perfbench is a module of its own (it replaces back onto this one), so
 # `go test ./...` at the root never builds it; vet and test it here.

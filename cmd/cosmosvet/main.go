@@ -18,23 +18,14 @@
 //	cosmosvet ./...                  # analyze the whole module (the make lint gate)
 //	cosmosvet ./internal/stache
 //	cosmosvet -list                  # print the analyzers and their invariants
-//	cosmosvet -allow-report ./...    # additionally list every active suppression
-//	cosmosvet -json ./...            # findings as a JSON array on stdout
-//	cosmosvet -o diag.json ./...     # text on stdout, JSON written to diag.json
-//	cosmosvet -baseline cosmosvet.baseline.json ./...
-//	                                 # ratchet: only findings NOT in the baseline fail
-//	cosmosvet -write-baseline cosmosvet.baseline.json ./...
-//	                                 # capture the current findings as the new baseline
-//	cosmosvet -ratchet old.json new.json
-//	                                 # offline compare of two JSON diagnostic files
 //	cosmosvet -analyzers transition,hotpath ./internal/...
 //	cosmosvet -config hotpath.maxdepth=4 ./...
 //
 // Findings are printed one per line as file:line:col: analyzer:
-// message, and the exit status is 1 when any finding survives
-// suppression (with -baseline: any finding not forgiven by the
-// baseline). A deliberate exception is suppressed with a reasoned
-// comment on the offending line or the line above it:
+// message, with paths relative to the working directory, followed by
+// a report of every active suppression. The exit status is 1 when any
+// finding survives suppression. A deliberate exception is suppressed
+// with a reasoned comment on the offending line or the line above it:
 //
 //	//cosmosvet:allow <analyzer> <reason>
 //
@@ -91,12 +82,6 @@ func (c configFlags) Set(v string) error {
 func run(args []string, out *os.File) (int, error) {
 	fs := flag.NewFlagSet("cosmosvet", flag.ContinueOnError)
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	jsonOut := fs.Bool("json", false, "print findings as a JSON array instead of text")
-	outFile := fs.String("o", "", "also write findings as JSON to this file")
-	baselinePath := fs.String("baseline", "", "ratchet against this baseline JSON file: only new findings fail")
-	writeBaseline := fs.String("write-baseline", "", "write the current findings as a baseline JSON file and exit 0")
-	ratchet := fs.Bool("ratchet", false, "offline mode: compare two JSON diagnostic files (baseline, current)")
-	allowReport := fs.Bool("allow-report", false, "print every active //cosmosvet:allow escape hatch with its reason")
 	only := fs.String("analyzers", "", "comma-separated subset of analyzers to run")
 	config := configFlags{}
 	fs.Var(config, "config", "per-analyzer option analyzer.key=value (repeatable)")
@@ -108,9 +93,6 @@ func run(args []string, out *os.File) (int, error) {
 			fmt.Fprintf(out, "%-13s %s\n", a.Name, a.Doc)
 		}
 		return 0, nil
-	}
-	if *ratchet {
-		return runRatchet(fs.Args(), out)
 	}
 
 	active := analyzers
@@ -142,77 +124,23 @@ func run(args []string, out *os.File) (int, error) {
 		return 0, err
 	}
 	cwd, _ := os.Getwd()
-	jd := analysis.ToJSON(diags, cwd)
-
-	if *writeBaseline != "" {
-		if err := writeJSONFile(*writeBaseline, jd); err != nil {
-			return 0, err
-		}
-		fmt.Fprintf(out, "cosmosvet: wrote %d finding(s) to baseline %s\n", len(jd), *writeBaseline)
-		return 0, nil
+	for _, d := range diags {
+		fmt.Fprintf(out, "%s:%d:%d: %s: %s\n", relPath(cwd, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 	}
-	if *outFile != "" {
-		if err := writeJSONFile(*outFile, jd); err != nil {
-			return 0, err
-		}
-	}
-
-	failing := jd
-	if *baselinePath != "" {
-		base, err := readJSONFile(*baselinePath)
-		if err != nil {
-			return 0, err
-		}
-		failing = analysis.Ratchet(base, jd)
-	}
-
-	if *jsonOut {
-		if err := analysis.EncodeJSON(out, jd); err != nil {
-			return 0, err
-		}
-	} else {
-		for _, d := range jd {
-			fmt.Fprintln(out, d)
-		}
-	}
-	if *baselinePath != "" && len(jd) > 0 {
-		fmt.Fprintf(out, "cosmosvet: %d finding(s), %d forgiven by baseline %s, %d new\n",
-			len(jd), len(jd)-len(failing), *baselinePath, len(failing))
-	}
-	if *allowReport {
-		printAllowReport(out, allows, cwd)
-	}
-	if len(failing) > 0 {
+	printAllowReport(out, allows, cwd)
+	if len(diags) > 0 {
 		return 1, nil
 	}
 	return 0, nil
 }
 
-// runRatchet compares two previously-written JSON diagnostic files and
-// fails on findings present in the second but not the first. This is
-// the pure-file mode CI uses to gate an uploaded diagnostics artifact
-// against the committed baseline without re-running analysis.
-func runRatchet(files []string, out *os.File) (int, error) {
-	if len(files) != 2 {
-		return 0, fmt.Errorf("-ratchet wants exactly two files: baseline.json current.json")
+// relPath shortens a file under dir to its slash-separated relative
+// path; files outside dir keep their absolute path.
+func relPath(dir, file string) string {
+	if rel, err := filepath.Rel(dir, file); err == nil && filepath.IsLocal(rel) {
+		return filepath.ToSlash(rel)
 	}
-	base, err := readJSONFile(files[0])
-	if err != nil {
-		return 0, err
-	}
-	cur, err := readJSONFile(files[1])
-	if err != nil {
-		return 0, err
-	}
-	fresh := analysis.Ratchet(base, cur)
-	for _, d := range fresh {
-		fmt.Fprintln(out, d)
-	}
-	fmt.Fprintf(out, "cosmosvet: %d baseline, %d current, %d new\n", len(base), len(cur), len(fresh))
-	if len(fresh) > 0 {
-		return 1, nil
-	}
-	return 0, nil
+	return file
 }
 
 // printAllowReport lists every active escape hatch. The suppressions
@@ -226,31 +154,6 @@ func printAllowReport(out *os.File, allows []analysis.AllowInfo, cwd string) {
 	}
 	fmt.Fprintf(out, "cosmosvet: %d active allow suppression(s):\n", len(allows))
 	for _, al := range allows {
-		file := al.Pos.Filename
-		if rel, err := filepath.Rel(cwd, file); err == nil && filepath.IsLocal(rel) {
-			file = rel
-		}
-		fmt.Fprintf(out, "  %s:%d: allow %s: %s\n", file, al.Pos.Line, al.Analyzer, al.Reason)
+		fmt.Fprintf(out, "  %s:%d: allow %s: %s\n", relPath(cwd, al.Pos.Filename), al.Pos.Line, al.Analyzer, al.Reason)
 	}
-}
-
-func writeJSONFile(path string, diags []analysis.JSONDiagnostic) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := analysis.EncodeJSON(f, diags); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func readJSONFile(path string) ([]analysis.JSONDiagnostic, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return analysis.DecodeJSON(f)
 }

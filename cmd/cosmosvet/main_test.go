@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"github.com/cosmos-coherence/cosmos/internal/analysis"
 )
 
 // capture runs run() with a temp file as stdout and returns the exit
@@ -63,72 +61,72 @@ func TestConfigFlag(t *testing.T) {
 	}
 }
 
-// writeDiags writes a JSON diagnostics file for ratchet tests.
-func writeDiags(t *testing.T, dir, name string, diags []analysis.JSONDiagnostic) string {
+// plantModule writes a one-package module whose internal/sim (a
+// determinism-scoped path) holds src, and makes it the working
+// directory for the rest of the test.
+func plantModule(t *testing.T, src string) {
 	t.Helper()
-	path := filepath.Join(dir, name)
-	if err := writeJSONFile(path, diags); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestRatchet pins the offline compare: identical files pass, a
-// finding absent from the baseline fails, and a baselined finding may
-// move within its file without tripping the gate.
-func TestRatchet(t *testing.T) {
 	dir := t.TempDir()
-	finding := analysis.JSONDiagnostic{
-		Analyzer: "hotpath", File: "pkg/a.go", Line: 10, Column: 2,
-		Message: "hot path f: make allocates",
+	files := map[string]string{
+		"go.mod":              "module example.com/planted\n\ngo 1.22\n",
+		"internal/sim/sim.go": src,
 	}
-	moved := finding
-	moved.Line = 99
-	fresh := analysis.JSONDiagnostic{
-		Analyzer: "transition", File: "pkg/b.go", Line: 3, Column: 1,
-		Message: "spec hole: no disposition declared for (A, B) in the t table",
+	for name, body := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	base := writeDiags(t, dir, "base.json", []analysis.JSONDiagnostic{finding})
-	same := writeDiags(t, dir, "same.json", []analysis.JSONDiagnostic{moved})
-	grew := writeDiags(t, dir, "grew.json", []analysis.JSONDiagnostic{moved, fresh})
-
-	code, out, err := capture(t, []string{"-ratchet", base, same})
-	if err != nil || code != 0 {
-		t.Errorf("moved-but-baselined finding failed the ratchet: code=%d err=%v\n%s", code, err, out)
-	}
-	code, out, err = capture(t, []string{"-ratchet", base, grew})
-	if err != nil || code != 1 {
-		t.Errorf("new finding passed the ratchet: code=%d err=%v", code, err)
-	}
-	if !strings.Contains(out, "spec hole") || !strings.Contains(out, "1 new") {
-		t.Errorf("ratchet output does not name the new finding:\n%s", out)
-	}
-
-	if _, _, err := capture(t, []string{"-ratchet", base}); err == nil {
-		t.Error("-ratchet with one file accepted, want usage error")
-	}
-}
-
-// TestJSONRoundtrip pins that a written diagnostics file decodes to
-// the same findings.
-func TestJSONRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	diags := []analysis.JSONDiagnostic{
-		{Analyzer: "determinism", File: "x.go", Line: 1, Column: 1, Message: "wall clock"},
-		{Analyzer: "exhaustive", File: "y.go", Line: 2, Column: 5, Message: "missing case"},
-	}
-	path := writeDiags(t, dir, "d.json", diags)
-	got, err := readJSONFile(path)
+	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(diags) {
-		t.Fatalf("roundtrip: got %d diagnostics, want %d", len(got), len(diags))
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
 	}
-	for i := range got {
-		if got[i] != diags[i] {
-			t.Errorf("roundtrip[%d] = %+v, want %+v", i, got[i], diags[i])
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Error(err)
 		}
+	})
+}
+
+// TestFindingFailsGate pins the gate: a planted wall-clock read in a
+// simulation-core package prints one module-relative finding line and
+// exits 1, and a reasoned allow comment turns it into a reported
+// suppression that exits 0.
+func TestFindingFailsGate(t *testing.T) {
+	const planted = `package sim
+
+import "time"
+
+func Stamp() int64 {
+	return time.Now().UnixNano()
+}
+`
+	plantModule(t, planted)
+	code, out, err := capture(t, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "internal/sim/sim.go:6:9: determinism: wall-clock read time.Now in the simulation core; " +
+		"use the sim.Engine clock so runs stay seed-reproducible\n" +
+		"cosmosvet: no active allow suppressions\n"
+	if code != 1 || out != want {
+		t.Errorf("planted finding: code=%d, output:\n%s\nwant code=1, output:\n%s", code, out, want)
+	}
+
+	plantModule(t, strings.Replace(planted, "\treturn", "\t//cosmosvet:allow determinism host stamp for a log line\n\treturn", 1))
+	code, out, err = capture(t, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantAllowed = "cosmosvet: 1 active allow suppression(s):\n" +
+		"  internal/sim/sim.go:6: allow determinism: host stamp for a log line\n"
+	if code != 0 || out != wantAllowed {
+		t.Errorf("allowed finding: code=%d, output:\n%s\nwant code=0, output:\n%s", code, out, wantAllowed)
 	}
 }

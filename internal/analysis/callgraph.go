@@ -81,12 +81,6 @@ func (g *CallGraph) DeclOf(fn *types.Func) *ast.FuncDecl {
 	return g.decls[fn]
 }
 
-// CalleesOf returns the same-package functions fn calls directly, in
-// source order. The returned slice is shared; callers must not mutate.
-func (g *CallGraph) CalleesOf(fn *types.Func) []*types.Func {
-	return g.callees[fn]
-}
-
 // Reachable walks the graph breadth-first from root and returns, for
 // every function reachable within maxDepth call edges (root itself
 // excluded), the caller by which it was first discovered. The parent

@@ -34,7 +34,7 @@
 // Deliberate allocations — amortized slice growth, once-per-object
 // arena setup, per-frame bookkeeping — are suppressed the usual way
 // with //cosmosvet:allow hotpath <reason>, which keeps every exception
-// visible in `cosmosvet -allow-report`.
+// visible in cosmosvet's suppression report.
 package hotpath
 
 import (

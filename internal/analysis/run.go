@@ -31,7 +31,7 @@ type RunOptions struct {
 }
 
 // AllowInfo describes one active //cosmosvet:allow escape hatch, for
-// the cosmosvet -allow-report mode: every suppression in the analyzed
+// cosmosvet's suppression report: every suppression in the analyzed
 // packages, with its mandatory reason and whether it suppressed
 // anything in this run.
 type AllowInfo struct {

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -235,6 +236,57 @@ func TestBundleRoundTripAndReplay(t *testing.T) {
 	if rep.Diagnostic != bundle.Diagnostic {
 		t.Error("replay diagnostic differs from the bundle's")
 	}
+}
+
+// bundleJSON is an unreduced bundle of failingConfig with its Nodes
+// edited to nodes, as a hand-edited repro file would be.
+func bundleJSON(t testing.TB, nodes int) []byte {
+	t.Helper()
+	raw, err := Bundle{Version: BundleVersion, Seed: 1, Config: failingConfig(), Original: failingConfig()}.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Replace(raw, []byte(`"nodes": 8,`), []byte(fmt.Sprintf(`"nodes": %d,`, nodes)), 1)
+}
+
+// TestParseBundleValidates: a bundle whose Config the fuzzer cannot run
+// is refused with Validate's error before Replay, which would panic on
+// 0 nodes, run the one-node machine the sweep refuses, or fail in the
+// 64-node full-map directory.
+func TestParseBundleValidates(t *testing.T) {
+	if _, err := ParseBundle(bundleJSON(t, 8)); err != nil {
+		t.Fatalf("valid bundle refused: %v", err)
+	}
+	for _, tc := range []struct {
+		nodes int
+		want  string
+	}{
+		{0, "chaos: Nodes=0 out of range [2,64]"},
+		{1, "chaos: Nodes=1 out of range [2,64]"},
+		{65, "chaos: Nodes=65 out of range [2,64]"},
+	} {
+		if _, err := ParseBundle(bundleJSON(t, tc.nodes)); err == nil || err.Error() != tc.want {
+			t.Errorf("Nodes=%d: err = %v, want %q", tc.nodes, err, tc.want)
+		}
+	}
+}
+
+// FuzzParseBundle: whatever bytes ParseBundle accepts carry a Config
+// that Validate accepts, so Replay never runs a configuration the sweep
+// would have refused.
+func FuzzParseBundle(f *testing.F) {
+	for _, nodes := range []int{8, 0, 1, 65} {
+		f.Add(bundleJSON(f, nodes))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := ParseBundle(data)
+		if err != nil {
+			return
+		}
+		if err := b.Config.Validate(); err != nil {
+			t.Fatalf("accepted a bundle whose config is invalid: %v", err)
+		}
+	})
 }
 
 // TestShrinkOnlyKeepsFailingReductions: every accepted shrink step in

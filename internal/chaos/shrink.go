@@ -205,7 +205,9 @@ func (b Bundle) Marshal() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// ParseBundle decodes a bundle and checks its version.
+// ParseBundle decodes a bundle and checks its version and that its
+// Config is one the fuzzer can run (Config.Validate): a bundle is
+// outside input, often hand-edited, and Replay trusts its Config.
 func ParseBundle(data []byte) (Bundle, error) {
 	var b Bundle
 	if err := json.Unmarshal(data, &b); err != nil {
@@ -213,6 +215,9 @@ func ParseBundle(data []byte) (Bundle, error) {
 	}
 	if b.Version != BundleVersion {
 		return Bundle{}, fmt.Errorf("chaos: bundle version %d, want %d", b.Version, BundleVersion)
+	}
+	if err := b.Config.Validate(); err != nil {
+		return Bundle{}, err
 	}
 	return b, nil
 }

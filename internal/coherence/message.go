@@ -141,17 +141,6 @@ func (t MsgType) IsRequest() bool {
 	return false
 }
 
-// ParseMsgType converts a paper-style name ("get_ro_request") into a
-// MsgType. It returns MsgInvalid and false for unknown names.
-func ParseMsgType(s string) (MsgType, bool) {
-	for t := MsgType(1); t < NumMsgTypes; t++ {
-		if msgTypeNames[t] == s {
-			return t, true
-		}
-	}
-	return MsgInvalid, false
-}
-
 // CarriesData reports whether the message carries a copy of the block.
 // This only affects simulated message sizes / occupancy, never protocol
 // decisions.

@@ -34,23 +34,6 @@ func TestMsgTypeString(t *testing.T) {
 	}
 }
 
-func TestParseMsgTypeRoundTrip(t *testing.T) {
-	for mt := MsgType(1); mt < NumMsgTypes; mt++ {
-		got, ok := ParseMsgType(mt.String())
-		if !ok || got != mt {
-			t.Errorf("ParseMsgType(%q) = %v, %v; want %v, true", mt.String(), got, ok, mt)
-		}
-	}
-	if _, ok := ParseMsgType("bogus"); ok {
-		t.Error("ParseMsgType accepted bogus name")
-	}
-	if _, ok := ParseMsgType("invalid"); !ok {
-		// "invalid" is the zero value's name; ParseMsgType only scans
-		// valid types so it must reject it.
-		t.Log(`ParseMsgType("invalid") accepted`) // documents behaviour either way
-	}
-}
-
 func TestDirectionPartition(t *testing.T) {
 	// Every valid message type is either directory-bound or cache-bound,
 	// never both.

@@ -148,13 +148,6 @@ func (l *Layout) Lane(i int) int { return l.lane[i] }
 // MaxDepth*BankLanes.
 func (l *Layout) Lanes() int { return l.lanes }
 
-// NewBank creates an empty bank following lay.
-func NewBank(lay *Layout) *Bank {
-	b := &Bank{}
-	b.Reset(lay)
-	return b
-}
-
 // Reset empties the bank and switches it to lay, keeping every
 // allocation the previous use grew: the MHT's arrays, the slab's
 // capacity and each slab slot's PHT arrays. The zero Bank becomes

@@ -62,7 +62,8 @@ func checkBank(t *testing.T, c bankCase) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bank := NewBank(lay)
+	var bank Bank
+	bank.Reset(lay)
 	preds := make([]*Predictor, len(c.cfgs))
 	refs := make([]*refCosmos, len(c.cfgs))
 	for i, cfg := range c.cfgs {
@@ -172,7 +173,9 @@ func TestBankRejectsTypeZero(t *testing.T) {
 			t.Error("Observe accepted a type-0 tuple")
 		}
 	}()
-	NewBank(mustLayout(t, Config{Depth: 2})).Observe(0x40, coherence.Tuple{})
+	var b Bank
+	b.Reset(mustLayout(t, Config{Depth: 2}))
+	b.Observe(0x40, coherence.Tuple{})
 }
 
 // TestPredictorRejectsTypeZero: a Predictor is a one-configuration
@@ -207,13 +210,15 @@ func mustLayout(t *testing.T, cfgs ...Config) *Layout {
 func TestBankResetMatchesNew(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	first, _ := decodeBankCase(randomBankBytes(rng, []byte{3, 0, 4}, 2000))
-	bank := NewBank(mustLayout(t, first.cfgs...))
+	var bank Bank
+	bank.Reset(mustLayout(t, first.cfgs...))
 	for _, op := range first.ops {
 		bank.Observe(op.addr, op.tup)
 	}
 	lay := mustLayout(t, Config{Depth: 1, FilterMax: 1})
 	bank.Reset(lay)
-	fresh := NewBank(lay)
+	var fresh Bank
+	fresh.Reset(lay)
 	for step, op := range first.ops {
 		if got, want := bank.Observe(op.addr, op.tup), fresh.Observe(op.addr, op.tup); got != want {
 			t.Fatalf("step %d: reset bank says %b, new bank %b", step, got, want)
@@ -230,7 +235,8 @@ func TestBankResetMatchesNew(t *testing.T) {
 func TestBankResetReobserveAllocatesNothing(t *testing.T) {
 	addrs, tuples := stream(20000, 700, 1)
 	lay := mustLayout(t, Config{Depth: 1}, Config{Depth: 2, FilterMax: 1}, Config{Depth: 4})
-	b := NewBank(lay)
+	var b Bank
+	b.Reset(lay)
 	for i := range addrs {
 		b.Observe(addrs[i], tuples[i])
 	}

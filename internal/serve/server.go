@@ -210,9 +210,6 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// QueueDepth returns the current ingest queue length.
-func (s *Server) QueueDepth() int { return len(s.queue) }
-
 // Cursor returns a stream's durable-order cursor: how many of its
 // observations have been applied.
 func (s *Server) Cursor(streamID int) uint64 { return s.streams[streamID].applied }

@@ -123,21 +123,11 @@ type WALRecord struct {
 	Tup    coherence.Tuple
 }
 
-// ReplayWAL reads the log at path, verifies it extends the snapshot
-// with digest base, and calls apply for each intact record in order.
-// It returns the number of records applied and how many torn tail
-// bytes were tolerated. Damage anywhere but the tail wraps
-// ErrWALCorrupt.
-func ReplayWAL(path string, base [32]byte, apply func(WALRecord) error) (applied int, tornBytes int, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("serve: wal: read %s: %w", path, err)
-	}
-	return replayWAL(path, data, base, apply)
-}
-
-// replayWAL is ReplayWAL over the log's bytes; errors name the log as
-// path.
+// replayWAL verifies that the log bytes data extend the snapshot with
+// digest base and calls apply for each intact record in order; errors
+// name the log as path. It returns the number of records applied and
+// how many torn tail bytes were tolerated. Damage anywhere but the
+// tail wraps ErrWALCorrupt.
 func replayWAL(path string, data []byte, base [32]byte, apply func(WALRecord) error) (applied int, tornBytes int, err error) {
 	if len(data) < walHeaderSize {
 		return 0, 0, fmt.Errorf("%w: %s: %d bytes is shorter than the header", ErrWALCorrupt, path, len(data))

@@ -46,6 +46,16 @@ func writeWAL(t *testing.T, path string, base [32]byte, recs []WALRecord, syncAf
 	return w
 }
 
+// replayFile replays the log file at path.
+func replayFile(t *testing.T, path string, base [32]byte, apply func(WALRecord) error) (int, int, error) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return replayWAL(path, data, base, apply)
+}
+
 func TestWALAppendReplay(t *testing.T) {
 	base := [32]byte{1, 2, 3}
 	path := filepath.Join(t.TempDir(), "wal")
@@ -55,7 +65,7 @@ func TestWALAppendReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []WALRecord
-	n, torn, err := ReplayWAL(path, base, func(r WALRecord) error {
+	n, torn, err := replayFile(t, path, base, func(r WALRecord) error {
 		got = append(got, r)
 		return nil
 	})
@@ -83,7 +93,7 @@ func TestWALTornTailTolerated(t *testing.T) {
 		if err := os.Truncate(path, full-int64(cut)); err != nil {
 			t.Fatal(err)
 		}
-		n, torn, err := ReplayWAL(path, base, func(WALRecord) error { return nil })
+		n, torn, err := replayFile(t, path, base, func(WALRecord) error { return nil })
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -114,7 +124,7 @@ func TestWALCorruptionIsLoud(t *testing.T) {
 		if err := os.WriteFile(path, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := ReplayWAL(path, base, func(WALRecord) error { return nil })
+		_, _, err := replayFile(t, path, base, func(WALRecord) error { return nil })
 		if !errors.Is(err, ErrWALCorrupt) {
 			t.Fatalf("%s: %v, want ErrWALCorrupt", name, err)
 		}
@@ -139,7 +149,7 @@ func TestWALCorruptionIsLoud(t *testing.T) {
 	if err := os.WriteFile(path, pristine, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = ReplayWAL(path, [32]byte{8}, func(WALRecord) error { return nil })
+	_, _, err = replayFile(t, path, [32]byte{8}, func(WALRecord) error { return nil })
 	if !errors.Is(err, ErrWALCorrupt) || !strings.Contains(err.Error(), "mispaired") {
 		t.Fatalf("wrong base digest: %v, want mispaired-generation ErrWALCorrupt", err)
 	}

@@ -71,7 +71,7 @@ const MaxIter = math.MaxUint16
 // grouped phasesPerIter to an application iteration, would stamp a
 // record with an iteration above MaxIter. Its last phase falls in
 // iteration (phases-1)/phasesPerIter, so a run of whole iterations
-// passes while workload.AppIterations is at most MaxIter+1. Capture
+// passes while it has at most MaxIter+1 application iterations. Capture
 // helpers call it before a run; the recorders themselves only panic.
 func CheckIterations(app string, phases, phasesPerIter int) error {
 	if phasesPerIter < 1 {

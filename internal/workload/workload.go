@@ -55,12 +55,6 @@ type App interface {
 	PhasesPerIteration() int
 }
 
-// AppIterations returns the number of application-level iterations of
-// an app (its phases divided by phases per iteration).
-func AppIterations(a App) int {
-	return a.Iterations() / a.PhasesPerIteration()
-}
-
 // Appender is an optional App capability: generators that can append a
 // phase's access sequence into a caller-provided buffer implement it,
 // so a caller replaying phases (the machine's issue loop) can recycle

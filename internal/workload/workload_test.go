@@ -90,8 +90,8 @@ func TestAppsShapeInvariants(t *testing.T) {
 		if a.Iterations()%a.PhasesPerIteration() != 0 {
 			t.Errorf("%s: %d phases not divisible by %d", a.Name(), a.Iterations(), a.PhasesPerIteration())
 		}
-		if AppIterations(a) < 2 {
-			t.Errorf("%s: only %d app iterations", a.Name(), AppIterations(a))
+		if n := a.Iterations() / a.PhasesPerIteration(); n < 2 {
+			t.Errorf("%s: only %d app iterations", a.Name(), n)
 		}
 		total := 0
 		for iter := 0; iter < a.Iterations(); iter++ {
