@@ -6,6 +6,7 @@ import (
 
 	"github.com/cosmos-coherence/cosmos/internal/coherence"
 	"github.com/cosmos-coherence/cosmos/internal/faults"
+	"github.com/cosmos-coherence/cosmos/internal/network"
 	"github.com/cosmos-coherence/cosmos/internal/sim"
 	"github.com/cosmos-coherence/cosmos/internal/stache"
 	"github.com/cosmos-coherence/cosmos/internal/workload"
@@ -64,6 +65,24 @@ func TestFaultFreeMachineHasNoTransport(t *testing.T) {
 	if m.Network().Faulty() {
 		t.Error("fault-free machine attached an injector")
 	}
+}
+
+// TestCtrlFrameToProtocolPanics: with no reliable transport bound, a
+// transport control frame on the wire reaches the protocol dispatch,
+// which refuses it with *network.SendError at delivery.
+func TestCtrlFrameToProtocolPanics(t *testing.T) {
+	cfg := smallConfig(4)
+	m, err := New(cfg, stache.DefaultOptions(), pcApp(cfg, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Network().SendPacket(network.Packet{Src: 0, Dst: 1, Ctrl: true, TSeq: 1})
+	defer func() {
+		if _, ok := recover().(*network.SendError); !ok {
+			t.Error("control frame delivered to the protocol did not panic with *network.SendError")
+		}
+	}()
+	m.Engine().Step()
 }
 
 func TestForwardingRejectsFaultyWire(t *testing.T) {

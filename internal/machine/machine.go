@@ -175,14 +175,27 @@ func New(cfg sim.Config, opts stache.Options, app workload.App) (*Machine, error
 	// completely out of the message flow, so the fault-free path is
 	// bit-identical to a build without it.
 	var sender stache.Sender = net
-	bind := net.Bind
 	if cfg.Faults.Enabled() {
 		m.transport = reliable.New(engine, net, cfg)
 		m.transport.OnFailure(func(err error) {
 			m.fail(fmt.Errorf("%w\n%s", err, m.diagnose()))
 		})
+		deliver := m.deliver
+		for i := 0; i < cfg.Nodes; i++ {
+			m.transport.Bind(coherence.NodeID(i), deliver)
+		}
 		sender = m.transport
-		bind = m.transport.Bind
+	} else {
+		// With no transport to consume them, a control frame reaching
+		// the protocol is a simulator bug. pkt's fields are read in
+		// place: a helper returning Msg by value copies it through the
+		// stack on every delivery.
+		net.Bind(func(pkt network.Packet) {
+			if pkt.Ctrl {
+				panic(&network.SendError{Pkt: pkt, Reason: "control frame delivered to the protocol"})
+			}
+			m.deliver(pkt.Msg)
+		})
 	}
 	// Every protocol-level send flows through the tap so an attached
 	// invariant monitor sees it; with no monitor the tap is a single nil
@@ -202,22 +215,24 @@ func New(cfg sim.Config, opts stache.Options, app workload.App) (*Machine, error
 			}
 		})
 		m.procs[i] = proc{id: node}
-
-		cache, dir := m.caches[i], m.dirs[i]
-		bind(node, func(msg coherence.Msg) {
-			// Protocol occupancy: the software handler costs time, but
-			// delivery order (what predictors see) is fixed at receive.
-			if msg.Type.DirectoryBound() {
-				dir.Deliver(msg)
-			} else {
-				cache.Deliver(msg)
-			}
-		})
 	}
 	if cfg.Invariants {
 		m.AttachMonitor(invariant.New(invariant.Config{Every: cfg.InvariantEvery}))
 	}
 	return m, nil
+}
+
+// deliver hands msg to its destination node's directory or cache
+// controller. Delivery order — what predictors see — is fixed here, at
+// receive; handler occupancy is not modelled.
+//
+//cosmosvet:hotpath
+func (m *Machine) deliver(msg coherence.Msg) {
+	if msg.Type.DirectoryBound() {
+		m.dirs[msg.Dst].Deliver(msg)
+	} else {
+		m.caches[msg.Dst].Deliver(msg)
+	}
 }
 
 // tapSender mirrors every protocol-level send into the invariant

@@ -10,6 +10,14 @@
 // order unpredictable (Section 3.1's two-consumer example) while keeping
 // each individual conversation sane.
 //
+// FIFO needs no bookkeeping on a fault-free wire. One (src, dst) link
+// always has the same latency — the remote latency, or the bus transfer
+// for node-local delivery — and the engine clock never runs backwards,
+// so a later send never arrives earlier; on a structured fabric the
+// per-link occupancy of routeDelivery keeps same-route packets in
+// order. Packets due at the same instant fire in the engine's (time,
+// seq) order, which is send order.
+//
 // When a fault plan (sim.Config.Faults) is enabled the wire stops being
 // ideal: packets may be dropped, duplicated, or jittered, and per-link
 // FIFO no longer holds on the raw wire. The reliable transport
@@ -27,9 +35,6 @@ import (
 	"github.com/cosmos-coherence/cosmos/internal/sim"
 	"github.com/cosmos-coherence/cosmos/internal/topology"
 )
-
-// Handler receives a delivered message at its destination node.
-type Handler func(msg coherence.Msg)
 
 // Packet is the unit the wire actually carries: either a coherence
 // message or a transport control frame (an acknowledgment from the
@@ -50,7 +55,8 @@ type Packet struct {
 	Retx bool
 }
 
-// PacketHandler receives a delivered packet at its destination node.
+// PacketHandler receives every packet the network delivers, on
+// whichever node it is addressed to (pkt.Dst).
 type PacketHandler func(pkt Packet)
 
 // Packet flag bits carried in the delivery EventRec. A Packet in
@@ -70,7 +76,8 @@ type SendError struct {
 	// Pkt is the offending packet.
 	Pkt Packet
 	// Reason is a stable, human-readable cause ("invalid message
-	// type", "unbound destination").
+	// type", "destination out of range", "no receiver bound", "control
+	// frame delivered to the protocol").
 	Reason string
 }
 
@@ -104,14 +111,14 @@ type Stats struct {
 	FaultDuplicated uint64
 }
 
-// Network connects N nodes. Create one with New, attach a Handler per
-// node with Bind (or BindPacket for transport layers), then Send
-// messages. Delivery is scheduled on the shared sim.Engine.
+// Network connects N nodes. Create one with New, attach the one
+// receiver with Bind, then Send messages. Delivery is scheduled on the
+// shared sim.Engine.
 type Network struct {
 	engine   *sim.Engine
 	latency  sim.Time // end-to-end remote latency (NI + wire + NI)
 	localLat sim.Time // latency for node-local delivery
-	handlers []PacketHandler
+	recv     PacketHandler
 	injector *faults.Injector // nil = perfectly reliable wire
 	// topo is the structured fabric (mesh/torus); the zero value is
 	// the ideal all-to-all wire. Structured remote messages are routed
@@ -126,18 +133,9 @@ type Network struct {
 	routeBuf []topology.LinkID
 	hopLat   sim.Time // per-link wire latency on a structured fabric
 	niLat    sim.Time // NI injection/extraction cost on a structured fabric
-	// lastDelivery tracks, per (src,dst) link, the timestamp of the
-	// most recently scheduled delivery, enforcing FIFO per link on the
-	// fault-free all-to-all path. With an injector attached, jitter may
-	// legally reorder a link, so the clamp is not applied. Dense
-	// nodes*nodes storage pays off only on small machines; large ones
-	// use the sparse linkClamp map instead (same clamp values, so
-	// results are identical — only the memory shape changes).
-	lastDelivery []sim.Time
-	linkClamp    map[uint32]sim.Time
-	nodes        int
-	seq          uint64
-	stats        Stats
+	nodes    int
+	seq      uint64
+	stats    Stats
 	// kindDeliver is the engine event kind for wire deliveries; the
 	// handler reconstructs the Packet from the EventRec.
 	kindDeliver sim.EventKind
@@ -176,7 +174,6 @@ func New(engine *sim.Engine, cfg sim.Config) (*Network, error) {
 		engine:   engine,
 		latency:  cfg.MessageLatencyNs(),
 		localLat: cfg.BusTransferNs(cfg.CacheBlockBytes),
-		handlers: make([]PacketHandler, n),
 		injector: inj,
 		nodes:    n,
 	}
@@ -188,13 +185,6 @@ func New(engine *sim.Engine, cfg sim.Config) (*Network, error) {
 		nw.hopLat = cfg.NetworkLatencyNs
 		nw.niLat = cfg.NIAccessNs
 	}
-	if !grid.Structured() && n <= 64 {
-		nw.lastDelivery = make([]sim.Time, n*n)
-	} else {
-		// Sparse clamp state: only links actually used pay memory, so
-		// network footprint stays O(active links), not O(nodes^2).
-		nw.linkClamp = make(map[uint32]sim.Time)
-	}
 	return nw, nil
 }
 
@@ -204,24 +194,12 @@ func (nw *Network) Nodes() int { return nw.nodes }
 // Faulty reports whether a fault injector perturbs this network.
 func (nw *Network) Faulty() bool { return nw.injector != nil }
 
-// Bind installs the delivery handler for node id. It must be called for
-// every node before the first Send to that node. Control frames never
-// reach a Handler; use BindPacket to receive them.
-func (nw *Network) Bind(id coherence.NodeID, h Handler) {
-	nw.BindPacket(id, func(pkt Packet) {
-		if pkt.Ctrl {
-			panic(&SendError{Pkt: pkt, Reason: "control frame delivered to a message handler"})
-		}
-		h(pkt.Msg)
-	})
-}
-
-// BindPacket installs a packet-level delivery handler for node id,
-// receiving transport control frames as well as coherence messages.
-// The reliable transport uses this; protocol code uses Bind.
-func (nw *Network) BindPacket(id coherence.NodeID, h PacketHandler) {
-	nw.handlers[int(id)] = h
-}
+// Bind installs the receiver every delivered packet goes to, control
+// frames included. It must be called before the first Send. The
+// reliable transport binds its packet handler here; a fault-free
+// machine binds its protocol dispatch, which panics with *SendError on
+// a control frame.
+func (nw *Network) Bind(h PacketHandler) { nw.recv = h }
 
 // Stats returns a copy of the accumulated counters.
 func (nw *Network) Stats() Stats { return nw.stats }
@@ -258,7 +236,7 @@ func (nw *Network) post(at sim.Time, pkt Packet) {
 
 // handleDeliver fires a scheduled delivery: rebuild the Packet from
 // the EventRec, retire its in-flight accounting, and hand it to the
-// destination handler (bound before send, checked in SendPacket).
+// receiver (bound before send, checked in SendPacket).
 //
 //cosmosvet:hotpath
 func (nw *Network) handleDeliver(rec sim.EventRec) {
@@ -273,14 +251,14 @@ func (nw *Network) handleDeliver(rec sim.EventRec) {
 	if !pkt.Ctrl {
 		nw.inflight--
 	}
-	nw.handlers[pkt.Dst](pkt)
+	nw.recv(pkt)
 }
 
 // Send injects msg into the network. Delivery to msg.Dst is scheduled
-// after the configured latency, respecting per-link FIFO order on a
-// fault-free wire. Send panics with *SendError on malformed messages
-// (unbound destination, invalid type): those are simulator bugs, not
-// recoverable conditions.
+// after the configured latency, in per-link FIFO order on a fault-free
+// wire. Send panics with *SendError on malformed messages (destination
+// out of range, no receiver bound, invalid type): those are simulator
+// bugs, not recoverable conditions.
 func (nw *Network) Send(msg coherence.Msg) {
 	nw.SendPacket(Packet{Src: msg.Src, Dst: msg.Dst, Msg: msg})
 }
@@ -288,21 +266,24 @@ func (nw *Network) Send(msg coherence.Msg) {
 // SendPacket injects a packet — a coherence message or a transport
 // control frame. Like Send it panics with *SendError on malformed
 // input.
+//
+//cosmosvet:hotpath
 func (nw *Network) SendPacket(pkt Packet) {
 	if !pkt.Ctrl && !pkt.Msg.Type.Valid() {
 		panic(&SendError{Pkt: pkt, Reason: "invalid message type"})
 	}
-	if int(pkt.Dst) < 0 || int(pkt.Dst) >= nw.nodes || nw.handlers[pkt.Dst] == nil {
-		panic(&SendError{Pkt: pkt, Reason: "no handler bound for destination"})
+	if int(pkt.Dst) < 0 || int(pkt.Dst) >= nw.nodes {
+		panic(&SendError{Pkt: pkt, Reason: "destination out of range"})
+	}
+	if nw.recv == nil {
+		panic(&SendError{Pkt: pkt, Reason: "no receiver bound"})
 	}
 	nw.seq++
 	wireSeq := nw.seq
 
-	lat := nw.latency
-	switch {
-	case pkt.Ctrl:
+	if pkt.Ctrl {
 		nw.stats.CtrlMessages++
-	default:
+	} else {
 		pkt.Msg.SeqNo = wireSeq
 		nw.stats.MessagesSent++
 		nw.stats.MessagesByType[pkt.Msg.Type]++
@@ -313,80 +294,41 @@ func (nw *Network) SendPacket(pkt Packet) {
 	if pkt.Retx {
 		nw.stats.Retransmits++
 	}
-	if pkt.Src == pkt.Dst {
-		lat = nw.localLat
+
+	// Arrival time: node-local delivery takes a bus transfer and never
+	// touches the wire; structured fabrics route remote packets hop by
+	// hop; the all-to-all wire charges its uniform latency.
+	remote := pkt.Src != pkt.Dst
+	var at sim.Time
+	switch {
+	case !remote:
 		if !pkt.Ctrl {
 			nw.stats.LocalMessages++
 		}
+		at = nw.engine.Now() + nw.localLat
+	case nw.topo.Structured():
+		at = nw.routeDelivery(pkt)
+	default:
+		at = nw.engine.Now() + nw.latency
 	}
 
-	// Structured fabrics route remote messages hop by hop; the fault
-	// injector then judges the end-to-end journey exactly as it judges
-	// an all-to-all flight, so fault plans and the reliable transport
-	// compose unchanged.
-	if nw.topo.Structured() && pkt.Src != pkt.Dst {
-		deliverAt := nw.routeDelivery(pkt)
-		if nw.injector != nil {
-			d := nw.injector.Decide(pkt.Src, pkt.Dst, wireSeq, uint64(nw.engine.Now()))
-			if d.Drop {
-				nw.stats.FaultDropped++
-				return
-			}
-			nw.post(deliverAt+sim.Time(d.JitterNs), pkt)
-			if d.Duplicate {
-				nw.stats.FaultDuplicated++
-				nw.post(deliverAt+sim.Time(d.DupJitterNs), pkt)
-			}
+	// Faulty wire: the injector judges the end-to-end journey of every
+	// remote packet, on any fabric. Jitter may reorder the link; the
+	// reliable transport re-sequences above us.
+	if remote && nw.injector != nil {
+		d := nw.injector.Decide(pkt.Src, pkt.Dst, wireSeq, uint64(nw.engine.Now()))
+		if d.Drop {
+			nw.stats.FaultDropped++
 			return
 		}
-		nw.post(deliverAt, pkt)
-		return
-	}
-
-	// Node-local delivery never touches the wire; faults do not apply.
-	if nw.injector == nil || pkt.Src == pkt.Dst {
-		// FIFO per link: never deliver before the previous message on
-		// the same (src,dst) link.
-		deliverAt := nw.clampFIFO(pkt.Src, pkt.Dst, nw.engine.Now()+lat)
-		nw.post(deliverAt, pkt)
-		return
-	}
-
-	// Faulty wire: the injector decides this packet's fate. Jitter may
-	// reorder the link, so the FIFO clamp is deliberately skipped — the
-	// reliable transport re-sequences above us.
-	d := nw.injector.Decide(pkt.Src, pkt.Dst, wireSeq, uint64(nw.engine.Now()))
-	if d.Drop {
-		nw.stats.FaultDropped++
-		return
-	}
-	nw.post(nw.engine.Now()+lat+sim.Time(d.JitterNs), pkt)
-	if d.Duplicate {
-		nw.stats.FaultDuplicated++
-		nw.post(nw.engine.Now()+lat+sim.Time(d.DupJitterNs), pkt)
-	}
-}
-
-// clampFIFO enforces per-(src,dst)-link FIFO on the all-to-all wire
-// (and on node-local delivery in every topology): a delivery is never
-// scheduled before the previous one on the same link. Dense and sparse
-// storage produce identical clamp values; only the memory shape
-// differs.
-func (nw *Network) clampFIFO(src, dst coherence.NodeID, deliverAt sim.Time) sim.Time {
-	if nw.lastDelivery != nil {
-		link := int(src)*nw.nodes + int(dst)
-		if deliverAt < nw.lastDelivery[link] {
-			deliverAt = nw.lastDelivery[link]
+		nw.post(at+sim.Time(d.JitterNs), pkt)
+		if d.Duplicate {
+			nw.stats.FaultDuplicated++
+			nw.post(at+sim.Time(d.DupJitterNs), pkt)
 		}
-		nw.lastDelivery[link] = deliverAt
-		return deliverAt
+		return
 	}
-	key := uint32(uint16(src))<<16 | uint32(uint16(dst))
-	if last, ok := nw.linkClamp[key]; ok && deliverAt < last {
-		deliverAt = last
-	}
-	nw.linkClamp[key] = deliverAt
-	return deliverAt
+	nw.post(at, pkt)
 }
 
 // routeDelivery walks pkt's dimension-order route, charging NI costs

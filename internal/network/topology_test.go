@@ -18,9 +18,7 @@ func topoNet(t *testing.T, topo string, nodes int) (*sim.Engine, *Network) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < nodes; i++ {
-		nw.Bind(coherence.NodeID(i), func(coherence.Msg) {})
-	}
+	bindMsgs(nw, func(coherence.Msg) {})
 	return &e, nw
 }
 
@@ -45,9 +43,7 @@ func TestMeshHopLatency(t *testing.T) {
 			t.Fatal(err)
 		}
 		var at sim.Time
-		for i := 0; i < 16; i++ {
-			nw.Bind(coherence.NodeID(i), func(coherence.Msg) { at = e.Now() })
-		}
+		bindMsgs(nw, func(coherence.Msg) { at = e.Now() })
 		nw.Send(coherence.Msg{Src: c.src, Dst: c.dst, Type: coherence.GetROReq, Addr: 0x40})
 		if _, err := e.Run(0); err != nil {
 			t.Fatal(err)
@@ -66,7 +62,7 @@ func TestTorusWrapsShorter(t *testing.T) {
 	deliver := func(topo string) sim.Time {
 		e, nw := topoNet(t, topo, 16)
 		var at sim.Time
-		nw.Bind(3, func(coherence.Msg) { at = e.Now() })
+		bindMsgs(nw, func(coherence.Msg) { at = e.Now() })
 		nw.Send(coherence.Msg{Src: 0, Dst: 3, Type: coherence.GetROReq, Addr: 0x40})
 		if _, err := e.Run(0); err != nil {
 			t.Fatal(err)
@@ -85,8 +81,13 @@ func TestTorusWrapsShorter(t *testing.T) {
 func TestLinkContentionSerializes(t *testing.T) {
 	e, nw := topoNet(t, "mesh", 16)
 	var at1, at2 sim.Time
-	nw.Bind(2, func(coherence.Msg) { at1 = e.Now() })
-	nw.Bind(6, func(coherence.Msg) { at2 = e.Now() })
+	bindMsgs(nw, func(m coherence.Msg) {
+		if m.Dst == 2 {
+			at1 = e.Now()
+		} else {
+			at2 = e.Now()
+		}
+	})
 	// 0->2 routes east-east along row 0; 0->6 (east-east-south) shares
 	// both east links with it.
 	nw.Send(coherence.Msg{Src: 0, Dst: 2, Type: coherence.GetROReq, Addr: 0x40})
@@ -111,7 +112,7 @@ func TestLinkContentionSerializes(t *testing.T) {
 func TestMeshSameLinkFIFO(t *testing.T) {
 	e, nw := topoNet(t, "mesh", 16)
 	var got []coherence.Addr
-	nw.Bind(15, func(m coherence.Msg) { got = append(got, m.Addr) })
+	bindMsgs(nw, func(m coherence.Msg) { got = append(got, m.Addr) })
 	for i := 1; i <= 32; i++ {
 		nw.Send(coherence.Msg{Src: 0, Dst: 15, Type: coherence.GetROReq, Addr: coherence.Addr(i * 64)})
 	}
@@ -141,9 +142,7 @@ func TestTopologyWithFaultsComposes(t *testing.T) {
 		t.Fatal(err)
 	}
 	delivered := 0
-	for i := 0; i < 16; i++ {
-		nw.BindPacket(coherence.NodeID(i), func(Packet) { delivered++ })
-	}
+	nw.Bind(func(Packet) { delivered++ })
 	const sent = 2000
 	for i := 0; i < sent; i++ {
 		nw.SendPacket(Packet{
@@ -165,32 +164,5 @@ func TestTopologyWithFaultsComposes(t *testing.T) {
 	}
 	if nw.InFlight() != 0 {
 		t.Errorf("%d packets still in flight after quiesce", nw.InFlight())
-	}
-}
-
-// TestSparseClampMatchesDense runs the same all-to-all delivery
-// schedule on a 64-node net (dense clamp) and checks a >64-node net
-// (sparse clamp) delivers the shared prefix at identical times.
-func TestSparseClampMatchesDense(t *testing.T) {
-	run := func(nodes int) []sim.Time {
-		e, nw := topoNet(t, "", nodes)
-		var times []sim.Time
-		nw.Bind(1, func(coherence.Msg) { times = append(times, e.Now()) })
-		for i := 0; i < 40; i++ {
-			nw.Send(coherence.Msg{Src: coherence.NodeID(i % 8), Dst: 1, Type: coherence.GetROReq, Addr: 0x40})
-		}
-		if _, err := e.Run(0); err != nil {
-			t.Fatal(err)
-		}
-		return times
-	}
-	dense, sparse := run(64), run(128)
-	if len(dense) != len(sparse) {
-		t.Fatalf("delivery counts differ: %d vs %d", len(dense), len(sparse))
-	}
-	for i := range dense {
-		if dense[i] != sparse[i] {
-			t.Fatalf("delivery %d at %v (dense) vs %v (sparse)", i, dense[i], sparse[i])
-		}
 	}
 }

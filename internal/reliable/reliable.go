@@ -20,7 +20,6 @@ package reliable
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/cosmos-coherence/cosmos/internal/coherence"
 	"github.com/cosmos-coherence/cosmos/internal/network"
@@ -84,7 +83,8 @@ type Stats struct {
 	AcksRecv uint64
 }
 
-// outstanding is one unacknowledged frame at the sender.
+// outstanding is one unacknowledged frame at the sender, stored by
+// value in its link's send window.
 type outstanding struct {
 	msg     coherence.Msg
 	retries int
@@ -99,9 +99,14 @@ type outstanding struct {
 type link struct {
 	src, dst coherence.NodeID
 
-	// Sender side.
+	// Sender side. Acks are cumulative, so the unacknowledged frames
+	// are always the contiguous range (acked, nextSend]. window is a
+	// power-of-two ring holding frame ts at ts&(len-1); it doubles only
+	// when every slot is unacknowledged, so its size stays within twice
+	// the deepest run of frames in flight on this link.
 	nextSend uint64 // last assigned sequence number (first frame is 1)
-	unacked  map[uint64]*outstanding
+	acked    uint64 // highest cumulative ack received
+	window   []outstanding
 
 	// Receiver side.
 	delivered uint64 // highest sequence released in order
@@ -118,8 +123,9 @@ type Inflight struct {
 }
 
 // Transport provides reliable exactly-once in-order delivery over a
-// faulty network. It implements the stache.Sender interface; bind
-// upper-layer handlers with Bind instead of network.Bind.
+// faulty network. It implements the stache.Sender interface. It is the
+// network's one receiver; upper layers bind a handler per node with
+// Transport.Bind.
 type Transport struct {
 	engine     *sim.Engine
 	net        *network.Network
@@ -127,7 +133,7 @@ type Transport struct {
 	timeout    sim.Time // initial retransmit timeout
 	backoffCap sim.Time // upper bound on the doubled backoff
 	maxRetries int
-	handlers   []network.Handler
+	handlers   []func(coherence.Msg)
 	links      []*link
 	stats      Stats
 	onFailure  func(error)
@@ -136,18 +142,13 @@ type Transport struct {
 	// EventRec carries the link (Src, Dst) and frame number (Seq), so
 	// arming a timer allocates nothing.
 	kindRetx sim.EventKind
-	// outFree recycles retransmit records: acknowledged frames return
-	// their *outstanding here and the next Send reuses it, so a steady
-	// stream of frames stops allocating once the high-water mark of
-	// concurrently unacked frames has been reached.
-	outFree []*outstanding
 }
 
-// New layers a reliable transport over nw, claiming every node's
-// packet handler. Upper layers must bind through Transport.Bind. The
-// retransmit timeout and retry cap come from cfg (RetxTimeoutNs,
-// RetxMaxRetries), with defaults derived from the message latency and
-// the fault plan's jitter bound.
+// New layers a reliable transport over nw, binding itself as the
+// network's receiver (network.Bind). Upper layers must bind through
+// Transport.Bind. The retransmit timeout and retry cap come from cfg
+// (RetxTimeoutNs, RetxMaxRetries), with defaults derived from the
+// message latency and the fault plan's jitter bound.
 func New(engine *sim.Engine, nw *network.Network, cfg sim.Config) *Transport {
 	timeout := cfg.RetxTimeoutNs
 	if timeout == 0 {
@@ -177,19 +178,16 @@ func New(engine *sim.Engine, nw *network.Network, cfg sim.Config) *Transport {
 		timeout:    timeout,
 		backoffCap: backoffCap,
 		maxRetries: maxRetries,
-		handlers:   make([]network.Handler, nw.Nodes()),
+		handlers:   make([]func(coherence.Msg), nw.Nodes()),
 		links:      make([]*link, nw.Nodes()*nw.Nodes()),
 	}
 	t.kindRetx = engine.RegisterHandler(t.handleRetx)
-	for i := 0; i < t.nodes; i++ {
-		node := coherence.NodeID(i)
-		nw.BindPacket(node, t.receive)
-	}
+	nw.Bind(t.receive)
 	return t
 }
 
 // Bind installs the upper-layer (protocol) handler for node id.
-func (t *Transport) Bind(id coherence.NodeID, h network.Handler) {
+func (t *Transport) Bind(id coherence.NodeID, h func(coherence.Msg)) {
 	t.handlers[int(id)] = h
 }
 
@@ -211,12 +209,7 @@ func (t *Transport) linkFor(src, dst coherence.NodeID) *link {
 	l := t.links[i]
 	if l == nil {
 		//cosmosvet:allow hotpath one-time link state creation on first use of a (src, dst) pair
-		l = &link{
-			src:     src,
-			dst:     dst,
-			unacked: make(map[uint64]*outstanding),
-			held:    make(map[uint64]coherence.Msg),
-		}
+		l = &link{src: src, dst: dst, held: make(map[uint64]coherence.Msg)}
 		t.links[i] = l
 	}
 	return l
@@ -239,10 +232,8 @@ func (t *Transport) Undelivered() int {
 		// Frames held in the reorder buffer are still unacknowledged too
 		// (cumulative acks cover only released frames), so counting
 		// unacked frames beyond the release point covers both kinds.
-		for ts := range l.unacked {
-			if ts > l.delivered {
-				n++
-			}
+		if lo := max(l.acked, l.delivered); l.nextSend > lo {
+			n += int(l.nextSend - lo)
 		}
 	}
 	return n
@@ -256,13 +247,8 @@ func (t *Transport) Inflight() []Inflight {
 		if l == nil {
 			continue
 		}
-		seqs := make([]uint64, 0, len(l.unacked))
-		for ts := range l.unacked {
-			seqs = append(seqs, ts)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, ts := range seqs {
-			o := l.unacked[ts]
+		for ts := l.acked + 1; ts <= l.nextSend; ts++ {
+			o := l.frame(ts)
 			out = append(out, Inflight{
 				Src: l.src, Dst: l.dst, TSeq: ts,
 				Retries: o.retries, SentAt: o.sentAt, Msg: o.msg,
@@ -272,9 +258,30 @@ func (t *Transport) Inflight() []Inflight {
 	return out
 }
 
+// frame returns the send-window slot of unacknowledged frame ts.
+//
+//cosmosvet:hotpath
+func (l *link) frame(ts uint64) *outstanding {
+	return &l.window[ts&uint64(len(l.window)-1)]
+}
+
+// grow doubles the send window, re-placing every unacknowledged frame
+// at its slot in the larger ring.
+//
+//cosmosvet:hotpath
+func (l *link) grow() {
+	//cosmosvet:allow hotpath amortized send-window growth; the ring doubles only when every slot holds an unacknowledged frame
+	w := make([]outstanding, max(4, 2*len(l.window)))
+	for ts := l.acked + 1; ts <= l.nextSend; ts++ {
+		w[ts&uint64(len(w)-1)] = *l.frame(ts)
+	}
+	l.window = w
+}
+
 // Send implements stache.Sender: the message is sequenced on its link,
-// buffered for retransmission, and injected. Node-local messages never
-// touch the wire and bypass sequencing entirely.
+// buffered in the link's send window for retransmission, and injected.
+// Node-local messages never touch the wire and bypass sequencing
+// entirely.
 //
 //cosmosvet:hotpath
 func (t *Transport) Send(msg coherence.Msg) {
@@ -283,30 +290,15 @@ func (t *Transport) Send(msg coherence.Msg) {
 		return
 	}
 	l := t.linkFor(msg.Src, msg.Dst)
+	if l.nextSend-l.acked == uint64(len(l.window)) {
+		l.grow()
+	}
 	l.nextSend++
 	ts := l.nextSend
-	o := t.getOutstanding()
-	o.msg, o.backoff, o.sentAt = msg, t.timeout, t.engine.Now()
-	l.unacked[ts] = o
+	*l.frame(ts) = outstanding{msg: msg, backoff: t.timeout, sentAt: t.engine.Now()}
 	t.stats.DataSent++
 	t.net.SendPacket(network.Packet{Src: msg.Src, Dst: msg.Dst, Msg: msg, TSeq: ts})
 	t.armTimer(l, ts)
-}
-
-// getOutstanding takes a retransmit record from the free list, or
-// allocates one the first time the in-flight window grows this deep.
-//
-//cosmosvet:hotpath
-func (t *Transport) getOutstanding() *outstanding {
-	if n := len(t.outFree); n > 0 {
-		o := t.outFree[n-1]
-		t.outFree[n-1] = nil
-		t.outFree = t.outFree[:n-1]
-		*o = outstanding{}
-		return o
-	}
-	//cosmosvet:allow hotpath retransmit-record arena growth; acked frames recycle through outFree
-	return &outstanding{}
 }
 
 // armTimer schedules the retransmit check for frame ts on l, using the
@@ -314,7 +306,7 @@ func (t *Transport) getOutstanding() *outstanding {
 //
 //cosmosvet:hotpath
 func (t *Transport) armTimer(l *link, ts uint64) {
-	t.engine.PostAfter(l.unacked[ts].backoff, sim.EventRec{
+	t.engine.PostAfter(l.frame(ts).backoff, sim.EventRec{
 		Kind: t.kindRetx, Src: l.src, Dst: l.dst, Seq: ts,
 	})
 }
@@ -329,11 +321,13 @@ func (t *Transport) handleRetx(rec sim.EventRec) {
 
 // timerFired retransmits frame ts if it is still unacknowledged,
 // doubling its backoff; after maxRetries the link is declared dead.
+//
+//cosmosvet:hotpath
 func (t *Transport) timerFired(l *link, ts uint64) {
-	o, ok := l.unacked[ts]
-	if !ok || t.failure != nil {
+	if ts <= l.acked || t.failure != nil {
 		return // acked meanwhile, or the run is already failing
 	}
+	o := l.frame(ts)
 	if o.retries >= t.maxRetries {
 		//cosmosvet:allow hotpath link-death diagnostic; the run is already failing
 		t.fail(&LinkDeadError{
@@ -363,9 +357,11 @@ func (t *Transport) fail(err error) {
 	}
 }
 
-// receive is the packet handler bound on every node: acks retire
-// sender-side state; data frames are deduplicated, released in order,
-// and cumulatively acknowledged.
+// receive is the network's receiver: acks retire sender-side state;
+// data frames are deduplicated, released in order, and cumulatively
+// acknowledged.
+//
+//cosmosvet:hotpath
 func (t *Transport) receive(pkt network.Packet) {
 	if pkt.Ctrl {
 		t.handleAck(pkt)
@@ -419,14 +415,15 @@ func (t *Transport) release(l *link, msg coherence.Msg) {
 }
 
 // handleAck retires every unacknowledged frame covered by a cumulative
-// ack. The ack for link src->dst travels dst->src.
+// ack by advancing the window past it; a stale ack (one at or below an
+// ack already seen) retires nothing. The ack for link src->dst travels
+// dst->src.
+//
+//cosmosvet:hotpath
 func (t *Transport) handleAck(pkt network.Packet) {
 	t.stats.AcksRecv++
 	l := t.linkFor(pkt.Dst, pkt.Src)
-	for ts, o := range l.unacked {
-		if ts <= pkt.TSeq {
-			delete(l.unacked, ts)
-			t.outFree = append(t.outFree, o)
-		}
+	if pkt.TSeq > l.acked {
+		l.acked = pkt.TSeq
 	}
 }

@@ -331,3 +331,76 @@ func TestRetryExhaustionIsTypedError(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleAckRetiresNothing delivers a cumulative ack below one
+// already received: it must not reopen the acknowledged prefix of the
+// send window. Frames 1-3 cross the wire and are acked; frames 4-5 hit
+// a blackout; then a forged copy of the first ack (TSeq 1) arrives
+// after the ack of frame 3.
+func TestStaleAckRetiresNothing(t *testing.T) {
+	engine := &sim.Engine{}
+	cfg := sim.DefaultConfig()
+	cfg.Faults = faults.Plan{Seed: 1, Blackouts: []faults.Blackout{{Src: 0, Dst: 1, FromNs: 50}}}
+	cfg.RetxTimeoutNs = 1000
+	cfg.RetxBackoffCapNs = 1 << 20
+	cfg.RetxMaxRetries = 2
+	nw, err := network.New(engine, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := New(engine, nw, cfg)
+	delivered := 0
+	tr.Bind(0, func(coherence.Msg) {})
+	tr.Bind(1, func(coherence.Msg) { delivered++ })
+	send := engine.RegisterHandler(func(rec sim.EventRec) { tr.Send(rec.Msg) })
+	for i := 1; i <= 5; i++ {
+		at := sim.Time(0)
+		if i > 3 {
+			at = 100 // inside the blackout
+		}
+		engine.Post(at, sim.EventRec{Kind: send,
+			Msg: coherence.Msg{Src: 0, Dst: 1, Type: coherence.GetROReq, Addr: coherence.Addr(i * 64)}})
+	}
+	// The acks of frames 1-3 reach node 0 at t=320; the stale one lands
+	// at t=560, before any retransmit timer fires (t=1000 and t=1100).
+	stale := engine.RegisterHandler(func(sim.EventRec) {
+		nw.SendPacket(network.Packet{Src: 1, Dst: 0, Ctrl: true, TSeq: 1})
+	})
+	engine.Post(400, sim.EventRec{Kind: stale})
+
+	check := func(when string, retries int, retransmits uint64) {
+		t.Helper()
+		if got := tr.Undelivered(); got != 2 {
+			t.Errorf("%s: Undelivered = %d, want 2 (frames 4 and 5)", when, got)
+		}
+		inf := tr.Inflight()
+		if len(inf) != 2 || inf[0].TSeq != 4 || inf[1].TSeq != 5 {
+			t.Fatalf("%s: Inflight = %+v, want frames 4 then 5", when, inf)
+		}
+		for _, f := range inf {
+			if f.Src != 0 || f.Dst != 1 || f.Retries != retries || f.SentAt != 100 || f.Msg.Addr != coherence.Addr(f.TSeq*64) {
+				t.Errorf("%s: in-flight frame %+v, want link P0->P1, %d retries, sent at 100", when, f, retries)
+			}
+		}
+		if got := tr.Stats().Retransmits; got != retransmits {
+			t.Errorf("%s: Retransmits = %d, want %d", when, got, retransmits)
+		}
+	}
+
+	engine.RunUntil(700)
+	if st := tr.Stats(); st.AcksRecv != 4 || delivered != 3 {
+		t.Fatalf("AcksRecv = %d, delivered = %d; want 4 acks (one stale) and 3 frames", st.AcksRecv, delivered)
+	}
+	check("after the stale ack", 0, 0)
+	// Frames 1-3's timers fire at t=1000 and must find them acked.
+	engine.RunUntil(1150)
+	check("after the first timeouts", 1, 2)
+	if _, err := engine.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	var dead *LinkDeadError
+	if !errors.As(tr.Err(), &dead) || dead.TSeq != 4 {
+		t.Fatalf("Err = %v, want frame 4's link death", tr.Err())
+	}
+	check("at link death", 2, 4)
+}

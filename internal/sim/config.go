@@ -41,9 +41,6 @@ type Config struct {
 	// FIFO contention (messages sharing a directed link serialize).
 	// internal/topology parses the value; network.New applies it.
 	Topology string
-	// ProtocolOccupancyNs approximates the software protocol handler
-	// occupancy per message (Stache runs coherence in software).
-	ProtocolOccupancyNs Time
 
 	// Faults configures interconnect fault injection (drops,
 	// duplication, jitter, link blackouts). The zero value is a
@@ -96,19 +93,18 @@ type Config struct {
 // and 60 ns NI access.
 func DefaultConfig() Config {
 	return Config{
-		Nodes:               16,
-		ProcessorHz:         1_000_000_000,
-		CacheBlockBytes:     64,
-		CacheBytes:          1 << 20,
-		CacheAssoc:          1,
-		PageBytes:           4096,
-		MemoryAccessNs:      120,
-		BusWidthBits:        256,
-		BusClockHz:          250_000_000,
-		NetworkMsgBytes:     256,
-		NetworkLatencyNs:    40,
-		NIAccessNs:          60,
-		ProtocolOccupancyNs: 100,
+		Nodes:            16,
+		ProcessorHz:      1_000_000_000,
+		CacheBlockBytes:  64,
+		CacheBytes:       1 << 20,
+		CacheAssoc:       1,
+		PageBytes:        4096,
+		MemoryAccessNs:   120,
+		BusWidthBits:     256,
+		BusClockHz:       250_000_000,
+		NetworkMsgBytes:  256,
+		NetworkLatencyNs: 40,
+		NIAccessNs:       60,
 		// 5 ms of simulated time without a single access completion is
 		// orders of magnitude beyond any healthy transaction on this
 		// machine; treat it as a stall.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -69,6 +70,81 @@ func inOrder(app App) [][][]Access {
 	return out
 }
 
+// allocsThrough runs f once with every allocation sampled and returns
+// how many objects were allocated on stacks passing through fn.
+// testing.AllocsPerRun counts mallocs process-wide, so an allocation
+// by another goroutine during f — the test framework's, the race
+// runtime's — would be charged to f; here only f's own call chain into
+// fn counts.
+func allocsThrough(fn any, f func()) int64 {
+	name := runtime.FuncForPC(reflect.ValueOf(fn).Pointer()).Name()
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	// A heap profile publishes allocations at the end of a GC cycle, so
+	// a collection on each side brackets exactly f's allocations.
+	runtime.GC()
+	before := profiledAllocs(name)
+	f()
+	runtime.GC()
+	return profiledAllocs(name) - before
+}
+
+// profiledAllocs sums the cumulative allocation counts of every heap
+// profile record whose stack passes through the function named name.
+func profiledAllocs(name string) int64 {
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	var total int64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			fr, more := frames.Next()
+			if fr.Function == name {
+				total += r.AllocObjects
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return total
+}
+
+// allocSink keeps allocOne's result on the heap.
+var allocSink []byte
+
+//go:noinline
+func allocOne() { allocSink = make([]byte, 64) }
+
+// TestAllocsThroughCountsOnlyItsStack: allocsThrough counts an
+// allocation made through the named function and none made by another
+// goroutine while f runs — the property that keeps the zero-allocation
+// sweep test independent of whatever else the process does.
+func TestAllocsThroughCountsOnlyItsStack(t *testing.T) {
+	if n := allocsThrough(allocOne, allocOne); n != 1 {
+		t.Errorf("allocsThrough(allocOne) = %d, want 1", n)
+	}
+	n := allocsThrough(allocOne, func() {
+		done := make(chan [][]byte)
+		go func() {
+			var garbage [][]byte
+			for i := 0; i < 100; i++ {
+				garbage = append(garbage, make([]byte, 64))
+			}
+			done <- garbage
+		}()
+		<-done
+	})
+	if n != 0 {
+		t.Errorf("allocsThrough charged %d allocations of another goroutine", n)
+	}
+}
+
 // TestAppendAccessesAllocationFree: once a generator's scratch, epoch
 // memo and the caller's buffer have grown, a full sweep over every
 // (processor, phase) allocates nothing.
@@ -76,8 +152,8 @@ func TestAppendAccessesAllocationFree(t *testing.T) {
 	for _, app := range paperAppenders(t, 64, ScaleMedium) {
 		t.Run(app.Name(), func(t *testing.T) {
 			buf := sweep(app, nil)
-			if n := testing.AllocsPerRun(1, func() { buf = sweep(app, buf) }); n != 0 {
-				t.Errorf("second sweep allocated %v times", n)
+			if n := allocsThrough(sweep, func() { buf = sweep(app, buf) }); n != 0 {
+				t.Errorf("second sweep allocated %d times", n)
 			}
 		})
 	}
