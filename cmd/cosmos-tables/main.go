@@ -44,8 +44,10 @@ import (
 	"github.com/cosmos-coherence/cosmos/internal/topology"
 )
 
-// extraNames is the single source of truth for the -extra experiments:
-// the flag help and the name validation are both derived from it.
+// extraNames lists the -extra experiments for the flag help and the
+// name validation. Each name is spelled again where run renders it
+// (the scalesweep branch, or a wantX call); TestSingleSelections checks
+// that every one of them renders a block of the default output.
 var extraNames = []string{
 	"latency", "adapt", "directed", "halfmig", "filterdepth", "variants",
 	"replacement", "accelerate", "pag", "states", "forwarding", "faultsweep",

@@ -81,6 +81,50 @@ func TestOutputWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestSingleSelections runs every single -table, -figure and -extra
+// selection of the default render alone at small scale. Each must print
+// a non-empty block that appears verbatim in testdata/small.golden, so
+// a selection that renders nothing (say, an extraNames entry whose
+// wantX string is misspelled) or renders differently alone fails here.
+// scalesweep is not part of the default render and is left out.
+func TestSingleSelections(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders every selection of the small-scale evaluation")
+	}
+	golden, err := os.ReadFile("testdata/small.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sels [][]string
+	for n := 3; n <= 8; n++ {
+		sels = append(sels, []string{"-table", fmt.Sprint(n)})
+	}
+	for n := 5; n <= 8; n++ {
+		sels = append(sels, []string{"-figure", fmt.Sprint(n)})
+	}
+	for _, x := range extraNames {
+		if x != "scalesweep" {
+			sels = append(sels, []string{"-extra", x})
+		}
+	}
+	// One cache across the selections, so each benchmark simulates once.
+	dir := t.TempDir()
+	for _, sel := range sels {
+		t.Run(sel[0][1:]+"-"+sel[1], func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := run(&buf, append([]string{"-scale", "small", "-workers", "2", "-trace-cache", dir}, sel...)); err != nil {
+				t.Fatal(err)
+			}
+			if len(bytes.TrimSpace(buf.Bytes())) == 0 {
+				t.Fatalf("%v printed nothing", sel)
+			}
+			if !bytes.Contains(golden, buf.Bytes()) {
+				t.Errorf("%v printed a block not found in testdata/small.golden:\n%s", sel, buf.Bytes())
+			}
+		})
+	}
+}
+
 // TestOutputCacheInvariance is the trace cache's end-to-end
 // byte-identity check: rendering with no cache, with a cold cache
 // (which simulates and stores), and with the now-warm cache (which

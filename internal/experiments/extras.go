@@ -53,20 +53,15 @@ type AblationRow struct {
 func HalfMigratoryAblation(s *Suite) ([]AblationRow, error) {
 	return sweep(s, []bool{true, false}, func(c *Config, hm bool) { c.Stache.HalfMigratory = hm },
 		func(v *Suite, hm bool, app string) (AblationRow, error) {
-			tr, err := v.Trace(app)
-			if err != nil {
-				return AblationRow{}, err
-			}
 			res, err := v.Evaluate(app, core.Config{Depth: 1}, stats.Options{})
 			if err != nil {
 				return AblationRow{}, err
 			}
-			_, dir := tr.CountBySide()
 			return AblationRow{
 				App:           app,
 				HalfMigratory: hm,
 				Overall:       100 * res.Overall.Accuracy(),
-				DirMessages:   dir,
+				DirMessages:   res.Dir.Total,
 			}, nil
 		})
 }
@@ -153,16 +148,6 @@ func Replacement(s *Suite, cacheBlocks, assoc int) ([]ReplacementRow, error) {
 	// One cell per (bounded, app); a bounded cell yields the persistent
 	// row and then the forgetting row over the same trace.
 	cells, err := sweep(s, []bool{false, true}, edit, func(v *Suite, bounded bool, app string) ([]ReplacementRow, error) {
-		tr, err := v.Trace(app)
-		if err != nil {
-			return nil, err
-		}
-		var writebacks uint64
-		for _, rec := range tr.Records {
-			if rec.Type == coherence.WritebackReq {
-				writebacks++
-			}
-		}
 		forgets, blocks := []bool{false}, 0
 		if bounded {
 			forgets, blocks = []bool{false, true}, cacheBlocks
@@ -178,8 +163,8 @@ func Replacement(s *Suite, cacheBlocks, assoc int) ([]ReplacementRow, error) {
 				CacheBlocks:       blocks,
 				ForgetOnWriteback: forget,
 				Overall:           100 * res.Overall.Accuracy(),
-				Writebacks:        writebacks,
-				Messages:          uint64(len(tr.Records)),
+				Writebacks:        res.Types[coherence.WritebackReq].Total,
+				Messages:          res.Overall.Total,
 			})
 		}
 		return rows, nil
@@ -211,10 +196,6 @@ type ForwardingRow struct {
 func ForwardingComparison(s *Suite) ([]ForwardingRow, error) {
 	return sweep(s, []bool{false, true}, func(c *Config, fwd bool) { c.Stache.Forwarding = fwd },
 		func(v *Suite, fwd bool, app string) (ForwardingRow, error) {
-			tr, err := v.Trace(app)
-			if err != nil {
-				return ForwardingRow{}, err
-			}
 			res, err := v.Evaluate(app, core.Config{Depth: 1}, stats.Options{})
 			if err != nil {
 				return ForwardingRow{}, err
@@ -225,7 +206,7 @@ func ForwardingComparison(s *Suite) ([]ForwardingRow, error) {
 				Cache:      100 * res.Cache.Accuracy(),
 				Dir:        100 * res.Dir.Accuracy(),
 				Overall:    100 * res.Overall.Accuracy(),
-				Messages:   uint64(len(tr.Records)),
+				Messages:   res.Overall.Total,
 			}, nil
 		})
 }

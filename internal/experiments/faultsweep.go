@@ -34,8 +34,8 @@ type FaultRow struct {
 // probability with the reliable transport repairing the wire (losses
 // become retransmission latency, not protocol errors), and the
 // captured trace is evaluated with a depth-1 filterless Cosmos. A
-// point whose plan injects nothing reads its variant's memoized trace
-// and evaluation instead, and reports zero transport counters.
+// point whose plan injects nothing reads its variant's memoized
+// evaluation instead, and reports zero transport counters.
 //
 // The paper assumes a reliable FIFO network (Section 5.1); this sweep
 // tests the robustness of its accuracy claims when that assumption is
@@ -47,17 +47,13 @@ func FaultSweep(s *Suite, dropProbs []float64, seed uint64) ([]FaultRow, error) 
 	edit := func(c *Config, p float64) { c.Machine.Faults = faults.Plan{Seed: seed, DropProb: p} }
 	return sweep(s, dropProbs, edit, func(v *Suite, p float64, name string) (FaultRow, error) {
 		row := FaultRow{App: name, DropProb: p}
-		var tr *trace.Trace
 		var res *stats.Result
 		var err error
 		if !v.cfg.Machine.Faults.Enabled() {
 			// A fault-free wire keeps the reliable transport out of the
-			// message flow, so there is nothing to count, and the trace
-			// is the variant's memoized one: under default flags, the
-			// suite's own.
-			if tr, err = v.Trace(name); err != nil {
-				return row, err
-			}
+			// message flow, so there is nothing to count, and the
+			// evaluation is the variant's memoized one: under default
+			// flags, the suite's own.
 			if res, err = v.Evaluate(name, core.Config{Depth: 1}, stats.Options{}); err != nil {
 				return row, err
 			}
@@ -72,15 +68,14 @@ func FaultSweep(s *Suite, dropProbs []float64, seed uint64) ([]FaultRow, error) 
 			if err != nil {
 				return row, fmt.Errorf("experiments: faultsweep at drop %.3f: %w", p, err)
 			}
-			tr = rec.Trace()
-			if res, err = stats.Evaluate(tr, core.Config{Depth: 1}, stats.Options{}); err != nil {
+			if res, err = stats.Evaluate(rec.Trace(), core.Config{Depth: 1}, stats.Options{}); err != nil {
 				return row, err
 			}
 			ns := m.Network().Stats()
 			row.Dropped, row.Duplicated, row.Retransmits = ns.FaultDropped, ns.FaultDuplicated, ns.Retransmits
 		}
 		row.Overall = 100 * res.Overall.Accuracy()
-		row.Messages = uint64(len(tr.Records))
+		row.Messages = res.Overall.Total
 		return row, nil
 	})
 }

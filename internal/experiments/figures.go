@@ -75,12 +75,6 @@ func SignaturePanels(s *Suite, apps []string, topN int) ([][]SignatureRow, error
 	})
 }
 
-// classifier is the optional introspection interface of the Figure 8
-// detectors.
-type classifier interface {
-	ClassifiedBlocks() int
-}
-
 // DirectedEval is one predictor's performance over one side of a trace.
 type DirectedEval struct {
 	Name string
@@ -97,39 +91,18 @@ type DirectedEval struct {
 	Classified int
 }
 
-// evalDirected runs one predictor instance per node over the given
-// side of a trace.
-func evalDirected(tr *trace.Trace, side trace.Side, name string, mk func() directed.MessagePredictor) DirectedEval {
-	preds := make([]directed.MessagePredictor, tr.Nodes)
-	for i := range preds {
-		preds[i] = mk()
+// evalDirected scores one predictor per node over the given side of a
+// trace.
+func evalDirected(tr *trace.Trace, workers int, side trace.Side, name string, mk func() directed.MessagePredictor) DirectedEval {
+	// mk cannot fail, so neither can the scorer.
+	sc, _ := scoreSlots(tr, workers, []trace.Side{side}, func() (directed.MessagePredictor, error) { return mk(), nil })
+	out := DirectedEval{Name: name, Classified: sc.classified}
+	if sc.total > 0 {
+		out.Coverage = float64(sc.ventured) / float64(sc.total)
+		out.Accuracy = float64(sc.hits) / float64(sc.total)
 	}
-	var total, ventured, hits uint64
-	for _, rec := range tr.Records {
-		if rec.Side != side {
-			continue
-		}
-		total++
-		_, predicted, correct := preds[rec.Node].Observe(rec.Addr, rec.Tuple())
-		if predicted {
-			ventured++
-		}
-		if correct {
-			hits++
-		}
-	}
-	out := DirectedEval{Name: name}
-	if total > 0 {
-		out.Coverage = float64(ventured) / float64(total)
-		out.Accuracy = float64(hits) / float64(total)
-	}
-	if ventured > 0 {
-		out.AccuracyWhenPredicting = float64(hits) / float64(ventured)
-	}
-	for _, p := range preds {
-		if c, ok := p.(classifier); ok {
-			out.Classified += c.ClassifiedBlocks()
-		}
+	if sc.ventured > 0 {
+		out.AccuracyWhenPredicting = float64(sc.hits) / float64(sc.ventured)
 	}
 	return out
 }
@@ -166,9 +139,9 @@ func RunFigure8(s *Suite) (*Figure8Result, error) {
 	}
 
 	return &Figure8Result{
-		Migratory: evalDirected(migTr, trace.DirectorySide, "migratory",
+		Migratory: evalDirected(migTr, s.workers, trace.DirectorySide, "migratory",
 			func() directed.MessagePredictor { return directed.NewMigratory() }),
-		DSI: evalDirected(pcTr, trace.CacheSide, "self-invalidation",
+		DSI: evalDirected(pcTr, s.workers, trace.CacheSide, "self-invalidation",
 			func() directed.MessagePredictor { return directed.NewSelfInvalidation() }),
 	}, nil
 }
@@ -196,7 +169,7 @@ func DirectedComparison(s *Suite) ([]DirectedComparisonRow, error) {
 	}
 	var cells []cell
 	for _, app := range s.Apps() {
-		for _, side := range []trace.Side{trace.CacheSide, trace.DirectorySide} {
+		for _, side := range bothSides {
 			cells = append(cells, cell{app: app, side: side})
 		}
 	}
@@ -208,24 +181,24 @@ func DirectedComparison(s *Suite) ([]DirectedComparisonRow, error) {
 		}
 		row := DirectedComparisonRow{App: app, Side: side}
 		row.Evals = append(row.Evals,
-			evalDirected(tr, side, "cosmos-d1", func() directed.MessagePredictor {
+			evalDirected(tr, s.workers, side, "cosmos-d1", func() directed.MessagePredictor {
 				return core.MustNew(core.Config{Depth: 1})
 			}),
-			evalDirected(tr, side, "cosmos-d3", func() directed.MessagePredictor {
+			evalDirected(tr, s.workers, side, "cosmos-d3", func() directed.MessagePredictor {
 				return core.MustNew(core.Config{Depth: 3})
 			}),
-			evalDirected(tr, side, "last-tuple", func() directed.MessagePredictor {
+			evalDirected(tr, s.workers, side, "last-tuple", func() directed.MessagePredictor {
 				return directed.NewLastTuple()
 			}),
-			evalDirected(tr, side, "most-common", func() directed.MessagePredictor {
+			evalDirected(tr, s.workers, side, "most-common", func() directed.MessagePredictor {
 				return directed.NewMostCommon()
 			}),
 		)
 		if side == trace.DirectorySide {
-			row.Evals = append(row.Evals, evalDirected(tr, side, "migratory",
+			row.Evals = append(row.Evals, evalDirected(tr, s.workers, side, "migratory",
 				func() directed.MessagePredictor { return directed.NewMigratory() }))
 		} else {
-			row.Evals = append(row.Evals, evalDirected(tr, side, "self-invalidation",
+			row.Evals = append(row.Evals, evalDirected(tr, s.workers, side, "self-invalidation",
 				func() directed.MessagePredictor { return directed.NewSelfInvalidation() }))
 		}
 		return row, nil

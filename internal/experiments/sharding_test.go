@@ -5,19 +5,21 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/cosmos-coherence/cosmos/internal/core"
+	"github.com/cosmos-coherence/cosmos/internal/directed"
 	"github.com/cosmos-coherence/cosmos/internal/stats"
 	"github.com/cosmos-coherence/cosmos/internal/trace"
 	"github.com/cosmos-coherence/cosmos/internal/workload"
 )
 
 // TestShardedEvaluateEquivalence is the slot-sharding regression test:
-// for every workload and every predictor variant the evaluators drive,
-// the sharded path at 1, 2 and 8 workers must DeepEqual the serial
-// arrival-order walk (for Cosmos, the streamed walk of
-// stats.EvaluateStream). This is the exactness claim slot sharding
+// for every workload and every predictor family the evaluators drive,
+// the sharded path at 1, 2 and 8 workers must equal the serial
+// arrival-order walk (for the stats bank, the streamed walk of
+// stats.EvaluateStream; for scoreSlots, serialScore). This is the exactness claim slot sharding
 // rests on — predictor state never crosses a (node, side) slot
 // boundary, so sharding may never change a single counter.
 func TestShardedEvaluateEquivalence(t *testing.T) {
@@ -28,6 +30,7 @@ func TestShardedEvaluateEquivalence(t *testing.T) {
 	cfg.Scale = workload.ScaleSmall
 	s := NewSuite(cfg)
 
+	var seen slotScore
 	for _, app := range s.Apps() {
 		tr, err := s.Trace(app)
 		if err != nil {
@@ -64,25 +67,32 @@ func TestShardedEvaluateEquivalence(t *testing.T) {
 			}
 		}
 
-		// MacroPredictor variants (PAp with grouping / sender-agnostic
-		// history) through the slotShard helper vs a serial reference.
-		for _, mc := range []core.MacroConfig{
-			{Base: core.Config{Depth: 1}, BlockGroup: 1, BlockBytes: 64},
-			{Base: core.Config{Depth: 1}, BlockGroup: 4, BlockBytes: 64},
-			{Base: core.Config{Depth: 1}, BlockGroup: 1, BlockBytes: 64, SenderAgnosticHistory: true},
-		} {
-			serial := serialVariantRow(t, tr, app, mc)
-			for _, workers := range []int{1, 2, 8} {
-				got, err := evalVariant(tr, app, mc, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(serial, got) {
-					t.Errorf("%s variant %+v workers %d: sharded row %+v != serial %+v",
-						app, mc, workers, got, serial)
+		// The per-slot scorer, for every predictor family it runs, on
+		// each side and on both.
+		for _, f := range scoredFamilies() {
+			for _, sides := range [][]trace.Side{bothSides, {trace.CacheSide}, {trace.DirectorySide}} {
+				want := serialScore(t, tr, sides, f.mk)
+				seen.total += want.total
+				seen.ventured += want.ventured
+				seen.mhr += want.mhr
+				seen.pht += want.pht
+				seen.classified += want.classified
+				for _, workers := range []int{1, 2, 8} {
+					got, err := scoreSlots(tr, workers, sides, f.mk)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Errorf("%s %s on %v, workers %d: scorer %+v != serial %+v",
+							app, f.name, sides, workers, got, want)
+					}
 				}
 			}
 		}
+	}
+	// Every count the comparison covers must have been exercised.
+	if seen.total == 0 || seen.ventured == 0 || seen.mhr == 0 || seen.pht == 0 || seen.classified == 0 {
+		t.Errorf("the scorer comparison left a count at zero everywhere: %+v", seen)
 	}
 
 	// PAg (shared-PHT-within-a-predictor) through the full driver.
@@ -103,36 +113,77 @@ func TestShardedEvaluateEquivalence(t *testing.T) {
 	}
 }
 
-// serialVariantRow is the arrival-order reference for evalVariant: one
-// MacroPredictor per (node, side), driven straight off tr.Records.
-func serialVariantRow(t *testing.T, tr *trace.Trace, app string, cfg core.MacroConfig) VariantRow {
+// scoredFamily is one predictor family scoreSlots runs.
+type scoredFamily struct {
+	name string
+	mk   func() (directed.MessagePredictor, error)
+}
+
+// scoredFamilies lists every predictor family the experiment drivers
+// hand to scoreSlots.
+func scoredFamilies() []scoredFamily {
+	macro := func(cfg core.MacroConfig) func() (directed.MessagePredictor, error) {
+		return func() (directed.MessagePredictor, error) { return core.NewMacro(cfg) }
+	}
+	return []scoredFamily{
+		{"macro g1", macro(core.MacroConfig{Base: core.Config{Depth: 1}, BlockGroup: 1, BlockBytes: 64})},
+		{"macro g4", macro(core.MacroConfig{Base: core.Config{Depth: 1}, BlockGroup: 4, BlockBytes: 64})},
+		{"macro sender-agnostic", macro(core.MacroConfig{Base: core.Config{Depth: 1}, BlockGroup: 1, BlockBytes: 64, SenderAgnosticHistory: true})},
+		{"pag d2", func() (directed.MessagePredictor, error) { return core.NewPAg(core.Config{Depth: 2}) }},
+		{"last-tuple", func() (directed.MessagePredictor, error) { return directed.NewLastTuple(), nil }},
+		{"most-common", func() (directed.MessagePredictor, error) { return directed.NewMostCommon(), nil }},
+		{"migratory", func() (directed.MessagePredictor, error) { return directed.NewMigratory(), nil }},
+		{"self-invalidation", func() (directed.MessagePredictor, error) { return directed.NewSelfInvalidation(), nil }},
+		{"cosmos d3", func() (directed.MessagePredictor, error) { return core.New(core.Config{Depth: 3}) }},
+	}
+}
+
+// serialScore is the arrival-order reference for scoreSlots: one
+// predictor per (node, side) of the requested sides, driven straight
+// off tr.Records, with each family's counts read from its concrete
+// type.
+func serialScore(t *testing.T, tr *trace.Trace, sides []trace.Side, mk func() (directed.MessagePredictor, error)) slotScore {
 	t.Helper()
-	preds := make([]*core.MacroPredictor, 2*tr.Nodes)
+	preds := make([]directed.MessagePredictor, 2*tr.Nodes)
 	for i := range preds {
-		p, err := core.NewMacro(cfg)
+		p, err := mk()
 		if err != nil {
 			t.Fatal(err)
 		}
 		preds[i] = p
 	}
-	var total, hits uint64
+	var sc slotScore
 	for _, rec := range tr.Records {
-		slot := int(rec.Node)*2 + int(rec.Side)
-		_, _, correct := preds[slot].Observe(rec.Addr, rec.Tuple())
-		total++
+		if !slices.Contains(sides, rec.Side) {
+			continue
+		}
+		_, predicted, correct := preds[int(rec.Node)*2+int(rec.Side)].Observe(rec.Addr, rec.Tuple())
+		sc.total++
+		if predicted {
+			sc.ventured++
+		}
 		if correct {
-			hits++
+			sc.hits++
 		}
 	}
-	row := VariantRow{App: app, Group: cfg.BlockGroup, SenderAgnostic: cfg.SenderAgnosticHistory}
-	if total > 0 {
-		row.Overall = 100 * float64(hits) / float64(total)
-	}
 	for _, p := range preds {
-		row.MHREntries += p.MHREntries()
-		row.PHTEntries += p.PHTEntries()
+		switch p := p.(type) {
+		case *core.MacroPredictor:
+			sc.mhr += p.MHREntries()
+			sc.pht += p.PHTEntries()
+		case *core.PAg:
+			sc.mhr += p.MHREntries()
+			sc.pht += p.PHTEntries()
+		case *core.Predictor:
+			sc.mhr += p.MHREntries()
+			sc.pht += p.PHTEntries()
+		case *directed.Migratory:
+			sc.classified += p.ClassifiedBlocks()
+		case *directed.SelfInvalidation:
+			sc.classified += p.ClassifiedBlocks()
+		}
 	}
-	return row
+	return sc
 }
 
 // TestTraceCacheRoundTrip pins the cache's byte-identity guarantee: a

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"github.com/cosmos-coherence/cosmos/internal/core"
+	"github.com/cosmos-coherence/cosmos/internal/directed"
 	"github.com/cosmos-coherence/cosmos/internal/parallel"
 	"github.com/cosmos-coherence/cosmos/internal/stats"
-	"github.com/cosmos-coherence/cosmos/internal/trace"
 )
 
 // VariantRow is one cell of the predictor-variant ablation: the
@@ -61,74 +61,30 @@ func Variants(s *Suite) ([]VariantRow, error) {
 			return VariantRow{}, err
 		}
 		vc := configs[c.vc]
-		return evalVariant(tr, c.app, core.MacroConfig{
+		cfg := core.MacroConfig{
 			Base:                  core.Config{Depth: 1},
 			BlockGroup:            vc.group,
 			BlockBytes:            blockBytes,
 			SenderAgnosticHistory: vc.senderAgnostic,
-		}, s.workers)
-	})
-}
-
-// slotShard runs fn once per (node, side) slot of the trace, fanned
-// over the worker pool, and returns the per-slot partials in fixed
-// slot order. Each fn call sees only its own slot's records, in
-// original arrival order — exactly the state any per-slot predictor
-// would see in the serial arrival-order walk (see trace.Partition), so
-// order-insensitive merges of the partials equal the serial totals.
-func slotShard[T any](tr *trace.Trace, workers int, fn func(recs []trace.Record) (T, error)) ([]T, error) {
-	part := tr.Partition()
-	slots := part.Slots()
-	if s := 2 * tr.Nodes; slots < s {
-		slots = s // empty high slots still get a (zero-record) cell
-	}
-	return parallel.Map(slots, workers, func(s int) (T, error) {
-		return fn(part.Records(s))
-	})
-}
-
-// evalVariant runs one MacroPredictor per node and side over a trace,
-// slot-sharded.
-func evalVariant(tr *trace.Trace, app string, cfg core.MacroConfig, workers int) (VariantRow, error) {
-	type partial struct {
-		total, hits, mhr, pht uint64
-	}
-	parts, err := slotShard(tr, workers, func(recs []trace.Record) (partial, error) {
-		p, err := core.NewMacro(cfg)
+		}
+		sc, err := scoreSlots(tr, s.workers, bothSides, func() (directed.MessagePredictor, error) {
+			return core.NewMacro(cfg)
+		})
 		if err != nil {
-			return partial{}, err
+			return VariantRow{}, err
 		}
-		var sp partial
-		for _, rec := range recs {
-			_, _, correct := p.Observe(rec.Addr, rec.Tuple())
-			sp.total++
-			if correct {
-				sp.hits++
-			}
+		row := VariantRow{
+			App:            c.app,
+			Group:          vc.group,
+			SenderAgnostic: vc.senderAgnostic,
+			MHREntries:     sc.mhr,
+			PHTEntries:     sc.pht,
 		}
-		sp.mhr = p.MHREntries()
-		sp.pht = p.PHTEntries()
-		return sp, nil
+		if sc.total > 0 {
+			row.Overall = 100 * float64(sc.hits) / float64(sc.total)
+		}
+		return row, nil
 	})
-	if err != nil {
-		return VariantRow{}, err
-	}
-	row := VariantRow{
-		App:            app,
-		Group:          cfg.BlockGroup,
-		SenderAgnostic: cfg.SenderAgnosticHistory,
-	}
-	var total, hits uint64
-	for _, sp := range parts {
-		total += sp.total
-		hits += sp.hits
-		row.MHREntries += sp.mhr
-		row.PHTEntries += sp.pht
-	}
-	if total > 0 {
-		row.Overall = 100 * float64(hits) / float64(total)
-	}
-	return row, nil
 }
 
 // PApVsPAgRow compares the paper's per-address-PHT design (PAp) with
@@ -169,33 +125,17 @@ func PApVsPAg(s *Suite, depth int) ([]PApVsPAgRow, error) {
 		}
 
 		// Each slot drives its own PAg instance; PAg shares its PHT
-		// across blocks only *within* one predictor, so slot sharding
-		// stays exact for it.
-		type partial struct{ hits, pht uint64 }
-		parts, err := slotShard(tr, s.workers, func(recs []trace.Record) (partial, error) {
-			pag, err := core.NewPAg(core.Config{Depth: depth})
-			if err != nil {
-				return partial{}, err
-			}
-			var sp partial
-			for _, rec := range recs {
-				if _, _, ok := pag.Observe(rec.Addr, rec.Tuple()); ok {
-					sp.hits++
-				}
-			}
-			sp.pht = pag.PHTEntries()
-			return sp, nil
+		// across blocks only *within* one predictor, so scoring it per
+		// slot stays exact.
+		pag, err := scoreSlots(tr, s.workers, bothSides, func() (directed.MessagePredictor, error) {
+			return core.NewPAg(core.Config{Depth: depth})
 		})
 		if err != nil {
 			return PApVsPAgRow{}, err
 		}
-		var hits uint64
-		for _, sp := range parts {
-			hits += sp.hits
-			row.PAgPHT += sp.pht
-		}
-		if total := pap.Overall.Total; total > 0 {
-			row.PAgOverall = 100 * float64(hits) / float64(total)
+		row.PAgPHT = pag.pht
+		if pag.total > 0 {
+			row.PAgOverall = 100 * float64(pag.hits) / float64(pag.total)
 		}
 		return row, nil
 	})

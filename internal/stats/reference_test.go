@@ -3,6 +3,7 @@ package stats
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -11,13 +12,85 @@ import (
 	"github.com/cosmos-coherence/cosmos/internal/trace"
 )
 
+// refCosmos is Cosmos written straight from the paper with Go maps: a
+// per-block history of the last depth tuples indexes a per-block map
+// of patterns (Section 3.3), each entry trained by the Section 3.4
+// rule behind the Section 3.6 filter counter. It shares no code with
+// core.Bank, so every evaluation path is tested against an independent
+// reading of the paper rather than against the bank it runs. It is a
+// copy of core's test reference, which this package cannot import.
+type refCosmos struct {
+	cfg    core.Config
+	blocks map[coherence.Addr]*refBlock
+}
+
+// refBlock is one block's history, oldest first, and its patterns.
+type refBlock struct {
+	hist []coherence.Tuple
+	pht  map[[core.MaxDepth]coherence.Tuple]*refEntry
+}
+
+type refEntry struct {
+	pred    coherence.Tuple
+	counter int
+}
+
+func newRefCosmos(cfg core.Config) *refCosmos {
+	return &refCosmos{cfg: cfg, blocks: map[coherence.Addr]*refBlock{}}
+}
+
+// observe predicts the block's next tuple from its history, then
+// trains that pattern and appends actual to the history.
+func (r *refCosmos) observe(addr coherence.Addr, actual coherence.Tuple) (pred coherence.Tuple, predicted, correct bool) {
+	b := r.blocks[addr]
+	if b == nil {
+		b = &refBlock{pht: map[[core.MaxDepth]coherence.Tuple]*refEntry{}}
+		r.blocks[addr] = b
+	}
+	if len(b.hist) == r.cfg.Depth {
+		var key [core.MaxDepth]coherence.Tuple
+		copy(key[:], b.hist)
+		if e := b.pht[key]; e == nil {
+			b.pht[key] = &refEntry{pred: actual}
+		} else {
+			pred, predicted, correct = e.pred, true, e.pred == actual
+			switch {
+			case correct && e.counter < r.cfg.FilterMax:
+				e.counter++
+			case correct:
+			case e.counter > 0:
+				e.counter--
+			default:
+				e.pred = actual
+			}
+		}
+	}
+	b.hist = append(b.hist, actual)
+	if len(b.hist) > r.cfg.Depth {
+		b.hist = b.hist[1:]
+	}
+	return pred, predicted, correct
+}
+
+func (r *refCosmos) forget(addr coherence.Addr) { delete(r.blocks, addr) }
+
+func (r *refCosmos) mhrEntries() uint64 { return uint64(len(r.blocks)) }
+
+func (r *refCosmos) phtEntries() uint64 {
+	var n uint64
+	for _, b := range r.blocks {
+		n += uint64(len(b.pht))
+	}
+	return n
+}
+
 // referenceEvaluate is the plain reading of the evaluation the banks
-// must reproduce: one core.Predictor per (node, side), fed every record
-// in arrival order, each outcome counted straight into the Result.
+// must reproduce: one refCosmos per (node, side), fed every record in
+// arrival order, each outcome counted straight into the Result.
 func referenceEvaluate(tr *trace.Trace, cfg core.Config, opts Options) *Result {
-	preds := make([]*core.Predictor, 2*tr.Nodes)
+	preds := make([]*refCosmos, 2*tr.Nodes)
 	for i := range preds {
-		preds[i] = core.MustNew(cfg)
+		preds[i] = newRefCosmos(cfg)
 	}
 	res := &Result{App: tr.App, Config: cfg}
 	if opts.TrackArcs {
@@ -30,9 +103,9 @@ func referenceEvaluate(tr *trace.Trace, cfg core.Config, opts Options) *Result {
 		}
 		slot := int(rec.Node)*2 + int(rec.Side)
 		p := preds[slot]
-		_, _, correct := p.Observe(rec.Addr, rec.Tuple())
+		_, _, correct := p.observe(rec.Addr, rec.Tuple())
 		if opts.ForgetOnWriteback && rec.Side == trace.CacheSide && rec.Type == coherence.WritebackAck {
-			p.Forget(rec.Addr)
+			p.forget(rec.Addr)
 		}
 		if rec.Side == trace.CacheSide {
 			res.Cache.add(correct)
@@ -58,11 +131,14 @@ func referenceEvaluate(tr *trace.Trace, cfg core.Config, opts Options) *Result {
 		}
 	}
 	for slot, p := range preds {
-		res.Memory.Add(p)
+		mhr, pht := p.mhrEntries(), p.phtEntries()
+		side := &res.DirMemory
 		if slot%2 == int(trace.CacheSide) {
-			res.CacheMemory.Add(p)
-		} else {
-			res.DirMemory.Add(p)
+			side = &res.CacheMemory
+		}
+		for _, m := range []*core.MemoryStats{&res.Memory, side} {
+			m.MHREntries += mhr
+			m.PHTEntries += pht
 		}
 	}
 	return res
@@ -89,6 +165,21 @@ func TestEvaluateAllMatchesReference(t *testing.T) {
 		tr.Records = append(tr.Records, trace.Record{
 			Node: 4, Side: trace.CacheSide, Sender: coherence.NodeID(i % 3),
 			Type: coherence.GetROResp, Addr: coherence.Addr(i%4) * 64, Iter: uint16(8 + i/20),
+		})
+	}
+	// Node 3's directory side sees four blocks each get one tuple 70%
+	// of the time and one of two others otherwise, so hits and misses,
+	// runs of misses with the filter counter up and misses at zero all
+	// reach the training rule.
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 600; i++ {
+		sender := coherence.NodeID(0)
+		if r := rng.Intn(10); r >= 7 {
+			sender = coherence.NodeID(r - 6)
+		}
+		tr.Records = append(tr.Records, trace.Record{
+			Node: 3, Side: trace.DirectorySide, Sender: sender, Type: coherence.GetRWReq,
+			Addr: coherence.Addr(64+i%4) * 64, Iter: uint16(8 + i*3/600),
 		})
 	}
 	tr.Iterations = 11

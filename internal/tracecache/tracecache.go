@@ -72,8 +72,9 @@ func (c Cache) Load(key string) (*trace.Trace, bool, error) {
 // ordering without a real power cut.
 var fsyncTemp = (*os.File).Sync
 
-// Store writes the trace under key. The write goes to a temporary file
-// in the cache directory, is fsynced, and is renamed into place, so
+// Store writes the trace under key: TempFile, trace.Write, Promote. The
+// write goes to a temporary file in the cache directory, is fsynced,
+// and is renamed into place, so
 // concurrent readers and crashed writers never observe a partial entry.
 // The fsync before the rename closes the power-loss window where the
 // rename is durable but the data blocks are not — without it a crash
@@ -84,29 +85,16 @@ func (c Cache) Store(key string, tr *trace.Trace) error {
 	if !c.Enabled() {
 		return nil
 	}
-	if err := os.MkdirAll(c.Dir, 0o755); err != nil {
-		return fmt.Errorf("tracecache: create %s: %w", c.Dir, err)
-	}
-	tmp, err := os.CreateTemp(c.Dir, key+".tmp-*")
+	tmp, err := c.TempFile(key)
 	if err != nil {
-		return fmt.Errorf("tracecache: temp file: %w", err)
+		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	if err := trace.Write(tmp, tr); err != nil {
 		tmp.Close()
+		os.Remove(tmp.Name())
 		return fmt.Errorf("tracecache: encode %s: %w", key, err)
 	}
-	if err := fsyncTemp(tmp); err != nil {
-		tmp.Close()
-		return fmt.Errorf("tracecache: fsync temp: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("tracecache: close temp: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-		return fmt.Errorf("tracecache: install %s: %w", key, err)
-	}
-	return nil
+	return c.Promote(tmp, key)
 }
 
 // OpenStream opens the raw CTRC file for key for streaming reads,
@@ -152,9 +140,10 @@ func (c Cache) TempFile(key string) (*os.File, error) {
 	return tmp, nil
 }
 
-// Promote installs a finished TempFile capture under key with the same
-// durability ordering as Store: fsync, close, rename. The file must
-// already hold a complete CTRC stream (trace.StreamWriter.Close done).
+// Promote installs a finished TempFile capture under key: fsync,
+// close, rename, the durability ordering Store documents. The file
+// must already hold a complete CTRC stream (trace.Write or
+// trace.StreamWriter.Close done).
 func (c Cache) Promote(tmp *os.File, key string) error {
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	if err := fsyncTemp(tmp); err != nil {
