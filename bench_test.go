@@ -85,16 +85,18 @@ func fullSuite(b *testing.B) *experiments.Suite {
 	return suite
 }
 
-// freshSuite returns a suite with an empty result memo over the shared
-// suite's traces, so an iteration of a table or figure benchmark
+// freshSuite returns a suite of the given pool width with an empty
+// result memo over the shared suite's traces, so an iteration of a table or figure benchmark
 // measures evaluation rather than a read of the memo an earlier
 // iteration filled. The timer stops while it loads the traces from
 // the shared suite's trace cache and builds their slot partitions.
-func freshSuite(b *testing.B) *experiments.Suite {
+func freshSuite(b *testing.B, workers int) *experiments.Suite {
 	b.Helper()
 	b.StopTimer()
 	defer b.StartTimer()
-	s := experiments.NewSuite(fullSuite(b).Config())
+	cfg := fullSuite(b).Config()
+	cfg.Workers = workers
+	s := experiments.NewSuite(cfg)
 	for _, app := range s.Apps() {
 		tr, err := s.Trace(app)
 		if err != nil {
@@ -131,7 +133,7 @@ func BenchmarkTable5(b *testing.B) {
 			var rows []experiments.Table5Row
 			for i := 0; i < b.N; i++ {
 				var err error
-				rows, err = experiments.Table5(freshSuite(b).SetWorkers(bc.workers))
+				rows, err = experiments.Table5(freshSuite(b, bc.workers))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -152,7 +154,7 @@ func BenchmarkTable6(b *testing.B) {
 	var rows []experiments.Table6Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Table6(freshSuite(b))
+		rows, err = experiments.Table6(freshSuite(b, 1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -171,7 +173,7 @@ func BenchmarkTable7(b *testing.B) {
 	var rows []experiments.Table7Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Table7(freshSuite(b))
+		rows, err = experiments.Table7(freshSuite(b, 1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,7 +192,7 @@ func BenchmarkTable8(b *testing.B) {
 	var cells []experiments.Table8Cell
 	for i := 0; i < b.N; i++ {
 		var err error
-		cells, err = experiments.Table8(freshSuite(b))
+		cells, err = experiments.Table8(freshSuite(b, 1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -223,7 +225,7 @@ func BenchmarkFigure6(b *testing.B) {
 	warm(b, fullSuite(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := freshSuite(b)
+		s := freshSuite(b, 1)
 		for _, app := range []string{"appbt", "barnes", "dsmc"} {
 			if _, err := experiments.Figures6and7(s, app, 8); err != nil {
 				b.Fatal(err)
@@ -238,7 +240,7 @@ func BenchmarkFigure7(b *testing.B) {
 	warm(b, fullSuite(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := freshSuite(b)
+		s := freshSuite(b, 1)
 		for _, app := range []string{"moldyn", "unstructured"} {
 			if _, err := experiments.Figures6and7(s, app, 8); err != nil {
 				b.Fatal(err)

@@ -207,9 +207,6 @@ type Msg struct {
 	// routing the data through the directory (the SGI Origin-style
 	// three-hop flow of Section 2.1).
 	Grant MsgType
-	// SeqNo is a per-source sequence number assigned by the network;
-	// used only for deterministic tie-breaking and debugging.
-	SeqNo uint64
 }
 
 // Tuple returns the <sender, type> pair the receiving predictor sees.

@@ -3,7 +3,16 @@ package coherence
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestMsgSize pins Msg at 24 bytes. Every queued simulator event
+// carries one inline, so widening it widens the event queue.
+func TestMsgSize(t *testing.T) {
+	if size := unsafe.Sizeof(Msg{}); size != 24 {
+		t.Errorf("Msg is %d bytes, want 24", size)
+	}
+}
 
 func TestMsgTypeString(t *testing.T) {
 	cases := []struct {

@@ -157,28 +157,32 @@ type traceEntry struct {
 	err  error
 }
 
-// NewSuite creates an empty suite; the pool width comes from
-// cfg.Workers (overridable with SetWorkers).
+// NewSuite creates an empty suite whose drivers shard their
+// independent cells over a pool of cfg.Workers (at least 1; 1 is
+// serial). Results are identical for every width — the pool only
+// changes wall-clock time — which the determinism regression tests
+// enforce.
 func NewSuite(cfg Config) *Suite {
-	return (&Suite{
+	return &Suite{
 		cfg:     cfg,
+		workers: max(cfg.Workers, 1),
 		traces:  make(map[string]*traceEntry),
 		results: make(map[resultKey]*resultEntry),
-	}).SetWorkers(cfg.Workers)
+	}
 }
 
 // variant returns the suite for a machine variant of s: s's
 // configuration changed by edit. An edit that leaves the trace key
 // alone (no change, or only Workers or TraceCache) yields s itself, so
 // the variant reads s's memoized traces and results; any other edit
-// yields a fresh Suite at s's pool width.
+// yields a fresh Suite of the edited configuration.
 func (s *Suite) variant(edit func(*Config)) *Suite {
 	c := s.cfg
 	edit(&c)
 	if c.traceKey("") == s.cfg.traceKey("") {
 		return s
 	}
-	return NewSuite(c).SetWorkers(s.workers)
+	return NewSuite(c)
 }
 
 // sweep runs cell on every (variant, benchmark) pair, variants outer
@@ -200,21 +204,6 @@ func sweep[V, R any](s *Suite, xs []V, edit func(*Config, V), cell func(v *Suite
 
 // Config returns the suite's configuration.
 func (s *Suite) Config() Config { return s.cfg }
-
-// SetWorkers bounds the worker pool the experiment drivers shard their
-// independent cells over (1 = serial). Results are identical for every
-// width — the pool only changes wall-clock time — which the
-// determinism regression tests enforce.
-func (s *Suite) SetWorkers(n int) *Suite {
-	if n < 1 {
-		n = 1
-	}
-	s.workers = n
-	return s
-}
-
-// Workers returns the configured pool width.
-func (s *Suite) Workers() int { return s.workers }
 
 // Apps returns the benchmark names in table order.
 func (s *Suite) Apps() []string {

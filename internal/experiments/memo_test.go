@@ -8,10 +8,12 @@ import (
 	"github.com/cosmos-coherence/cosmos/internal/stats"
 )
 
-// emptyMemo returns a suite over s's already-loaded traces with an
-// empty result memo.
-func emptyMemo(s *Suite) *Suite {
-	n := NewSuite(s.cfg).SetWorkers(s.workers)
+// emptyMemo returns a suite of the given pool width over s's
+// already-loaded traces with an empty result memo.
+func emptyMemo(s *Suite, workers int) *Suite {
+	cfg := s.cfg
+	cfg.Workers = workers
+	n := NewSuite(cfg)
 	s.mu.Lock()
 	for app, e := range s.traces {
 		n.traces[app] = e
@@ -50,7 +52,7 @@ func memoSnapshot(t *testing.T, s *Suite) map[resultKey]stats.Result {
 // read the memo and add nothing to it. A memo hit returns the same
 // Result whatever the pool width, and equals a fresh evaluation.
 func TestTablesShareOneWalk(t *testing.T) {
-	s := emptyMemo(smallSuite).SetWorkers(2)
+	s := emptyMemo(smallSuite, 2)
 	if _, err := Table6(s); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +101,7 @@ func TestMemoizedResultsUnmodified(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every memo-reading driver twice")
 	}
-	s := emptyMemo(smallSuite)
+	s := emptyMemo(smallSuite, 1)
 	drivers := func() {
 		t.Helper()
 		for _, run := range []func() error{
@@ -164,7 +166,9 @@ func TestResultHoldsNoBank(t *testing.T) {
 // yields the receiver itself, so its memo is shared; any other edit
 // yields a distinct suite at the receiver's pool width.
 func TestVariantSharesTraceKey(t *testing.T) {
-	s := NewSuite(smallConfig()).SetWorkers(3)
+	cfg := smallConfig()
+	cfg.Workers = 3
+	s := NewSuite(cfg)
 	for name, edit := range map[string]func(*Config){
 		"no-op":      func(*Config) {},
 		"Workers":    func(c *Config) { c.Workers = 8 },
@@ -178,8 +182,8 @@ func TestVariantSharesTraceKey(t *testing.T) {
 	if v == s {
 		t.Fatal("a 1000 ns variant is the 40 ns receiver")
 	}
-	if v.Workers() != s.Workers() {
-		t.Errorf("variant pool width %d, want the receiver's %d", v.Workers(), s.Workers())
+	if v.workers != s.workers {
+		t.Errorf("variant pool width %d, want the receiver's %d", v.workers, s.workers)
 	}
 	if got := v.Config().Machine.NetworkLatencyNs; got != 1000 {
 		t.Errorf("variant latency %d ns, want 1000", got)
@@ -235,7 +239,7 @@ func TestBaseVariantReadsMemo(t *testing.T) {
 		t.Errorf("%d base-machine rows, want %d", base, n)
 	}
 
-	s := emptyMemo(smallSuite)
+	s := emptyMemo(smallSuite, 1)
 	if _, err := LatencySweep(s, []uint64{40}); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +259,7 @@ func TestBaseVariantReadsMemo(t *testing.T) {
 // only that evaluation to the memo; a drop-0 plan with another seed (a
 // fresh variant suite) reports the same row.
 func TestFaultFreePointReadsMemo(t *testing.T) {
-	s := emptyMemo(smallSuite)
+	s := emptyMemo(smallSuite, 1)
 	rows, err := FaultSweep(s, []float64{0}, s.cfg.Machine.Faults.Seed)
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"github.com/cosmos-coherence/cosmos/internal/core"
 	"github.com/cosmos-coherence/cosmos/internal/stache"
 	"github.com/cosmos-coherence/cosmos/internal/stats"
+	"github.com/cosmos-coherence/cosmos/internal/trace"
 	"github.com/cosmos-coherence/cosmos/internal/workload"
 )
 
@@ -34,7 +35,7 @@ func TestEvaluateStreamedMatchesMemoized(t *testing.T) {
 	// Suite.Evaluate threads the worker count into opts; mirror it so
 	// the structs compare equal in every field that matters.
 	s := NewSuite(cfg)
-	cold, err := s.EvaluateStreamed("moldyn", pcfg, stats.StreamOptions{Options: opts, WindowSize: 512})
+	cold, err := s.EvaluateStreamed("moldyn", pcfg, stats.StreamOptions{Options: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +75,8 @@ func TestEvaluateStreamedUncached(t *testing.T) {
 
 // measurePeakHeap runs fn while sampling the live heap and returns the
 // peak sample. GC runs first so prior tests' garbage is not charged to
-// fn; samples come from a ticker goroutine plus the window hook the
-// caller threads in, so long capture phases are covered too.
+// fn; samples come from a ticker goroutine, so long capture phases are
+// covered, plus whatever sample points fn adds itself.
 func measurePeakHeap(fn func(sample func())) uint64 {
 	// Tighten the GC so HeapAlloc tracks live data instead of GOGC
 	// headroom: the measurement should compare what the cells *retain*,
@@ -121,6 +122,18 @@ func measurePeakHeap(fn func(sample func())) uint64 {
 	return peak.Load()
 }
 
+// sampledSource samples the heap at every read of a streamed
+// evaluation, between one window's evaluation and the next.
+type sampledSource struct {
+	src    stats.RecordSource
+	sample func()
+}
+
+func (s sampledSource) Next(buf []trace.Record) (int, error) {
+	s.sample()
+	return s.src.Next(buf)
+}
+
 // TestStreamedPeakHeapFlat is the scaling acceptance measurement: a
 // 1024-node streamed cell (capture + windowed evaluation) must peak at
 // no more than 4x the live heap of the 64-node cell. A materialized
@@ -142,10 +155,19 @@ func TestStreamedPeakHeapFlat(t *testing.T) {
 		// its memory story is told by the scalesweep curves instead.
 		cfg.Stache.DirFormat = stache.DirLimitedPtr
 		return measurePeakHeap(func(sample func()) {
-			_, err := NewSuite(cfg).EvaluateStreamed("dsmc", core.Config{Depth: 2}, stats.StreamOptions{
-				OnWindow: func(int) { sample() },
-			})
+			f, cleanup, err := NewSuite(cfg).openStream("dsmc")
 			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer cleanup()
+			sr, err := trace.NewStreamReader(f)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			src := sampledSource{src: sr, sample: sample}
+			if _, err := stats.EvaluateStream(src, sr.App(), sr.Nodes(), core.Config{Depth: 2}, stats.StreamOptions{}); err != nil {
 				t.Error(err)
 			}
 		})

@@ -209,7 +209,6 @@ type Monitor struct {
 	geom    coherence.Geometry
 	opts    stache.Options
 	bounded bool
-	bound   bool
 
 	// inflight is the per-block balance of protocol sends minus
 	// deliveries; the map's keys double as the set of blocks the
@@ -248,7 +247,6 @@ func (m *Monitor) Bind(clock func() sim.Time, geom coherence.Geometry, opts stac
 	m.geom = geom
 	m.opts = opts
 	m.bounded = opts.CacheBlocks > 0
-	m.bound = true
 }
 
 // Sweeps returns how many full state sweeps have run.

@@ -134,8 +134,10 @@ type Network struct {
 	hopLat   sim.Time // per-link wire latency on a structured fabric
 	niLat    sim.Time // NI injection/extraction cost on a structured fabric
 	nodes    int
-	seq      uint64
-	stats    Stats
+	// seq numbers every packet sent; the fault injector keys its
+	// per-packet decisions on it.
+	seq   uint64
+	stats Stats
 	// kindDeliver is the engine event kind for wire deliveries; the
 	// handler reconstructs the Packet from the EventRec.
 	kindDeliver sim.EventKind
@@ -279,12 +281,10 @@ func (nw *Network) SendPacket(pkt Packet) {
 		panic(&SendError{Pkt: pkt, Reason: "no receiver bound"})
 	}
 	nw.seq++
-	wireSeq := nw.seq
 
 	if pkt.Ctrl {
 		nw.stats.CtrlMessages++
 	} else {
-		pkt.Msg.SeqNo = wireSeq
 		nw.stats.MessagesSent++
 		nw.stats.MessagesByType[pkt.Msg.Type]++
 		if pkt.Msg.Type.CarriesData() {
@@ -316,7 +316,7 @@ func (nw *Network) SendPacket(pkt Packet) {
 	// remote packet, on any fabric. Jitter may reorder the link; the
 	// reliable transport re-sequences above us.
 	if remote && nw.injector != nil {
-		d := nw.injector.Decide(pkt.Src, pkt.Dst, wireSeq, uint64(nw.engine.Now()))
+		d := nw.injector.Decide(pkt.Src, pkt.Dst, nw.seq, uint64(nw.engine.Now()))
 		if d.Drop {
 			nw.stats.FaultDropped++
 			return

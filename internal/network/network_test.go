@@ -70,23 +70,6 @@ func TestPerLinkFIFO(t *testing.T) {
 	}
 }
 
-func TestSeqNoMonotonic(t *testing.T) {
-	e, nw := testNet(t)
-	var seqs []uint64
-	bindMsgs(nw, func(m coherence.Msg) { seqs = append(seqs, m.SeqNo) })
-	for i := 0; i < 10; i++ {
-		nw.Send(coherence.Msg{Src: 0, Dst: 2, Type: coherence.GetRWReq})
-	}
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(seqs); i++ {
-		if seqs[i] <= seqs[i-1] {
-			t.Fatalf("SeqNo not increasing: %v", seqs)
-		}
-	}
-}
-
 func TestStats(t *testing.T) {
 	e, nw := testNet(t)
 	bindMsgs(nw, func(coherence.Msg) {})

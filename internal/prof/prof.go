@@ -64,9 +64,14 @@ func (f *Flags) Stop() error {
 	if err != nil {
 		return fmt.Errorf("prof: %w", err)
 	}
-	defer file.Close()
 	runtime.GC() // materialize the final live set before snapshotting
-	if err := pprof.WriteHeapProfile(file); err != nil {
+	err = pprof.WriteHeapProfile(file)
+	// A failed close can mean the profile never reached the disk, so
+	// it is an error like a failed write.
+	if cerr := file.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return fmt.Errorf("prof: %w", err)
 	}
 	return nil

@@ -100,10 +100,6 @@ type Server struct {
 	watchdogArmed bool
 	lastProgress  uint64
 
-	// stalled freezes the worker; a test hook for exercising the
-	// watchdog without inventing an organic stall.
-	stalled bool
-
 	failure   error
 	onFailure func(error)
 	stats     Stats
@@ -418,7 +414,7 @@ func (s *Server) shed(e entry) {
 
 // kick starts the worker if there is work and it is idle.
 func (s *Server) kick() {
-	if s.busy || s.stalled || s.failure != nil || len(s.queue) == 0 {
+	if s.busy || s.failure != nil || len(s.queue) == 0 {
 		return
 	}
 	s.busy = true
@@ -428,7 +424,7 @@ func (s *Server) kick() {
 // process serves the queue head.
 func (s *Server) process() {
 	s.busy = false
-	if s.failure != nil || s.stalled || len(s.queue) == 0 {
+	if s.failure != nil || len(s.queue) == 0 {
 		return
 	}
 	e := s.queue[0]

@@ -406,14 +406,16 @@ func TestConfigRejectsOutOfRangePriority(t *testing.T) {
 	}
 }
 
-// TestWatchdogReportsStall: a wedged worker fails the server with the
-// diagnose dump instead of hanging.
+// TestWatchdogReportsStall: a worker that makes no progress within the
+// watchdog span — here one whose service time is longer than the span —
+// fails the server with the diagnose dump instead of hanging.
 func TestWatchdogReportsStall(t *testing.T) {
 	cfg := Config{Predictor: testPredictor, WatchdogNs: 50_000}
-	eng, _, srv, send := rawHarness(t, cfg, 1)
+	slow := cfg
+	slow.ProcessNs = 2 * cfg.WatchdogNs
+	eng, _, srv, send := rawHarness(t, slow, 1)
 	var cbErr error
 	srv.OnFailure(func(err error) { cbErr = err })
-	srv.stalled = true // the test hook: freeze the worker
 	sendObs(eng, send, 100, 0, srv.cfg.Node, 0)
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)

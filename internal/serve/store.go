@@ -238,10 +238,9 @@ type Recovery struct {
 	Base State
 	// BaseDigest is its content address.
 	BaseDigest [32]byte
-	// Records are the WAL records to replay on top of Base, in applied
-	// order. TornBytes counts tolerated torn-tail bytes the crash left.
-	Records   []WALRecord
-	TornBytes int
+	// Records are the WAL records to replay on top of Base, in
+	// applied order.
+	Records []WALRecord
 }
 
 // Recover reads the store back. Every integrity failure is loud: a
@@ -285,7 +284,7 @@ func (s *Store) Recover() (Recovery, error) {
 	if err != nil {
 		return Recovery{}, fmt.Errorf("serve: wal: read %s: %w", walPath, err)
 	}
-	_, rec.TornBytes, err = replayWAL(filepath.Base(walPath), wal, d, func(r WALRecord) error {
+	_, _, err = replayWAL(filepath.Base(walPath), wal, d, func(r WALRecord) error {
 		if r.Stream < 0 || r.Stream >= len(st.Streams) {
 			return fmt.Errorf("%w: record for stream %d of %d", ErrWALCorrupt, r.Stream, len(st.Streams))
 		}

@@ -7,29 +7,20 @@ import (
 )
 
 // Config holds the simulated machine parameters. DefaultConfig
-// reproduces Table 3 of the paper.
+// reproduces the Table 3 parameters the model simulates; the others
+// (processor speed, cache size and associativity, memory access time,
+// message size) are printed from the paper's values by report.Table3.
 type Config struct {
 	// Nodes is the number of single-processor nodes.
 	Nodes int
-	// ProcessorHz is the processor clock rate.
-	ProcessorHz uint64
 	// CacheBlockBytes is the coherence granularity.
 	CacheBlockBytes uint64
-	// CacheBytes is the per-node cache capacity (Stache steals this
-	// much local memory for remote data).
-	CacheBytes uint64
-	// CacheAssoc is the cache associativity (1 = direct-mapped).
-	CacheAssoc int
 	// PageBytes is the page size used for round-robin homing.
 	PageBytes uint64
-	// MemoryAccessNs is the main memory access time.
-	MemoryAccessNs Time
 	// BusWidthBits and BusClockHz describe the per-node coherent
 	// memory bus (MOESI in the paper; we model its occupancy only).
 	BusWidthBits int
 	BusClockHz   uint64
-	// NetworkMsgBytes is the fixed network message size.
-	NetworkMsgBytes uint64
 	// NetworkLatencyNs is the point-to-point network latency.
 	NetworkLatencyNs Time
 	// NIAccessNs is the network interface access time.
@@ -87,22 +78,16 @@ type Config struct {
 	InvariantEvery uint64
 }
 
-// DefaultConfig returns the Table 3 machine: 16 nodes, 1 GHz
-// processors, 64-byte blocks, 1 MB direct-mapped caches, 120 ns memory,
-// 256-bit 250 MHz buses, 256-byte network messages with 40 ns latency
-// and 60 ns NI access.
+// DefaultConfig returns the Table 3 machine: 16 nodes, 64-byte blocks,
+// 4 KB pages, 256-bit 250 MHz buses, 40 ns network latency and 60 ns
+// NI access.
 func DefaultConfig() Config {
 	return Config{
 		Nodes:            16,
-		ProcessorHz:      1_000_000_000,
 		CacheBlockBytes:  64,
-		CacheBytes:       1 << 20,
-		CacheAssoc:       1,
 		PageBytes:        4096,
-		MemoryAccessNs:   120,
 		BusWidthBits:     256,
 		BusClockHz:       250_000_000,
-		NetworkMsgBytes:  256,
 		NetworkLatencyNs: 40,
 		NIAccessNs:       60,
 		// 5 ms of simulated time without a single access completion is
@@ -123,10 +108,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: PageBytes=%d must be a power of two", c.PageBytes)
 	case c.CacheBlockBytes > c.PageBytes:
 		return fmt.Errorf("sim: block size %d exceeds page size %d", c.CacheBlockBytes, c.PageBytes)
-	case c.CacheAssoc <= 0:
-		return fmt.Errorf("sim: CacheAssoc=%d must be positive", c.CacheAssoc)
-	case c.CacheBytes < c.CacheBlockBytes:
-		return fmt.Errorf("sim: CacheBytes=%d smaller than one block", c.CacheBytes)
 	case c.RetxMaxRetries < 0:
 		return fmt.Errorf("sim: RetxMaxRetries=%d must not be negative", c.RetxMaxRetries)
 	}

@@ -18,7 +18,9 @@
 // into the typed binary heap the engine always had. Nothing ever
 // migrates between the two: Step compares the wheel's earliest item
 // with the overflow top by (time, seq) and fires the smaller, so the
-// merged order is exactly the order the single heap produced.
+// merged order is exactly the order one (time, seq) heap would
+// produce. wheel_test.go pins that against a heap-only reference
+// scheduler.
 package sim
 
 import (
@@ -170,11 +172,8 @@ type Engine struct {
 	occ        []uint64
 	wheelCount int
 
-	// overflow holds events beyond the wheel horizon. With heapOnly
-	// set it holds everything — the pure-heap reference scheduler the
-	// wheel is pinned against in equivalence tests.
+	// overflow holds events beyond the wheel horizon.
 	overflow eventHeap
-	heapOnly bool
 }
 
 // SetPerturb installs (or, with nil, removes) a scheduling
@@ -182,19 +181,6 @@ type Engine struct {
 // it before the first event is scheduled; swapping mid-run would make
 // the run depend on when the swap happened.
 func (e *Engine) SetPerturb(p Perturb) { e.perturb = p }
-
-// SetHeapOnly switches the engine onto (or off) the pure-heap
-// scheduler, bypassing the timing wheel entirely. The two schedulers
-// implement the identical (time, seq) contract; the heap-only mode
-// exists as the reference implementation equivalence tests pin the
-// wheel against. Switching with events pending would strand wheel
-// residents, so it panics.
-func (e *Engine) SetHeapOnly(on bool) {
-	if e.Pending() > 0 {
-		panic("sim: SetHeapOnly with events pending")
-	}
-	e.heapOnly = on
-}
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }

@@ -91,7 +91,7 @@ func (e *Engine) Post(at Time, rec EventRec) {
 		at += e.perturb(at, e.seq)
 	}
 	it := item{at: at, seq: e.seq, rec: rec}
-	if !e.heapOnly && at-e.now < wheelSpan {
+	if at-e.now < wheelSpan {
 		if e.slots == nil {
 			e.initWheel()
 		}

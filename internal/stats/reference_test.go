@@ -226,7 +226,7 @@ func TestEvaluateAllMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := EvaluateStream(sr, sr.App(), sr.Nodes(), c, StreamOptions{Options: opts, WindowSize: 333})
+					got, err := EvaluateStream(&shortReads{src: sr, max: 333}, sr.App(), sr.Nodes(), c, StreamOptions{Options: opts})
 					if err != nil {
 						t.Fatal(err)
 					}

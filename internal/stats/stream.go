@@ -10,11 +10,11 @@ import (
 	"github.com/cosmos-coherence/cosmos/internal/trace"
 )
 
-// DefaultWindowSize is the streaming evaluation window: 64Ki records
-// (1 MiB of 16-byte Records) — large enough to amortize the calls
-// into the source, small enough that peak evaluation memory is dominated by
+// windowSize is the streaming evaluation window: 64Ki records (1 MiB
+// of 16-byte Records) — large enough to amortize the calls into the
+// source, small enough that peak evaluation memory is dominated by
 // predictor state, not trace storage, at any node count.
-const DefaultWindowSize = 64 * 1024
+const windowSize = 64 * 1024
 
 // RecordSource yields trace records in arrival order, in bounded
 // chunks. *trace.StreamReader implements it; tests substitute
@@ -31,13 +31,6 @@ type RecordSource interface {
 // arrival-order walk, windowed.
 type StreamOptions struct {
 	Options
-	// WindowSize bounds how many records are resident at once
-	// (DefaultWindowSize when <= 0).
-	WindowSize int
-	// OnWindow, if set, runs after each window is evaluated with the
-	// number of records it held. The memory-flatness tests use it to
-	// sample peak RSS mid-evaluation.
-	OnWindow func(records int)
 }
 
 // serialEval is the shared per-record state of both evaluators:
@@ -274,7 +267,7 @@ func (t *tally) results(app string, lay *core.Layout, opts Options) []*Result {
 
 // EvaluateStream runs the serial arrival-order evaluation over a
 // record stream without ever materializing the trace: at most one
-// WindowSize-record window, allocated once per call, plus the per-slot
+// windowSize-record window, allocated once per call, plus the per-slot
 // bank state is resident. For the same records it produces a Result
 // identical to Evaluate's — the streaming-equivalence regression pins
 // this — which is what keeps peak evaluation RSS flat as node count
@@ -291,12 +284,8 @@ func EvaluateStream(src RecordSource, app string, nodes int, cfg core.Config, op
 	if nodes <= 0 {
 		return nil, fmt.Errorf("stats: streaming evaluation needs a positive node count, got %d", nodes)
 	}
-	win := opts.WindowSize
-	if win <= 0 {
-		win = DefaultWindowSize
-	}
 	ev := newSerialEval(lay, opts.Options, 0, new(Banks).take(lay, 2*nodes))
-	buf := make([]trace.Record, win)
+	buf := make([]trace.Record, windowSize)
 	for {
 		n, err := src.Next(buf)
 		for _, rec := range buf[:n] {
@@ -305,9 +294,6 @@ func EvaluateStream(src RecordSource, app string, nodes int, cfg core.Config, op
 			}
 		}
 		ev.observe(buf[:n])
-		if opts.OnWindow != nil && n > 0 {
-			opts.OnWindow(n)
-		}
 		if err == io.EOF {
 			break
 		}

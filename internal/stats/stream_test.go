@@ -38,6 +38,27 @@ func messyTrace(nodes, records int) *trace.Trace {
 	return tr
 }
 
+// shortReads is a RecordSource that hands EvaluateStream at most max
+// records per Next, however large its buffer, so a test can put the
+// window boundaries wherever it likes. reads counts the non-empty
+// reads.
+type shortReads struct {
+	src   RecordSource
+	max   int
+	reads int
+}
+
+func (s *shortReads) Next(buf []trace.Record) (int, error) {
+	if len(buf) > s.max {
+		buf = buf[:s.max]
+	}
+	n, err := s.src.Next(buf)
+	if n > 0 {
+		s.reads++
+	}
+	return n, err
+}
+
 // TestEvaluateStreamMatchesSerial pins the two evaluation walks to one
 // another, with arcs on and ForgetOnWriteback and MaxIterations each on
 // and off: EvaluateAll's per-slot walk over the paper's eight
@@ -76,20 +97,16 @@ func TestEvaluateStreamMatchesSerial(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					windows := 0
-					got, err := EvaluateStream(sr, sr.App(), sr.Nodes(), cfg, StreamOptions{
-						Options:    opts,
-						WindowSize: win,
-						OnWindow:   func(int) { windows++ },
-					})
+					src := &shortReads{src: sr, max: win}
+					got, err := EvaluateStream(src, sr.App(), sr.Nodes(), cfg, StreamOptions{Options: opts})
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got, want[i]) {
 						t.Errorf("%+v %+v window %d: streaming result diverges from the batch walk", opts, cfg, win)
 					}
-					if wantWindows := (len(tr.Records) + win - 1) / win; windows != wantWindows {
-						t.Errorf("window %d: OnWindow ran %d times, want %d", win, windows, wantWindows)
+					if wantWindows := (len(tr.Records) + win - 1) / win; src.reads != wantWindows {
+						t.Errorf("window %d: evaluated %d windows, want %d", win, src.reads, wantWindows)
 					}
 				}
 			}

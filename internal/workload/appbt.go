@@ -40,9 +40,8 @@ func defaultGeometry(procs int) coherence.Geometry {
 // then read-modify-writes its own boundary blocks, then touches a few
 // private interior blocks (which go exclusive once and stay silent).
 type AppBT struct {
-	procs      int
-	iters      int
-	px, py, pz int
+	procs int
+	iters int
 
 	// faces[i] is a region owned by faces' producer, read by one
 	// neighbouring consumer.
@@ -86,7 +85,7 @@ type appbtEdge struct {
 // NewAppBT builds the generator for the given processor count.
 func NewAppBT(procs int, scale Scale) *AppBT {
 	px, py, pz := factor3(procs)
-	a := &AppBT{procs: procs, px: px, py: py, pz: pz, seed: 0xa99b7}
+	a := &AppBT{procs: procs, seed: 0xa99b7}
 	var faceBlocks, edgeBlocks, fsBlocks, privBlocks, coldBlocks int
 	switch scale {
 	case ScaleSmall:
