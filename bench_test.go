@@ -9,6 +9,7 @@ package cosmos_test
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"sync"
@@ -25,6 +26,7 @@ import (
 	"github.com/cosmos-coherence/cosmos/internal/speculate"
 	"github.com/cosmos-coherence/cosmos/internal/stache"
 	"github.com/cosmos-coherence/cosmos/internal/stats"
+	"github.com/cosmos-coherence/cosmos/internal/trace"
 	"github.com/cosmos-coherence/cosmos/internal/workload"
 )
 
@@ -418,13 +420,32 @@ func BenchmarkSimulation(b *testing.B) {
 	b.ReportMetric(float64(events)/float64(b.N), "events")
 }
 
+// BenchmarkTraceWrite measures the CTRC encoder on one simulated
+// trace (dsmc, at the benchmark scale) written to io.Discard: batch
+// encoding, the checksum and one write per batch, without a
+// filesystem. The trace is simulated once, outside the timed loop.
+func BenchmarkTraceWrite(b *testing.B) {
+	tr, err := fullSuite(b).Trace("dsmc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := trace.Write(io.Discard, tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(tr.Records)), "records")
+}
+
 // BenchmarkEngine measures the event queue in isolation: one Post
 // plus its share of Step (pop and dispatch) per op, over a queue held
 // at a steady depth of 1024 pending events — the regime the protocol
 // keeps the scheduler in. It must run allocation-free.
 func BenchmarkEngine(b *testing.B) {
 	var e sim.Engine
-	nop := e.RegisterHandler(func(sim.EventRec) {})
+	nop := e.RegisterHandler(func(*sim.EventRec) {})
 	const depth = 1024
 	for i := 0; i < depth; i++ {
 		e.Post(sim.Time(i), sim.EventRec{Kind: nop})

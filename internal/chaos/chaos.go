@@ -438,7 +438,7 @@ func RunSeed(cfg Config, seed int64) (res Result) {
 		// Each event carries the attempts left in Seq; a retry fires
 		// 200ns later with one fewer.
 		var kind sim.EventKind
-		kind = m.Engine().RegisterHandler(func(rec sim.EventRec) {
+		kind = m.Engine().RegisterHandler(func(rec *sim.EventRec) {
 			if corrupt(m, cfg, addrs, int(rec.Seq)) {
 				m.Engine().PostAfter(200, sim.EventRec{Kind: kind, Seq: rec.Seq - 1})
 			}

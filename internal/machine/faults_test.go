@@ -76,7 +76,7 @@ func TestCtrlFrameToProtocolPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Network().SendPacket(network.Packet{Src: 0, Dst: 1, Ctrl: true, TSeq: 1})
+	m.Network().SendPacket(&network.Packet{Src: 0, Dst: 1, Flags: network.FlagCtrl, Seq: 1})
 	defer func() {
 		if _, ok := recover().(*network.SendError); !ok {
 			t.Error("control frame delivered to the protocol did not panic with *network.SendError")

@@ -328,7 +328,7 @@ func TestMonitorRunSurfacesViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupt := m.Engine().RegisterHandler(func(sim.EventRec) {
+	corrupt := m.Engine().RegisterHandler(func(*sim.EventRec) {
 		for _, e := range m.Directory(1).Entries() {
 			m.Directory(1).CorruptOwner(e.Addr, 3)
 			return

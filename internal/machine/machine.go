@@ -160,8 +160,8 @@ func New(cfg sim.Config, opts stache.Options, app workload.App) (*Machine, error
 	for i := range m.waitingSince {
 		m.waitingSince[i] = sim.MaxTime
 	}
-	m.kindStep = engine.RegisterHandler(func(rec sim.EventRec) { m.step(&m.procs[rec.Dst]) })
-	m.kindBarrier = engine.RegisterHandler(func(sim.EventRec) { m.startIteration() })
+	m.kindStep = engine.RegisterHandler(func(rec *sim.EventRec) { m.step(&m.procs[rec.Dst]) })
+	m.kindBarrier = engine.RegisterHandler(func(*sim.EventRec) { m.startIteration() })
 	m.done = make([]func(), cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		node := coherence.NodeID(i)
@@ -187,12 +187,11 @@ func New(cfg sim.Config, opts stache.Options, app workload.App) (*Machine, error
 		sender = m.transport
 	} else {
 		// With no transport to consume them, a control frame reaching
-		// the protocol is a simulator bug. pkt's fields are read in
-		// place: a helper returning Msg by value copies it through the
-		// stack on every delivery.
-		net.Bind(func(pkt network.Packet) {
-			if pkt.Ctrl {
-				panic(&network.SendError{Pkt: pkt, Reason: "control frame delivered to the protocol"})
+		// the protocol is a simulator bug. pkt is the engine's firing
+		// event, read in place.
+		net.Bind(func(pkt *network.Packet) {
+			if pkt.Ctrl() {
+				panic(&network.SendError{Pkt: *pkt, Reason: "control frame delivered to the protocol"})
 			}
 			m.deliver(pkt.Msg)
 		})

@@ -39,34 +39,42 @@ import (
 // Packet is the unit the wire actually carries: either a coherence
 // message or a transport control frame (an acknowledgment from the
 // reliable layer). The protocol never sees control frames.
-type Packet struct {
-	Src, Dst coherence.NodeID
-	// Msg is the coherence payload; it is the zero Msg for control
-	// frames.
-	Msg coherence.Msg
-	// Ctrl marks a transport control frame (reliable-delivery ack).
-	Ctrl bool
-	// TSeq is the reliable transport's per-link sequence number (data
-	// frames) or cumulative acknowledgment (control frames). Zero when
-	// the reliable layer is not in use.
-	TSeq uint64
-	// Retx marks a retransmission of a previously injected frame
+//
+// A Packet is its own delivery event: a defined type over
+// sim.EventRec, so the frame a sender builds is copied once into the
+// engine's queue and handed to the receiver in place, never rebuilt.
+// Its fields read as:
+//
+//   - Src, Dst: the directed link the packet travels.
+//   - Msg: the coherence payload; the zero Msg for control frames.
+//   - Seq: the reliable transport's per-link sequence number (data
+//     frames) or cumulative acknowledgment (control frames); zero
+//     when the reliable layer is not in use.
+//   - Flags: FlagCtrl and FlagRetx.
+//   - Kind: the engine's delivery kind, which SendPacket stamps;
+//     senders leave it zero.
+type Packet sim.EventRec
+
+// Packet flag bits.
+const (
+	// FlagCtrl marks a transport control frame (reliable-delivery ack).
+	FlagCtrl uint8 = 1 << iota
+	// FlagRetx marks a retransmission of a previously injected frame
 	// (counted separately in Stats).
-	Retx bool
-}
+	FlagRetx
+)
+
+// Ctrl reports whether pkt is a transport control frame.
+func (pkt *Packet) Ctrl() bool { return pkt.Flags&FlagCtrl != 0 }
+
+// Retx reports whether pkt retransmits an earlier frame.
+func (pkt *Packet) Retx() bool { return pkt.Flags&FlagRetx != 0 }
 
 // PacketHandler receives every packet the network delivers, on
-// whichever node it is addressed to (pkt.Dst).
-type PacketHandler func(pkt Packet)
-
-// Packet flag bits carried in the delivery EventRec. A Packet in
-// flight lives entirely inside a value-typed sim.EventRec — src/dst in
-// the receiver indexes, TSeq in the scalar, Ctrl/Retx here — so
-// scheduling a delivery allocates nothing.
-const (
-	flagCtrl uint8 = 1 << iota
-	flagRetx
-)
+// whichever node it is addressed to (pkt.Dst). pkt is the engine's
+// firing event (see sim.Handler): valid until the handler returns, so
+// a handler that keeps a packet copies it.
+type PacketHandler func(pkt *Packet)
 
 // SendError describes a malformed injection. Send and SendPacket panic
 // with *SendError — a malformed message is a simulator bug, not a
@@ -139,7 +147,7 @@ type Network struct {
 	seq   uint64
 	stats Stats
 	// kindDeliver is the engine event kind for wire deliveries; the
-	// handler reconstructs the Packet from the EventRec.
+	// delivery handler reads the event as the Packet it is.
 	kindDeliver sim.EventKind
 	// inflight counts coherence messages scheduled for delivery but not
 	// yet handed to their destination handler (dropped packets are never
@@ -211,46 +219,26 @@ func (nw *Network) Stats() Stats { return nw.stats }
 // handler. Transport control frames are excluded.
 func (nw *Network) InFlight() int { return nw.inflight }
 
-// post schedules pkt's delivery at time at as a value-typed event,
-// taking its in-flight accounting. This is the only scheduling path
-// for the wire: one EventRec, no closure, no per-message allocation.
+// post schedules pkt's delivery at time at, taking its in-flight
+// accounting. This is the only scheduling path for the wire: the
+// packet is the event, so no closure and no per-message allocation.
 //
 //cosmosvet:hotpath
-func (nw *Network) post(at sim.Time, pkt Packet) {
-	var flags uint8
-	if pkt.Ctrl {
-		flags |= flagCtrl
-	} else {
+func (nw *Network) post(at sim.Time, pkt *Packet) {
+	if !pkt.Ctrl() {
 		nw.inflight++
 	}
-	if pkt.Retx {
-		flags |= flagRetx
-	}
-	nw.engine.Post(at, sim.EventRec{
-		Kind:  nw.kindDeliver,
-		Flags: flags,
-		Src:   pkt.Src,
-		Dst:   pkt.Dst,
-		Seq:   pkt.TSeq,
-		Msg:   pkt.Msg,
-	})
+	nw.engine.Post(at, sim.EventRec(*pkt))
 }
 
-// handleDeliver fires a scheduled delivery: rebuild the Packet from
-// the EventRec, retire its in-flight accounting, and hand it to the
-// receiver (bound before send, checked in SendPacket).
+// handleDeliver fires a scheduled delivery: the event is the Packet,
+// so it retires the in-flight accounting and hands the receiver (bound
+// before send, checked in SendPacket) the event in place.
 //
 //cosmosvet:hotpath
-func (nw *Network) handleDeliver(rec sim.EventRec) {
-	pkt := Packet{
-		Src:  rec.Src,
-		Dst:  rec.Dst,
-		Msg:  rec.Msg,
-		Ctrl: rec.Flags&flagCtrl != 0,
-		TSeq: rec.Seq,
-		Retx: rec.Flags&flagRetx != 0,
-	}
-	if !pkt.Ctrl {
+func (nw *Network) handleDeliver(rec *sim.EventRec) {
+	pkt := (*Packet)(rec)
+	if !pkt.Ctrl() {
 		nw.inflight--
 	}
 	nw.recv(pkt)
@@ -261,28 +249,42 @@ func (nw *Network) handleDeliver(rec sim.EventRec) {
 // wire. Send panics with *SendError on malformed messages (destination
 // out of range, no receiver bound, invalid type): those are simulator
 // bugs, not recoverable conditions.
+//
+// The frame is filled field by field, each from its own field of msg:
+// copying msg whole, or Src and Dst as one word, reads the narrow
+// stores that spill msg on entry with a wider load, which stalls store
+// forwarding on every message.
+//
+//cosmosvet:hotpath
 func (nw *Network) Send(msg coherence.Msg) {
-	nw.SendPacket(Packet{Src: msg.Src, Dst: msg.Dst, Msg: msg})
+	var pkt Packet
+	pkt.Src, pkt.Msg.Src = msg.Src, msg.Src
+	pkt.Dst, pkt.Msg.Dst = msg.Dst, msg.Dst
+	pkt.Msg.Type, pkt.Msg.Addr, pkt.Msg.Requestor, pkt.Msg.Grant = msg.Type, msg.Addr, msg.Requestor, msg.Grant
+	nw.SendPacket(&pkt)
 }
 
 // SendPacket injects a packet — a coherence message or a transport
-// control frame. Like Send it panics with *SendError on malformed
-// input.
+// control frame — working on pkt in place: it stamps pkt.Kind and
+// copies pkt into the engine's queue, keeping no reference to it. Like
+// Send it panics with *SendError on malformed input.
 //
 //cosmosvet:hotpath
-func (nw *Network) SendPacket(pkt Packet) {
-	if !pkt.Ctrl && !pkt.Msg.Type.Valid() {
-		panic(&SendError{Pkt: pkt, Reason: "invalid message type"})
+func (nw *Network) SendPacket(pkt *Packet) {
+	pkt.Kind = nw.kindDeliver
+	ctrl := pkt.Ctrl()
+	if !ctrl && !pkt.Msg.Type.Valid() {
+		panic(&SendError{Pkt: *pkt, Reason: "invalid message type"})
 	}
 	if int(pkt.Dst) < 0 || int(pkt.Dst) >= nw.nodes {
-		panic(&SendError{Pkt: pkt, Reason: "destination out of range"})
+		panic(&SendError{Pkt: *pkt, Reason: "destination out of range"})
 	}
 	if nw.recv == nil {
-		panic(&SendError{Pkt: pkt, Reason: "no receiver bound"})
+		panic(&SendError{Pkt: *pkt, Reason: "no receiver bound"})
 	}
 	nw.seq++
 
-	if pkt.Ctrl {
+	if ctrl {
 		nw.stats.CtrlMessages++
 	} else {
 		nw.stats.MessagesSent++
@@ -291,7 +293,7 @@ func (nw *Network) SendPacket(pkt Packet) {
 			nw.stats.DataMessages++
 		}
 	}
-	if pkt.Retx {
+	if pkt.Retx() {
 		nw.stats.Retransmits++
 	}
 
@@ -302,12 +304,12 @@ func (nw *Network) SendPacket(pkt Packet) {
 	var at sim.Time
 	switch {
 	case !remote:
-		if !pkt.Ctrl {
+		if !ctrl {
 			nw.stats.LocalMessages++
 		}
 		at = nw.engine.Now() + nw.localLat
 	case nw.topo.Structured():
-		at = nw.routeDelivery(pkt)
+		at = nw.routeDelivery(pkt.Src, pkt.Dst)
 	default:
 		at = nw.engine.Now() + nw.latency
 	}
@@ -331,14 +333,14 @@ func (nw *Network) SendPacket(pkt Packet) {
 	nw.post(at, pkt)
 }
 
-// routeDelivery walks pkt's dimension-order route, charging NI costs
+// routeDelivery walks the dimension-order route from src to dst, charging NI costs
 // at both ends, per-hop wire latency, and per-link occupancy: a hop
 // cannot start until its link is free, and crossing it occupies the
 // link until the hop completes. Returns the delivery time. Routing
 // appends into a reusable buffer, so the steady-state path does not
 // allocate.
-func (nw *Network) routeDelivery(pkt Packet) sim.Time {
-	route := nw.topo.Route(pkt.Src, pkt.Dst, nw.routeBuf[:0])
+func (nw *Network) routeDelivery(src, dst coherence.NodeID) sim.Time {
+	route := nw.topo.Route(src, dst, nw.routeBuf[:0])
 	nw.routeBuf = route
 	t := nw.engine.Now() + nw.niLat
 	for _, l := range route {

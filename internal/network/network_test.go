@@ -21,7 +21,7 @@ func testNet(t *testing.T) (*sim.Engine, *Network) {
 
 // bindMsgs binds a receiver that hands every packet's message to h.
 func bindMsgs(nw *Network, h func(coherence.Msg)) {
-	nw.Bind(func(pkt Packet) { h(pkt.Msg) })
+	nw.Bind(func(pkt *Packet) { h(pkt.Msg) })
 }
 
 func TestDeliveryLatency(t *testing.T) {
@@ -191,8 +191,8 @@ func TestSendPanicsWithTypedError(t *testing.T) {
 				if serr.Reason != c.reason {
 					t.Errorf("Reason = %q, want one mentioning %q", serr.Reason, c.reason)
 				}
-				if serr.Error() == "" {
-					t.Error("empty Error()")
+				if want := "network: " + c.reason + " in " + c.msg.String(); serr.Error() != want {
+					t.Errorf("Error() = %q, want %q", serr.Error(), want)
 				}
 			}()
 			nw.Send(c.msg)
@@ -232,7 +232,7 @@ func TestJitterReordersRawWire(t *testing.T) {
 	e, nw := faultyNet(t, faults.Plan{Seed: 7, JitterNs: 5000})
 	var got []uint64
 	bindMsgs(nw, func(m coherence.Msg) { got = append(got, uint64(m.Addr)) })
-	send := e.RegisterHandler(func(rec sim.EventRec) { nw.Send(rec.Msg) })
+	send := e.RegisterHandler(func(rec *sim.EventRec) { nw.Send(rec.Msg) })
 	for i := uint64(1); i <= 100; i++ {
 		e.Post(sim.Time(i*10), sim.EventRec{Kind: send,
 			Msg: coherence.Msg{Src: 0, Dst: 1, Type: coherence.GetROReq, Addr: coherence.Addr(i * 64)}})
@@ -282,12 +282,12 @@ func TestDropAndDupCounters(t *testing.T) {
 func TestCtrlFramesBypassTypeValidationAndCount(t *testing.T) {
 	e, nw := testNet(t)
 	acks := 0
-	nw.Bind(func(pkt Packet) {
-		if pkt.Ctrl {
+	nw.Bind(func(pkt *Packet) {
+		if pkt.Ctrl() {
 			acks++
 		}
 	})
-	nw.SendPacket(Packet{Src: 0, Dst: 1, Ctrl: true, TSeq: 17})
+	nw.SendPacket(&Packet{Src: 0, Dst: 1, Flags: FlagCtrl, Seq: 17})
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}

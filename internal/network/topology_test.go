@@ -142,10 +142,10 @@ func TestTopologyWithFaultsComposes(t *testing.T) {
 		t.Fatal(err)
 	}
 	delivered := 0
-	nw.Bind(func(Packet) { delivered++ })
+	nw.Bind(func(*Packet) { delivered++ })
 	const sent = 2000
 	for i := 0; i < sent; i++ {
-		nw.SendPacket(Packet{
+		nw.SendPacket(&Packet{
 			Src: coherence.NodeID(i % 16), Dst: coherence.NodeID((i + 5) % 16),
 			Msg: coherence.Msg{Src: coherence.NodeID(i % 16), Dst: coherence.NodeID((i + 5) % 16),
 				Type: coherence.GetROReq, Addr: 0x40},

@@ -297,7 +297,8 @@ func (t *Transport) Send(msg coherence.Msg) {
 	ts := l.nextSend
 	*l.frame(ts) = outstanding{msg: msg, backoff: t.timeout, sentAt: t.engine.Now()}
 	t.stats.DataSent++
-	t.net.SendPacket(network.Packet{Src: msg.Src, Dst: msg.Dst, Msg: msg, TSeq: ts})
+	pkt := network.Packet{Src: msg.Src, Dst: msg.Dst, Msg: msg, Seq: ts}
+	t.net.SendPacket(&pkt)
 	t.armTimer(l, ts)
 }
 
@@ -315,7 +316,7 @@ func (t *Transport) armTimer(l *link, ts uint64) {
 // event: the record names the link and the frame.
 //
 //cosmosvet:hotpath
-func (t *Transport) handleRetx(rec sim.EventRec) {
+func (t *Transport) handleRetx(rec *sim.EventRec) {
 	t.timerFired(t.linkFor(rec.Src, rec.Dst), rec.Seq)
 }
 
@@ -342,7 +343,8 @@ func (t *Transport) timerFired(l *link, ts uint64) {
 		o.backoff = t.backoffCap
 	}
 	t.stats.Retransmits++
-	t.net.SendPacket(network.Packet{Src: l.src, Dst: l.dst, Msg: o.msg, TSeq: ts, Retx: true})
+	pkt := network.Packet{Src: l.src, Dst: l.dst, Msg: o.msg, Seq: ts, Flags: network.FlagRetx}
+	t.net.SendPacket(&pkt)
 	t.armTimer(l, ts)
 }
 
@@ -359,28 +361,29 @@ func (t *Transport) fail(err error) {
 
 // receive is the network's receiver: acks retire sender-side state;
 // data frames are deduplicated, released in order, and cumulatively
-// acknowledged.
+// acknowledged. pkt is the engine's firing event, read in place; it
+// stays unchanged while released messages run the protocol.
 //
 //cosmosvet:hotpath
-func (t *Transport) receive(pkt network.Packet) {
-	if pkt.Ctrl {
+func (t *Transport) receive(pkt *network.Packet) {
+	if pkt.Ctrl() {
 		t.handleAck(pkt)
 		return
 	}
-	if pkt.TSeq == 0 {
+	if pkt.Seq == 0 {
 		// Unsequenced (node-local) message: deliver directly.
 		t.handlers[pkt.Dst](pkt.Msg)
 		return
 	}
 	l := t.linkFor(pkt.Src, pkt.Dst)
 	switch {
-	case pkt.TSeq <= l.delivered:
+	case pkt.Seq <= l.delivered:
 		// Already released: a wire duplicate or a spurious
 		// retransmission. Our previous ack may have been lost, so
 		// re-acknowledge.
 		t.stats.DupsDiscarded++
 
-	case pkt.TSeq == l.delivered+1:
+	case pkt.Seq == l.delivered+1:
 		t.release(l, pkt.Msg)
 		// Drain any frames the gap was holding back.
 		for {
@@ -393,10 +396,10 @@ func (t *Transport) receive(pkt network.Packet) {
 		}
 
 	default: // ahead of a gap: buffer
-		if _, ok := l.held[pkt.TSeq]; ok {
+		if _, ok := l.held[pkt.Seq]; ok {
 			t.stats.DupsDiscarded++
 		} else {
-			l.held[pkt.TSeq] = pkt.Msg
+			l.held[pkt.Seq] = pkt.Msg
 			t.stats.HeldOutOfOrder++
 		}
 	}
@@ -404,7 +407,8 @@ func (t *Transport) receive(pkt network.Packet) {
 	// been released in order. Acks ride the same faulty wire; loss is
 	// repaired by the next ack or a retransmission-triggered re-ack.
 	t.stats.AcksSent++
-	t.net.SendPacket(network.Packet{Src: pkt.Dst, Dst: pkt.Src, Ctrl: true, TSeq: l.delivered})
+	ack := network.Packet{Src: pkt.Dst, Dst: pkt.Src, Flags: network.FlagCtrl, Seq: l.delivered}
+	t.net.SendPacket(&ack)
 }
 
 // release hands msg to the protocol in order.
@@ -420,10 +424,10 @@ func (t *Transport) release(l *link, msg coherence.Msg) {
 // dst->src.
 //
 //cosmosvet:hotpath
-func (t *Transport) handleAck(pkt network.Packet) {
+func (t *Transport) handleAck(pkt *network.Packet) {
 	t.stats.AcksRecv++
 	l := t.linkFor(pkt.Dst, pkt.Src)
-	if pkt.TSeq > l.acked {
-		l.acked = pkt.TSeq
+	if pkt.Seq > l.acked {
+		l.acked = pkt.Seq
 	}
 }

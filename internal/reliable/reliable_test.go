@@ -28,7 +28,7 @@ func harness(t *testing.T, plan faults.Plan, maxRetries int) (*sim.Engine, *netw
 // sendStream schedules n messages on src->dst, one every gap ns, with
 // the index encoded in the address.
 func sendStream(e *sim.Engine, tr *Transport, src, dst coherence.NodeID, n int, gap sim.Time) {
-	send := e.RegisterHandler(func(rec sim.EventRec) { tr.Send(rec.Msg) })
+	send := e.RegisterHandler(func(rec *sim.EventRec) { tr.Send(rec.Msg) })
 	for i := 0; i < n; i++ {
 		e.Post(sim.Time(i)*gap, sim.EventRec{Kind: send,
 			Msg: coherence.Msg{Src: src, Dst: dst, Type: coherence.GetROReq, Addr: coherence.Addr((i + 1) * 64)}})
@@ -243,7 +243,7 @@ func deadLinkHarness(t *testing.T, timeout, cap sim.Time, maxRetries int) (*sim.
 	tr := New(engine, nw, cfg)
 	tr.Bind(0, func(coherence.Msg) {})
 	tr.Bind(1, func(coherence.Msg) {})
-	send := engine.RegisterHandler(func(rec sim.EventRec) { tr.Send(rec.Msg) })
+	send := engine.RegisterHandler(func(rec *sim.EventRec) { tr.Send(rec.Msg) })
 	engine.Post(0, sim.EventRec{Kind: send, Msg: coherence.Msg{Src: 0, Dst: 1, Type: coherence.GetROReq, Addr: 64}})
 	if _, err := engine.Run(0); err != nil {
 		t.Fatal(err)
@@ -352,7 +352,7 @@ func TestStaleAckRetiresNothing(t *testing.T) {
 	delivered := 0
 	tr.Bind(0, func(coherence.Msg) {})
 	tr.Bind(1, func(coherence.Msg) { delivered++ })
-	send := engine.RegisterHandler(func(rec sim.EventRec) { tr.Send(rec.Msg) })
+	send := engine.RegisterHandler(func(rec *sim.EventRec) { tr.Send(rec.Msg) })
 	for i := 1; i <= 5; i++ {
 		at := sim.Time(0)
 		if i > 3 {
@@ -363,8 +363,8 @@ func TestStaleAckRetiresNothing(t *testing.T) {
 	}
 	// The acks of frames 1-3 reach node 0 at t=320; the stale one lands
 	// at t=560, before any retransmit timer fires (t=1000 and t=1100).
-	stale := engine.RegisterHandler(func(sim.EventRec) {
-		nw.SendPacket(network.Packet{Src: 1, Dst: 0, Ctrl: true, TSeq: 1})
+	stale := engine.RegisterHandler(func(*sim.EventRec) {
+		nw.SendPacket(&network.Packet{Src: 1, Dst: 0, Flags: network.FlagCtrl, Seq: 1})
 	})
 	engine.Post(400, sim.EventRec{Kind: stale})
 

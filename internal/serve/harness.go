@@ -226,7 +226,7 @@ func (c *Cluster) start() error {
 		return err
 	}
 	c.Eng, c.Tr, c.Srv = eng, tr, srv
-	sendKind := eng.RegisterHandler(func(rec sim.EventRec) { c.Clients[rec.Src].send() })
+	sendKind := eng.RegisterHandler(func(rec *sim.EventRec) { c.Clients[rec.Src].send() })
 	for _, cl := range c.Clients {
 		cursor, err := srv.Resync(cl.ID, uint64(len(cl.Recv)))
 		if err != nil {

@@ -123,8 +123,8 @@ func New(eng *sim.Engine, tr *reliable.Transport, store *Store, cfg Config) (*Se
 		return nil, err
 	}
 	s := &Server{cfg: cfg, eng: eng, tr: tr, store: store}
-	s.processKind = eng.RegisterHandler(func(sim.EventRec) { s.process() })
-	s.watchdogKind = eng.RegisterHandler(func(sim.EventRec) { s.watchdog() })
+	s.processKind = eng.RegisterHandler(func(*sim.EventRec) { s.process() })
+	s.watchdogKind = eng.RegisterHandler(func(*sim.EventRec) { s.watchdog() })
 	s.stats.Shed = make([]uint64, cfg.Streams)
 	s.stats.TimedOut = make([]uint64, cfg.Streams)
 	s.stats.Dropped = make([]uint64, cfg.Streams)

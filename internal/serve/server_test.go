@@ -146,7 +146,7 @@ func rawHarness(t *testing.T, cfg Config, clients int) (*sim.Engine, *reliable.T
 		t.Fatal(err)
 	}
 	tr := reliable.New(eng, nw, simCfg)
-	send := eng.RegisterHandler(func(rec sim.EventRec) { tr.Send(rec.Msg) })
+	send := eng.RegisterHandler(func(rec *sim.EventRec) { tr.Send(rec.Msg) })
 	for i := 0; i < clients; i++ {
 		tr.Bind(coherence.NodeID(i), func(coherence.Msg) {})
 	}

@@ -174,6 +174,11 @@ type Engine struct {
 
 	// overflow holds events beyond the wheel horizon.
 	overflow eventHeap
+
+	// cur is the firing event: Step pops into it and dispatches
+	// &cur.rec, so the handler reads the record in place, apart from
+	// the queue storage its own posts may grow.
+	cur item
 }
 
 // SetPerturb installs (or, with nil, removes) a scheduling
@@ -221,14 +226,15 @@ func (e *Engine) initWheel() {
 	}
 }
 
-// wheelAdd appends it to its slot and marks the slot occupied.
+// wheelAdd appends rec, stamped with at and the current sequence
+// number, to its slot and marks the slot occupied.
 //
 //cosmosvet:hotpath
-func (e *Engine) wheelAdd(it item) {
-	idx := int(it.at) & wheelMask
+func (e *Engine) wheelAdd(at Time, rec *EventRec) {
+	idx := int(at) & wheelMask
 	s := &e.slots[idx]
 	//cosmosvet:allow hotpath amortized slot growth; steady state reuses the backing array
-	s.items = append(s.items, it)
+	s.items = append(s.items, item{at: at, seq: e.seq, rec: *rec})
 	e.occ[idx>>6] |= 1 << uint(idx&63)
 	e.wheelCount++
 }
@@ -253,28 +259,24 @@ func (e *Engine) wheelPeek() (idx int, ok bool) {
 		if w >= occWords {
 			w -= occWords
 		}
-		word := e.occ[w]
-		if w == w0 {
-			// Wrapped back to the starting word: only the bits below
-			// now's position remain unexamined.
-			word &= 1<<b0 - 1
-		}
-		if word != 0 {
+		// The last pass wraps back to the starting word, whose bits at
+		// and above now's position the first check found clear.
+		if word := e.occ[w]; word != 0 {
 			return w<<6 + bits.TrailingZeros64(word), true
 		}
 	}
 	panic("sim: wheel count positive but no occupied slot")
 }
 
-// wheelPop removes and returns the head item of slot idx, releasing
-// the slot (and its occupancy bit) when it empties. The backing array
-// is kept for reuse, so steady state recycles slot storage instead of
+// wheelPop moves the head item of slot idx into cur, releasing the
+// slot (and its occupancy bit) when it empties. The backing array is
+// kept for reuse, so steady state recycles slot storage instead of
 // allocating.
 //
 //cosmosvet:hotpath
-func (e *Engine) wheelPop(idx int) item {
+func (e *Engine) wheelPop(idx int) {
 	s := &e.slots[idx]
-	it := s.items[s.head]
+	e.cur = s.items[s.head]
 	s.head++
 	if s.head == len(s.items) {
 		s.items = s.items[:0]
@@ -282,25 +284,26 @@ func (e *Engine) wheelPop(idx int) item {
 		e.occ[idx>>6] &^= 1 << uint(idx&63)
 	}
 	e.wheelCount--
-	return it
 }
 
-// pop removes and returns the globally earliest item, merging the
-// wheel and the overflow heap by (time, seq). An overflow item can
-// share an instant with a wheel item (a far-scheduled timer whose
-// horizon arrived), so the seq tiebreak is load-bearing here.
+// pop moves the globally earliest item into cur, merging the wheel
+// and the overflow heap by (time, seq). An overflow item can share an
+// instant with a wheel item (a far-scheduled timer whose horizon
+// arrived), so the seq tiebreak is load-bearing here.
 //
 //cosmosvet:hotpath
-func (e *Engine) pop() item {
+func (e *Engine) pop() {
 	idx, wOk := e.wheelPeek()
 	if !wOk {
-		return e.overflow.pop()
+		e.cur = e.overflow.pop()
+		return
 	}
 	s := &e.slots[idx]
 	if len(e.overflow) > 0 && e.overflow[0].less(s.items[s.head]) {
-		return e.overflow.pop()
+		e.cur = e.overflow.pop()
+		return
 	}
-	return e.wheelPop(idx)
+	e.wheelPop(idx)
 }
 
 // Halt stops Run before the next event fires. Events already scheduled
@@ -308,17 +311,19 @@ func (e *Engine) pop() item {
 func (e *Engine) Halt() { e.halted = true }
 
 // Step fires the single earliest event. It reports whether an event
-// fired (false means the queue was empty).
+// fired (false means the queue was empty). The handler gets a pointer
+// to the engine's cur slot, which the next Step overwrites; handlers
+// therefore never call Step themselves.
 //
 //cosmosvet:hotpath
 func (e *Engine) Step() bool {
 	if e.wheelCount == 0 && len(e.overflow) == 0 {
 		return false
 	}
-	it := e.pop()
-	e.now = it.at
+	e.pop()
+	e.now = e.cur.at
 	e.fired++
-	e.handlers[it.rec.Kind](it.rec)
+	e.handlers[e.cur.rec.Kind](&e.cur.rec)
 	return true
 }
 

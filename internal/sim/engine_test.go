@@ -4,17 +4,20 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"github.com/cosmos-coherence/cosmos/internal/coherence"
 )
 
 // logKind registers a handler on e that appends each event's Seq to
 // *log, the common recording idiom of these tests.
 func logKind(e *Engine, log *[]uint64) EventKind {
-	return e.RegisterHandler(func(rec EventRec) { *log = append(*log, rec.Seq) })
+	return e.RegisterHandler(func(rec *EventRec) { *log = append(*log, rec.Seq) })
 }
 
 func TestEngineOrdersByTime(t *testing.T) {
@@ -56,8 +59,8 @@ func TestEngineFIFOAtSameInstant(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	var e Engine
 	var trace []Time
-	leaf := e.RegisterHandler(func(EventRec) { trace = append(trace, e.Now()) })
-	root := e.RegisterHandler(func(EventRec) {
+	leaf := e.RegisterHandler(func(*EventRec) { trace = append(trace, e.Now()) })
+	root := e.RegisterHandler(func(*EventRec) {
 		trace = append(trace, e.Now())
 		e.PostAfter(5, EventRec{Kind: leaf})
 		e.PostAfter(0, EventRec{Kind: leaf})
@@ -79,8 +82,8 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
 	var e Engine
-	nop := e.RegisterHandler(func(EventRec) {})
-	k := e.RegisterHandler(func(EventRec) {
+	nop := e.RegisterHandler(func(*EventRec) {})
+	k := e.RegisterHandler(func(*EventRec) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
@@ -98,7 +101,7 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 // every period nanoseconds: it would run forever without a budget.
 func tickKind(e *Engine, period Time) EventKind {
 	var k EventKind
-	k = e.RegisterHandler(func(EventRec) { e.PostAfter(period, EventRec{Kind: k}) })
+	k = e.RegisterHandler(func(*EventRec) { e.PostAfter(period, EventRec{Kind: k}) })
 	return k
 }
 
@@ -117,7 +120,7 @@ func TestEngineBudget(t *testing.T) {
 func TestEngineHalt(t *testing.T) {
 	var e Engine
 	count := 0
-	k := e.RegisterHandler(func(EventRec) {
+	k := e.RegisterHandler(func(*EventRec) {
 		count++
 		if count == 3 {
 			e.Halt()
@@ -175,7 +178,7 @@ func TestEngineRandomizedOrdering(t *testing.T) {
 			ins uint64
 		}
 		var fired []key
-		k := e.RegisterHandler(func(rec EventRec) { fired = append(fired, key{e.Now(), rec.Seq}) })
+		k := e.RegisterHandler(func(rec *EventRec) { fired = append(fired, key{e.Now(), rec.Seq}) })
 		for i, raw := range times {
 			e.Post(Time(raw), EventRec{Kind: k, Seq: uint64(i)})
 		}
@@ -196,16 +199,18 @@ func TestEngineRandomizedOrdering(t *testing.T) {
 
 // TestEngineSteadyStateAllocFree pins the event core's allocation
 // claim: once the queue holds a steady population, Post plus Step
-// allocates nothing. 1024 periodic events, four per instant (a full
+// allocates nothing, and handing the handler &cur.rec never moves the
+// record to the heap. 1024 periodic events, four per instant (a full
 // slotCap0 slot), each repost themselves on firing: most 256ns out on
 // the wheel, every sixteenth past the horizon into the overflow heap.
-// AllocsPerRun's first call is the warm-up that grows the heap to its
-// steady size; the measured call then fires 64Ki events, so a single
-// allocation anywhere among them fails the test.
+// A first stepSteady grows the heap to its steady size; the measured
+// one then fires 64Ki events, and only allocations on its own call
+// stack count, so a single allocation anywhere among them fails the
+// test while another goroutine's cannot.
 func TestEngineSteadyStateAllocFree(t *testing.T) {
 	var e Engine
 	var k EventKind
-	k = e.RegisterHandler(func(rec EventRec) {
+	k = e.RegisterHandler(func(rec *EventRec) {
 		delay := Time(256)
 		if rec.Seq%16 == 0 {
 			delay = 2 * wheelSpan
@@ -215,12 +220,121 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 	for i := 0; i < 1024; i++ {
 		e.Post(Time(i/4), EventRec{Kind: k, Seq: uint64(i)})
 	}
-	if allocs := testing.AllocsPerRun(1, func() {
-		for i := 0; i < 1<<16; i++ {
-			e.Step()
+	stepSteady(&e)
+	if allocs := allocsThrough(stepSteady, func() { stepSteady(&e) }); allocs != 0 {
+		t.Errorf("64Ki steady-state Step+Post pairs allocated %d times, want 0", allocs)
+	}
+}
+
+// stepSteady fires 64Ki events; allocsThrough counts by its name.
+//
+//go:noinline
+func stepSteady(e *Engine) {
+	for i := 0; i < 1<<16; i++ {
+		e.Step()
+	}
+}
+
+// allocsThrough runs f once with every allocation sampled and returns
+// how many objects were allocated on stacks passing through fn.
+// testing.AllocsPerRun counts mallocs process-wide, so one allocation
+// by another goroutine during f would be charged to f; here only f's
+// own call chain into fn counts.
+func allocsThrough(fn any, f func()) int64 {
+	name := runtime.FuncForPC(reflect.ValueOf(fn).Pointer()).Name()
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	// A heap profile publishes allocations at the end of a GC cycle, so
+	// a collection on each side brackets exactly f's allocations.
+	runtime.GC()
+	before := profiledAllocs(name)
+	f()
+	runtime.GC()
+	return profiledAllocs(name) - before
+}
+
+// profiledAllocs sums the cumulative allocation counts of every heap
+// profile record whose stack passes through the function named name.
+func profiledAllocs(name string) int64 {
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	var total int64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			fr, more := frames.Next()
+			if fr.Function == name {
+				total += r.AllocObjects
+				break
+			}
+			if !more {
+				break
+			}
 		}
-	}); allocs != 0 {
-		t.Errorf("64Ki steady-state Step+Post pairs allocated %v times, want 0", allocs)
+	}
+	return total
+}
+
+// TestAllocsThroughSeesHandlerAllocations: an allocation a handler
+// makes under stepSteady is counted, so the zero above is a real
+// measurement rather than a stack the profile never attributes.
+func TestAllocsThroughSeesHandlerAllocations(t *testing.T) {
+	var e Engine
+	var sink []*EventRec
+	var k EventKind
+	k = e.RegisterHandler(func(rec *EventRec) {
+		sink = append(sink[:0], &EventRec{Seq: rec.Seq})
+		e.PostAfter(1, EventRec{Kind: k})
+	})
+	e.Post(0, EventRec{Kind: k})
+	if n := allocsThrough(stepSteady, func() { stepSteady(&e) }); n < 1<<16 {
+		t.Errorf("allocsThrough counted %d allocations under stepSteady, want at least %d", n, 1<<16)
+	}
+}
+
+// TestHandlerRecordSurvivesOwnPosts: the record a handler is handed
+// stays unchanged while the handler posts more same-instant events
+// than a slot holds before it grows, so a handler may read its record
+// after scheduling work. One root fires alone, so its slot empties and
+// the posts refill it from the start; the other heads a full slot, so
+// the posts regrow the slot under it.
+func TestHandlerRecordSurvivesOwnPosts(t *testing.T) {
+	var e Engine
+	leaves := 0
+	leaf := e.RegisterHandler(func(*EventRec) { leaves++ })
+	want := map[uint64]EventRec{}
+	var root EventKind
+	root = e.RegisterHandler(func(rec *EventRec) {
+		before := *rec
+		if before != want[before.Seq] {
+			t.Fatalf("handler got %+v, want %+v", before, want[before.Seq])
+		}
+		for i := 0; i < 4*slotCap0; i++ {
+			e.PostAfter(0, EventRec{Kind: leaf, Flags: 0xff, Src: -1, Dst: -1, Seq: ^uint64(i),
+				Msg: coherence.Msg{Src: -1, Dst: -1, Type: coherence.InvalRWReq, Addr: ^coherence.Addr(0)}})
+		}
+		if *rec != before {
+			t.Errorf("record changed under its handler's posts: %+v, was %+v", *rec, before)
+		}
+	})
+	for i := uint64(1); i <= 2; i++ {
+		rec := EventRec{Kind: root, Flags: uint8(i), Src: coherence.NodeID(i), Dst: coherence.NodeID(i + 1), Seq: i,
+			Msg: coherence.Msg{Src: coherence.NodeID(i), Dst: coherence.NodeID(i + 1), Type: coherence.GetROReq, Addr: coherence.Addr(64 * i)}}
+		want[i] = rec
+		e.Post(Time(10*i), rec)
+	}
+	for i := 1; i < slotCap0; i++ {
+		e.Post(20, EventRec{Kind: leaf})
+	}
+	if _, err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if want := 2*4*slotCap0 + slotCap0 - 1; leaves != want || e.Now() != 20 {
+		t.Errorf("fired %d leaves ending at %v, want %d at 20ns", leaves, e.Now(), want)
 	}
 }
 
@@ -345,7 +459,7 @@ func TestEngineNextAt(t *testing.T) {
 	if _, ok := e.NextAt(); ok {
 		t.Error("NextAt on an empty queue reports ok")
 	}
-	nop := e.RegisterHandler(func(EventRec) {})
+	nop := e.RegisterHandler(func(*EventRec) {})
 	e.Post(30, EventRec{Kind: nop})
 	e.Post(10, EventRec{Kind: nop})
 	if at, ok := e.NextAt(); !ok || at != 10 {
@@ -355,7 +469,7 @@ func TestEngineNextAt(t *testing.T) {
 
 func TestEngineTopLevelPastSchedulingPanics(t *testing.T) {
 	var e Engine
-	nop := e.RegisterHandler(func(EventRec) {})
+	nop := e.RegisterHandler(func(*EventRec) {})
 	e.Post(10, EventRec{Kind: nop})
 	if !e.Step() {
 		t.Fatal("Step fired nothing")
@@ -371,7 +485,7 @@ func TestEngineTopLevelPastSchedulingPanics(t *testing.T) {
 func TestEngineRunUntilPastDeadlineDrains(t *testing.T) {
 	var e Engine
 	fired := 0
-	k := e.RegisterHandler(func(EventRec) { fired++ })
+	k := e.RegisterHandler(func(*EventRec) { fired++ })
 	for _, at := range []Time{5, 10, 15} {
 		e.Post(at, EventRec{Kind: k})
 	}

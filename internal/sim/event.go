@@ -8,11 +8,13 @@
 // receiver index and an inline coherence.Msg-sized payload, dispatched
 // through a fixed handler table the machine registers at construction.
 // EventRecs are plain values, copied into the timing wheel / overflow
-// heap and back out; steady state schedules and fires them without
-// touching the allocator. Post is the engine's only scheduling API:
-// cold callers (serve's worker and watchdog, the harness pacer, chaos
-// corruption retries) register a handler once per engine like every
-// other scheduler.
+// heap; Step pops the earliest one into an engine-owned slot and hands
+// its handler a pointer to it there, so steady state schedules and
+// fires them without touching the allocator or copying the record a
+// second time. Post is the engine's only scheduling API: cold callers
+// (serve's worker and watchdog, the harness pacer, chaos corruption
+// retries) register a handler once per engine like every other
+// scheduler.
 package sim
 
 import (
@@ -26,10 +28,13 @@ import (
 // within the engine that issued them.
 type EventKind uint8
 
-// Handler processes value-typed events of one registered kind. The
-// record is passed by value: handlers own their copy and never share
-// storage with the queue.
-type Handler func(rec EventRec)
+// Handler processes value-typed events of one registered kind. rec
+// points at the engine's copy of the firing event, outside the queue:
+// it stays valid and unchanged until the handler returns, however many
+// events the handler posts, and is reused for the next event after
+// that. A handler that keeps any of the record copies it out. Handlers
+// never call Step, Run or RunUntil.
+type Handler func(rec *EventRec)
 
 // EventRec is one value-typed scheduled event: what to do (Kind), who
 // it concerns (Src/Dst — a node pair, a link, or any handler-defined
@@ -90,15 +95,14 @@ func (e *Engine) Post(at Time, rec EventRec) {
 	if e.perturb != nil {
 		at += e.perturb(at, e.seq)
 	}
-	it := item{at: at, seq: e.seq, rec: rec}
 	if at-e.now < wheelSpan {
 		if e.slots == nil {
 			e.initWheel()
 		}
-		e.wheelAdd(it)
+		e.wheelAdd(at, &rec)
 		return
 	}
-	e.overflow.push(it)
+	e.overflow.push(item{at: at, seq: e.seq, rec: rec})
 }
 
 // PostAfter schedules a value-typed event delay nanoseconds from now.

@@ -47,7 +47,7 @@ func (r *refEngine) Step() bool {
 	}
 	it := r.q.pop()
 	r.now = it.at
-	r.handlers[it.rec.Kind](it.rec)
+	r.handlers[it.rec.Kind](&it.rec)
 	return true
 }
 
@@ -88,7 +88,7 @@ func firingLogs(t *testing.T, script func(e scheduler, record EventKind)) (wheel
 	var logs []string
 	for _, e := range bothSchedulers() {
 		var log []string
-		script(e, e.RegisterHandler(func(rec EventRec) {
+		script(e, e.RegisterHandler(func(rec *EventRec) {
 			log = append(log, fmt.Sprintf("(%d@%d)", rec.Seq, uint64(e.Now())))
 		}))
 		for e.Step() {
@@ -148,7 +148,7 @@ func TestWheelMatchesReferenceDynamic(t *testing.T) {
 				posted++
 			}
 			for i := range kinds {
-				kinds[i] = e.RegisterHandler(func(rec EventRec) {
+				kinds[i] = e.RegisterHandler(func(rec *EventRec) {
 					log = append(log, fmt.Sprintf("k%d:%d@%d", rec.Kind, rec.Seq, uint64(e.Now())))
 					for n := rng.Intn(4); n > 0 && posted < budget; n-- {
 						post(e.Now() + childDelays[rng.Intn(len(childDelays))])
@@ -214,7 +214,7 @@ func TestWheelOverflowInterleaving(t *testing.T) {
 		far := Time(wheelSpan + 100)
 		// Fires once 'far' is within the horizon: posts a wheel
 		// resident at the same instant with a later seq, then logs.
-		mid := e.RegisterHandler(func(EventRec) {
+		mid := e.RegisterHandler(func(*EventRec) {
 			e.Post(far, EventRec{Kind: record, Seq: 1})
 			e.Post(e.Now(), EventRec{Kind: record, Seq: 2})
 		})
@@ -258,7 +258,7 @@ func TestWheelPerturbAcrossHorizon(t *testing.T) {
 func TestWheelRunUntilMidSlot(t *testing.T) {
 	for _, e := range bothSchedulers() {
 		var fired []uint64
-		k := e.RegisterHandler(func(rec EventRec) { fired = append(fired, rec.Seq) })
+		k := e.RegisterHandler(func(rec *EventRec) { fired = append(fired, rec.Seq) })
 		for i, at := range []Time{10, 20, 20, 21, wheelSpan + 5} {
 			e.Post(at, EventRec{Kind: k, Seq: uint64(i)})
 		}
@@ -288,10 +288,10 @@ func TestWheelRunUntilMidSlot(t *testing.T) {
 func TestWheelKindsInterleaveFIFO(t *testing.T) {
 	for _, e := range bothSchedulers() {
 		var log []string
-		a := e.RegisterHandler(func(rec EventRec) {
+		a := e.RegisterHandler(func(rec *EventRec) {
 			log = append(log, fmt.Sprintf("a%d@%d", rec.Seq, uint64(e.Now())))
 		})
-		b := e.RegisterHandler(func(rec EventRec) {
+		b := e.RegisterHandler(func(rec *EventRec) {
 			log = append(log, fmt.Sprintf("b%d@%d", rec.Seq, uint64(e.Now())))
 		})
 		e.Post(5, EventRec{Kind: b, Seq: 1})

@@ -55,36 +55,28 @@ const headerSize = 18
 // amd64/arm64), shared by every encoder and decoder.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// encodeHeader writes the CTRC header, refusing values the fixed-width
-// fields cannot hold. StreamWriter writes zero counts here and patches
-// them at Close.
-func encodeHeader(w io.Writer, app string, nodes, iters int, count uint64) error {
+// appendHeader appends the CTRC header to b, refusing values the
+// fixed-width fields cannot hold. StreamWriter writes zero counts here
+// and patches them at Close.
+func appendHeader(b []byte, app string, nodes, iters int, count uint64) ([]byte, error) {
 	if len(app) > 1<<16-1 {
-		return fmt.Errorf("trace: app name of %d bytes does not fit the header", len(app))
+		return nil, fmt.Errorf("trace: app name of %d bytes does not fit the header", len(app))
 	}
 	if nodes < 0 || nodes > 1<<16-1 {
-		return fmt.Errorf("trace: node count %d does not fit the header", nodes)
+		return nil, fmt.Errorf("trace: node count %d does not fit the header", nodes)
 	}
 	if iters < 0 || iters > MaxIter+1 {
-		return fmt.Errorf("trace: iteration count %d is outside [0, %d]", iters, MaxIter+1)
+		return nil, fmt.Errorf("trace: iteration count %d is outside [0, %d]", iters, MaxIter+1)
 	}
-	var hdr [headerSize]byte
-	copy(hdr[:], traceMagic)
-	binary.LittleEndian.PutUint16(hdr[4:], Version)
-	binary.LittleEndian.PutUint16(hdr[6:], uint16(nodes))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(iters))
-	binary.LittleEndian.PutUint16(hdr[12:], uint16(len(app)))
-	// hdr[14:18] reserved (zero).
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, app); err != nil {
-		return err
-	}
-	var cnt [8]byte
-	binary.LittleEndian.PutUint64(cnt[:], count)
-	_, err := w.Write(cnt[:])
-	return err
+	le := binary.LittleEndian
+	b = append(b, traceMagic...)
+	b = le.AppendUint16(b, Version)
+	b = le.AppendUint16(b, uint16(nodes))
+	b = le.AppendUint32(b, uint32(iters))
+	b = le.AppendUint16(b, uint16(len(app)))
+	b = append(b, 0, 0, 0, 0) // reserved
+	b = append(b, app...)
+	return le.AppendUint64(b, count), nil
 }
 
 // encodeRecord packs r into b.
@@ -134,29 +126,44 @@ func payloadSize(app string, count uint64) uint64 {
 	return uint64(headerSize+len(app)+8) + count*recordSize
 }
 
-// Write serializes the trace to w in the v2 format.
+// writeBatch is how many records Write encodes into its buffer before
+// one checksum update and one write: 72 KiB a batch, so the per-call
+// costs of w and the CRC are paid per batch, not per 18-byte record.
+const writeBatch = 4096
+
+// Write serializes the trace to w in the v2 format. The header rides
+// with the first batch of records and the footer with the last, so a
+// trace of n records takes max(1, ceil(n/writeBatch)) writes.
 func Write(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
+	count := uint64(len(t.Records))
+	buf := make([]byte, 0, payloadSize(t.App, uint64(min(len(t.Records), writeBatch)))+footerSize)
+	buf, err := appendHeader(buf, t.App, t.Nodes, t.Iterations, count)
+	if err != nil {
+		return err
+	}
 	// Every payload byte flows through the checksum; the footer then
 	// pins it and the payload's length.
-	sum := crc32.New(crcTable)
-	mw := io.MultiWriter(bw, sum)
-	count := uint64(len(t.Records))
-	if err := encodeHeader(mw, t.App, t.Nodes, t.Iterations, count); err != nil {
-		return err
-	}
-	var rec [recordSize]byte
-	for _, r := range t.Records {
-		encodeRecord(&rec, r)
-		if _, err := mw.Write(rec[:]); err != nil {
+	var sum uint32
+	recs := t.Records
+	for {
+		n := min(len(recs), writeBatch)
+		off := len(buf)
+		buf = buf[:off+n*recordSize]
+		for i, r := range recs[:n] {
+			encodeRecord((*[recordSize]byte)(buf[off+i*recordSize:]), r)
+		}
+		sum = crc32.Update(sum, crcTable, buf)
+		if recs = recs[n:]; len(recs) == 0 {
+			break
+		}
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
+		buf = buf[:0]
 	}
-	foot := encodeFooter(payloadSize(t.App, count), sum.Sum32())
-	if _, err := bw.Write(foot[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
+	foot := encodeFooter(payloadSize(t.App, count), sum)
+	_, err = w.Write(append(buf, foot[:]...))
+	return err
 }
 
 // checksumReader feeds every byte it yields into the checksum and the

@@ -202,6 +202,7 @@ func FuzzRead(f *testing.F) {
 	}
 	f.Add(encode(f, &Trace{App: "", Nodes: 0}))
 	f.Add(encode(f, maxIterTrace()))
+	f.Add(encode(f, bigTrace(writeBatch+1))) // two batches
 	for _, c := range overCapEncodings(f) {
 		f.Add(c)
 	}

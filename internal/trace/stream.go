@@ -46,7 +46,11 @@ type StreamWriter struct {
 func NewStreamWriter(f io.ReadWriteSeeker, app string, nodes int) (*StreamWriter, error) {
 	w := &StreamWriter{f: f, bw: bufio.NewWriterSize(f, streamBufSize), app: app}
 	// The iteration and record counts are patched by Close.
-	if err := encodeHeader(w.bw, app, nodes, 0, 0); err != nil {
+	hdr, err := appendHeader(make([]byte, 0, payloadSize(app, 0)), app, nodes, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := w.bw.Write(hdr); err != nil {
 		return nil, err
 	}
 	return w, nil
