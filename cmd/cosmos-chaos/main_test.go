@@ -8,21 +8,34 @@ import (
 	"testing"
 )
 
-// TestGoldenSweep pins the CI sweep (make chaos, 16-node leg) byte for
-// byte. Regenerate only for an intended change:
+// TestGoldenSweep pins two sweeps byte for byte: the CI sweep (make
+// chaos, 16-node leg) and the speculation sweep with per-seed counts,
+// which covers the governor-gated oracle path under faults. Regenerate
+// only for an intended change:
 //
 //	go run ./cmd/cosmos-chaos -seeds 25 -quick -nodes 16 > cmd/cosmos-chaos/testdata/seeds25-quick-nodes16.golden
+//	go run ./cmd/cosmos-chaos -seeds 25 -quick -spec -v > cmd/cosmos-chaos/testdata/seeds25-quick-spec-v.golden
 func TestGoldenSweep(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-seeds", "25", "-quick", "-nodes", "16"}, &buf); err != nil {
-		t.Fatalf("err = %v\n%s", err, buf.Bytes())
-	}
-	want, err := os.ReadFile("testdata/seeds25-quick-nodes16.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, buf.Bytes()) {
-		t.Errorf("output differs from testdata/seeds25-quick-nodes16.golden:\n--- want ---\n%s\n--- got ---\n%s", want, buf.Bytes())
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"seeds25-quick-nodes16.golden", []string{"-seeds", "25", "-quick", "-nodes", "16"}},
+		{"seeds25-quick-spec-v.golden", []string{"-seeds", "25", "-quick", "-spec", "-v"}},
+	} {
+		t.Run(strings.TrimSuffix(tc.golden, ".golden"), func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := run(tc.args, &buf); err != nil {
+				t.Fatalf("err = %v\n%s", err, buf.Bytes())
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want, buf.Bytes()) {
+				t.Errorf("output differs from testdata/%s:\n--- want ---\n%s\n--- got ---\n%s", tc.golden, want, buf.Bytes())
+			}
+		})
 	}
 }
 
