@@ -199,9 +199,9 @@ func (r *ringBuf) entries() []ringEntry {
 	return append(out, r.buf[:r.next]...)
 }
 
-// Monitor is the runtime invariant checker. Create one with New,
-// attach it to a machine with machine.AttachMonitor (which wires the
-// clock, the send tap, and the delivery observers), and the machine's
+// Monitor is the runtime invariant checker. machine.New creates,
+// binds and attaches one when sim.Config.Invariants is set (wiring the
+// clock, the send tap, and the delivery observer), and the machine's
 // Run loop does the rest.
 type Monitor struct {
 	cfg     Config
@@ -223,8 +223,8 @@ type Monitor struct {
 	violation *Violation
 }
 
-// New creates a monitor. It must be bound (machine.AttachMonitor does
-// this) before it observes anything.
+// New creates a monitor. It must be bound (machine.New does this)
+// before it observes anything.
 func New(cfg Config) *Monitor {
 	if cfg.Every == 0 {
 		cfg.Every = DefaultEvery
@@ -241,7 +241,7 @@ func New(cfg Config) *Monitor {
 }
 
 // Bind wires the monitor to a machine's clock, geometry, and protocol
-// options. The machine calls this from AttachMonitor.
+// options. machine.New calls this when sim.Config.Invariants is set.
 func (m *Monitor) Bind(clock func() sim.Time, geom coherence.Geometry, opts stache.Options) {
 	m.clock = clock
 	m.geom = geom

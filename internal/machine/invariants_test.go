@@ -90,9 +90,7 @@ func TestCoherenceInvariantsFuzz(t *testing.T) {
 				// much of the time — the protocol must stay coherent).
 				for n := 0; n < procs; n++ {
 					node := coherence.NodeID(n)
-					o := &eagerOracle{}
-					m.Directory(node).AttachSpeculation(o, nil, stache.SpecActions{RMW: true})
-					m.AddObserver(o)
+					m.Directory(node).AttachSpeculation(&eagerOracle{}, nil, stache.SpecActions{RMW: true})
 				}
 			}
 			if err := m.Run(50_000_000); err != nil {
@@ -107,7 +105,8 @@ func TestCoherenceInvariantsFuzz(t *testing.T) {
 
 // eagerOracle predicts that whoever sent the last directory message
 // for a block will upgrade next — deliberately trigger-happy, to stress
-// the speculative grant path with wrong speculation.
+// the speculative grant path with wrong speculation. Its directory
+// trains it on that directory's own stream.
 type eagerOracle struct {
 	last map[coherence.Addr]coherence.NodeID
 }
@@ -120,14 +119,12 @@ func (o *eagerOracle) PredictNext(addr coherence.Addr) (coherence.Tuple, bool) {
 	return coherence.Tuple{Sender: n, Type: coherence.UpgradeReq}, true
 }
 
-func (o *eagerOracle) ObserveCache(coherence.NodeID, coherence.Msg) {}
-func (o *eagerOracle) ObserveDirectory(_ coherence.NodeID, m coherence.Msg) {
+func (o *eagerOracle) Train(addr coherence.Addr, t coherence.Tuple) {
 	if o.last == nil {
 		o.last = make(map[coherence.Addr]coherence.NodeID)
 	}
-	o.last[m.Addr] = m.Src
+	o.last[addr] = t.Sender
 }
-func (o *eagerOracle) EndIteration(int) {}
 
 // TestCoherenceInvariantsOnBenchmarks runs all five paper workloads at
 // small scale with the monitor attached: every invariant must hold at
@@ -361,9 +358,7 @@ func TestSpeculationDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		for n := 0; n < 8; n++ {
-			o := &eagerOracle{}
-			m.Directory(coherence.NodeID(n)).AttachSpeculation(o, nil, stache.SpecActions{RMW: true})
-			m.AddObserver(o)
+			m.Directory(coherence.NodeID(n)).AttachSpeculation(&eagerOracle{}, nil, stache.SpecActions{RMW: true})
 		}
 		if err := m.Run(50_000_000); err != nil {
 			t.Fatal(err)

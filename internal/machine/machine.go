@@ -58,7 +58,7 @@ type Machine struct {
 	dirs      []*stache.Directory
 	app       workload.App
 	observers []Observer
-	monitor   *invariant.Monitor // nil unless attached
+	monitor   *invariant.Monitor // nil unless cfg.Invariants
 
 	procs    []proc
 	iter     int
@@ -196,40 +196,46 @@ func New(cfg sim.Config, opts stache.Options, app workload.App) (*Machine, error
 			m.deliver(pkt.Msg)
 		})
 	}
-	// Every protocol-level send flows through the tap so an attached
-	// invariant monitor sees it; with no monitor the tap is a single nil
-	// check per message.
-	sender = tapSender{m: m, inner: sender}
+	// With cfg.Invariants the runtime invariant monitor is bound to the
+	// machine's clock, geometry and protocol options, registered as the
+	// first delivery observer, ticked by Run after every event, and every
+	// protocol-level send flows through a tap so it sees that too.
+	// Unmonitored runs send straight to the network or transport.
+	if cfg.Invariants {
+		m.monitor = invariant.New(invariant.Config{Every: cfg.InvariantEvery})
+		m.monitor.Bind(engine.Now, geom, opts)
+		m.AddObserver(m.monitor)
+		sender = tapSender{mon: m.monitor, inner: sender}
+	}
 
 	for i := 0; i < cfg.Nodes; i++ {
 		node := coherence.NodeID(i)
-		m.dirs[i] = stache.NewDirectory(node, geom, sender, opts, func(msg coherence.Msg) {
-			for _, o := range m.observers {
-				o.ObserveDirectory(node, msg)
-			}
-		})
-		m.caches[i] = stache.NewCache(node, geom, sender, m.dirs[i], opts, func(msg coherence.Msg) {
-			for _, o := range m.observers {
-				o.ObserveCache(node, msg)
-			}
-		})
+		m.dirs[i] = stache.NewDirectory(node, geom, sender, opts)
+		m.caches[i] = stache.NewCache(node, geom, sender, m.dirs[i], opts)
 		m.procs[i] = proc{id: node}
-	}
-	if cfg.Invariants {
-		m.AttachMonitor(invariant.New(invariant.Config{Every: cfg.InvariantEvery}))
 	}
 	return m, nil
 }
 
 // deliver hands msg to its destination node's directory or cache
-// controller. Delivery order — what predictors see — is fixed here, at
+// controller. It is the one place received messages are observed: every
+// observer sees msg, in registration order, before the controller acts
+// on it (and in particular before a busy directory queues it), because
+// that is the stream a hardware predictor sitting beside the controller
+// would see. Delivery order — what predictors see — is fixed here, at
 // receive; handler occupancy is not modelled.
 //
 //cosmosvet:hotpath
 func (m *Machine) deliver(msg coherence.Msg) {
 	if msg.Type.DirectoryBound() {
+		for _, o := range m.observers {
+			o.ObserveDirectory(msg.Dst, msg)
+		}
 		m.dirs[msg.Dst].Deliver(msg)
 	} else {
+		for _, o := range m.observers {
+			o.ObserveCache(msg.Dst, msg)
+		}
 		m.caches[msg.Dst].Deliver(msg)
 	}
 }
@@ -238,29 +244,17 @@ func (m *Machine) deliver(msg coherence.Msg) {
 // monitor before handing it to the real sender (network or reliable
 // transport).
 type tapSender struct {
-	m     *Machine
+	mon   *invariant.Monitor
 	inner stache.Sender
 }
 
 // Send implements stache.Sender.
 func (t tapSender) Send(msg coherence.Msg) {
-	if t.m.monitor != nil {
-		t.m.monitor.ObserveSend(msg)
-	}
+	t.mon.ObserveSend(msg)
 	t.inner.Send(msg)
 }
 
-// AttachMonitor installs the runtime invariant monitor: it is bound to
-// the machine's clock, geometry, and protocol options, registered as a
-// delivery observer, and ticked by Run after every event. Must be
-// called before Run; cfg.Invariants does it automatically.
-func (m *Machine) AttachMonitor(mon *invariant.Monitor) {
-	mon.Bind(m.engine.Now, m.geom, m.opts)
-	m.monitor = mon
-	m.AddObserver(mon)
-}
-
-// Monitor returns the attached invariant monitor, or nil.
+// Monitor returns the invariant monitor, or nil unless cfg.Invariants.
 func (m *Machine) Monitor() *invariant.Monitor { return m.monitor }
 
 // AddObserver attaches an observer. Must be called before Run.

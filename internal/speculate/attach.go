@@ -104,13 +104,11 @@ func Attach(m *machine.Machine, cfg AttachConfig) (*Attached, error) {
 	// breaker (gate.Observe). An ungated self-invalidation-only run reads
 	// neither, so it trains none.
 	if acts.RMW || rollback || gate != nil {
-		oracles := make([]*Oracle, m.Geometry().Nodes())
-		for i := range oracles {
+		for i := 0; i < m.Geometry().Nodes(); i++ {
 			o, err := NewOracle(cfg.Predictor)
 			if err != nil {
 				return nil, err
 			}
-			oracles[i] = o
 			node := coherence.NodeID(i)
 			m.Directory(node).AttachSpeculation(o, gate, stache.SpecActions{
 				RMW:       acts.RMW,
@@ -119,7 +117,6 @@ func Attach(m *machine.Machine, cfg AttachConfig) (*Attached, error) {
 			})
 			m.Cache(node).AttachGate(gate)
 		}
-		m.AddObserver(&trainer{oracles: oracles})
 	}
 	if acts.DSI {
 		si, err := AttachSelfInvalidation(m, cfg.Predictor, gate)
@@ -128,9 +125,9 @@ func Attach(m *machine.Machine, cfg AttachConfig) (*Attached, error) {
 		}
 		att.SelfInval = si
 	}
-	// The reconciler must observe EndIteration after the trainer and the
-	// self-invalidator (observers fire in attach order), so the final
-	// barrier's self-invalidations happen before the drain begins.
+	// The reconciler must observe EndIteration after the self-invalidator
+	// (observers fire in attach order), so the final barrier's
+	// self-invalidations happen before the drain begins.
 	m.AddObserver(&controller{m: m})
 	return att, nil
 }

@@ -120,8 +120,8 @@ func Table2() []ActionSpec {
 }
 
 // Oracle adapts a Cosmos predictor to the stache.Oracle hook for one
-// directory module. It is trained on exactly the stream the directory
-// receives.
+// directory module. The directory scores and then trains it on exactly
+// the stream it receives.
 type Oracle struct {
 	p *core.Predictor
 }
@@ -140,16 +140,6 @@ func (o *Oracle) PredictNext(addr coherence.Addr) (coherence.Tuple, bool) {
 	return o.p.Predict(addr)
 }
 
-// Train feeds one received message into the predictor.
+// Train implements stache.Oracle: it feeds one received message into
+// the predictor.
 func (o *Oracle) Train(addr coherence.Addr, t coherence.Tuple) { o.p.Update(addr, t) }
-
-// trainer routes directory observations to per-node oracles.
-type trainer struct {
-	oracles []*Oracle
-}
-
-func (t *trainer) ObserveCache(coherence.NodeID, coherence.Msg) {}
-func (t *trainer) ObserveDirectory(n coherence.NodeID, m coherence.Msg) {
-	t.oracles[n].Train(m.Addr, m.Tuple())
-}
-func (t *trainer) EndIteration(int) {}

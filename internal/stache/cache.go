@@ -38,12 +38,11 @@ type cacheLine struct {
 // set-associative structure with LRU replacement, for studying the
 // replacement-induced predictor history loss Section 3.7 discusses.
 type Cache struct {
-	node    coherence.NodeID
-	geom    coherence.Geometry
-	sender  Sender
-	local   *Directory // directory co-located at this node
-	observe func(coherence.Msg)
-	lines   blocks[cacheLine]
+	node   coherence.NodeID
+	geom   coherence.Geometry
+	sender Sender
+	local  *Directory // directory co-located at this node
+	lines  blocks[cacheLine]
 
 	// Replacement state (nil sets when unbounded). Each set holds the
 	// resident block addresses in LRU order (front = coldest).
@@ -69,18 +68,14 @@ type Cache struct {
 }
 
 // NewCache creates the cache controller for node. local must be the
-// directory controller co-located at the same node. observe may be nil.
-func NewCache(node coherence.NodeID, geom coherence.Geometry, sender Sender, local *Directory, opts Options, observe func(coherence.Msg)) *Cache {
-	if observe == nil {
-		observe = func(coherence.Msg) {}
-	}
+// directory controller co-located at the same node.
+func NewCache(node coherence.NodeID, geom coherence.Geometry, sender Sender, local *Directory, opts Options) *Cache {
 	c := &Cache{
-		node:    node,
-		geom:    geom,
-		sender:  sender,
-		local:   local,
-		observe: observe,
-		spec:    opts.Speculation,
+		node:   node,
+		geom:   geom,
+		sender: sender,
+		local:  local,
+		spec:   opts.Speculation,
 	}
 	if opts.CacheBlocks > 0 {
 		assoc := opts.CacheAssoc
@@ -383,7 +378,6 @@ func (c *Cache) Deliver(msg coherence.Msg) {
 	if !msg.Type.CacheBound() {
 		panic(fmt.Sprintf("stache: cache received %v", msg))
 	}
-	c.observe(msg)
 	l := c.line(msg.Addr)
 	switch msg.Type {
 	case coherence.GetROResp:

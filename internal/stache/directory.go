@@ -44,7 +44,6 @@ type Directory struct {
 	sender  Sender
 	opts    Options
 	scfg    sharerCfg
-	observe func(coherence.Msg)
 	entries blocks[dirEntry]
 
 	// stats
@@ -133,19 +132,14 @@ func (d *Directory) speculateRMW(addr coherence.Addr, req pendingReq) bool {
 	return d.gate.Allow(SpecRMW, addr)
 }
 
-// NewDirectory creates the directory controller for node. observe may
-// be nil.
-func NewDirectory(node coherence.NodeID, geom coherence.Geometry, sender Sender, opts Options, observe func(coherence.Msg)) *Directory {
-	if observe == nil {
-		observe = func(coherence.Msg) {}
-	}
+// NewDirectory creates the directory controller for node.
+func NewDirectory(node coherence.NodeID, geom coherence.Geometry, sender Sender, opts Options) *Directory {
 	return &Directory{
-		node:    node,
-		geom:    geom,
-		sender:  sender,
-		opts:    opts,
-		scfg:    newSharerCfg(opts, geom.Nodes()),
-		observe: observe,
+		node:   node,
+		geom:   geom,
+		sender: sender,
+		opts:   opts,
+		scfg:   newSharerCfg(opts, geom.Nodes()),
 	}
 }
 
@@ -490,14 +484,15 @@ func (d *Directory) Deliver(msg coherence.Msg) {
 	}
 	if d.oracle != nil {
 		// Score the standing prediction against the message that actually
-		// arrived — before observe() lets the predictor train on it. This
-		// is the governor's view of raw prediction accuracy, feeding the
+		// arrived, then train the predictor on it. The score is the
+		// governor's view of raw prediction accuracy, feeding the
 		// misprediction-rate circuit breaker.
+		t := msg.Tuple()
 		if pred, ok := d.oracle.PredictNext(msg.Addr); ok {
-			d.gate.Observe(msg.Addr, pred == msg.Tuple())
+			d.gate.Observe(msg.Addr, pred == t)
 		}
+		d.oracle.Train(msg.Addr, t)
 	}
-	d.observe(msg)
 	e := d.entry(msg.Addr)
 
 	switch msg.Type {

@@ -118,7 +118,7 @@ func TestForwardingLocalRequestor(t *testing.T) {
 func TestForwardingUpgradeRace(t *testing.T) {
 	geom := coherence.MustGeometry(64, 256, 4)
 	ds := &delaySender{}
-	dir := NewDirectory(0, geom, ds, Options{HalfMigratory: true, Forwarding: true}, nil)
+	dir := NewDirectory(0, geom, ds, Options{HalfMigratory: true, Forwarding: true})
 	addr := blockHomedAt(geom, 0)
 
 	dir.Deliver(coherence.Msg{Src: 1, Dst: 0, Type: coherence.GetROReq, Addr: addr})

@@ -13,6 +13,7 @@ type fixedOracle struct {
 }
 
 func (o fixedOracle) PredictNext(coherence.Addr) (coherence.Tuple, bool) { return o.pred, o.ok }
+func (fixedOracle) Train(coherence.Addr, coherence.Tuple)                {}
 
 // TestSpeculativeGrantOnIdleBlock: a read miss to an idle block with a
 // matching upgrade prediction is answered exclusively, and the later
@@ -159,5 +160,156 @@ func TestNoSpeculationForHomeNode(t *testing.T) {
 	l.access(2, addr, false)
 	if len(l.log) != 0 || l.dirs[2].Speculations() != 0 {
 		t.Errorf("home access speculated: log=%v", l.log)
+	}
+}
+
+// oracleEvent is one call seen by TestDirectoryScoresThenTrainsOracle:
+// a delivery through the sender, or a call on an oracle or the gate.
+type oracleEvent struct {
+	kind    string // "deliver", "predict", "observe" or "train"
+	node    coherence.NodeID
+	msg     coherence.Msg // deliver
+	addr    coherence.Addr
+	tuple   coherence.Tuple // predict (the prediction), train
+	correct bool            // observe
+}
+
+// orderLog records every delivery, oracle call and gate.Observe in one
+// sequence.
+type orderLog struct {
+	l      *loopback
+	events []oracleEvent
+}
+
+func (r *orderLog) Send(msg coherence.Msg) {
+	r.events = append(r.events, oracleEvent{kind: "deliver", node: msg.Dst, msg: msg, addr: msg.Addr})
+	r.l.Send(msg)
+}
+
+func (r *orderLog) Observe(addr coherence.Addr, correct bool) {
+	r.events = append(r.events, oracleEvent{kind: "observe", addr: addr, correct: correct})
+}
+
+// Allow refuses every action, so the run follows the base protocol.
+func (r *orderLog) Allow(SpecAction, coherence.Addr) bool { return false }
+
+func (r *orderLog) Record(SpecAction, coherence.Addr, bool) {}
+
+// lastOracle predicts that a block's next message repeats its last one
+// (after a fixed guess for a block never seen), logging every call.
+type lastOracle struct {
+	node coherence.NodeID
+	log  *orderLog
+	last map[coherence.Addr]coherence.Tuple
+}
+
+func (o *lastOracle) PredictNext(addr coherence.Addr) (coherence.Tuple, bool) {
+	t, ok := o.last[addr]
+	if !ok {
+		t = coherence.Tuple{Sender: 1, Type: coherence.GetROReq}
+	}
+	o.log.events = append(o.log.events, oracleEvent{kind: "predict", node: o.node, addr: addr, tuple: t})
+	return t, true
+}
+
+func (o *lastOracle) Train(addr coherence.Addr, t coherence.Tuple) {
+	o.log.events = append(o.log.events, oracleEvent{kind: "train", node: o.node, addr: addr, tuple: t})
+	o.last[addr] = t
+}
+
+// TestDirectoryScoresThenTrainsOracle pins the order the governor's
+// breaker depends on: for every directory-bound delivery the directory
+// first asks its oracle for the standing prediction and scores it
+// through gate.Observe, then trains the oracle on the message, once,
+// before it acts on the message. Cache-bound deliveries train nothing.
+func TestDirectoryScoresThenTrainsOracle(t *testing.T) {
+	const n = 4
+	geom := coherence.MustGeometry(64, 256, n)
+	rec := &orderLog{}
+	l := &loopback{t: t, geom: geom, caches: make([]*Cache, n), dirs: make([]*Directory, n)}
+	rec.l = l
+	for i := 0; i < n; i++ {
+		node := coherence.NodeID(i)
+		l.dirs[i] = NewDirectory(node, geom, rec, DefaultOptions())
+		l.caches[i] = NewCache(node, geom, rec, l.dirs[i], DefaultOptions())
+		l.dirs[i].AttachSpeculation(&lastOracle{node: node, log: rec, last: map[coherence.Addr]coherence.Tuple{}}, rec, SpecActions{RMW: true})
+	}
+	a, b := blockHomedAt(geom, 0), blockHomedAt(geom, 2)
+	for _, step := range []struct {
+		node  int
+		addr  coherence.Addr
+		write bool
+	}{
+		{1, a, false}, {1, a, false}, {2, a, false}, {1, a, true}, {3, a, false},
+		{2, a, true}, {1, b, true}, {3, b, false}, {0, b, true}, {2, a, false},
+	} {
+		l.access(step.node, step.addr, step.write)
+	}
+	l.caches[3].Evict(a)
+
+	// Split the log into one segment per delivery: the delivery and the
+	// calls that follow it up to the next delivery. A synchronous
+	// loopback nests each reply inside its request's handling, so a
+	// Train made after dispatch would land in a later segment.
+	var dirs, cacheMsgs, trains, observes, hits int
+	for i := 0; i < len(rec.events); {
+		d := rec.events[i]
+		if d.kind != "deliver" {
+			t.Fatalf("event %d: %+v before any delivery", i, d)
+		}
+		j := i + 1
+		for j < len(rec.events) && rec.events[j].kind != "deliver" {
+			j++
+		}
+		seg := rec.events[i+1 : j]
+		for _, e := range seg {
+			switch e.kind {
+			case "train":
+				trains++
+			case "observe":
+				observes++
+				if e.correct {
+					hits++
+				}
+			}
+		}
+		if d.msg.Type.CacheBound() {
+			cacheMsgs++
+			for _, e := range seg {
+				if e.kind == "train" || e.kind == "observe" {
+					t.Errorf("cache delivery %v was followed by %+v", d.msg, e)
+				}
+			}
+			i = j
+			continue
+		}
+		dirs++
+		if len(seg) < 3 || seg[0].kind != "predict" || seg[1].kind != "observe" || seg[2].kind != "train" {
+			t.Fatalf("directory delivery %v: calls %+v, want predict, observe, train first", d.msg, seg)
+		}
+		if seg[0].node != d.msg.Dst || seg[0].addr != d.msg.Addr || seg[1].addr != d.msg.Addr {
+			t.Errorf("directory delivery %v scored %+v / %+v", d.msg, seg[0], seg[1])
+		}
+		if seg[1].correct != (seg[0].tuple == d.msg.Tuple()) {
+			t.Errorf("directory delivery %v scored prediction %v as correct=%v", d.msg, seg[0].tuple, seg[1].correct)
+		}
+		if tr := seg[2]; tr.node != d.msg.Dst || tr.addr != d.msg.Addr || tr.tuple != d.msg.Tuple() {
+			t.Errorf("directory delivery %v trained %+v", d.msg, tr)
+		}
+		for _, e := range seg[3:] {
+			if e.kind == "train" || e.kind == "observe" {
+				t.Errorf("directory delivery %v: second %s %+v", d.msg, e.kind, e)
+			}
+		}
+		i = j
+	}
+	if dirs == 0 || cacheMsgs == 0 {
+		t.Fatalf("saw %d directory and %d cache deliveries; want both kinds", dirs, cacheMsgs)
+	}
+	if trains != dirs || observes != dirs {
+		t.Errorf("%d trains and %d scores for %d directory deliveries", trains, observes, dirs)
+	}
+	if hits == 0 || hits == observes {
+		t.Errorf("%d of %d predictions correct; want both outcomes scored", hits, observes)
 	}
 }

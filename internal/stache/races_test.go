@@ -37,7 +37,7 @@ func (d *delaySender) pop(t *testing.T, mt coherence.MsgType) coherence.Msg {
 func TestUpgradeRaceConvertsToFetch(t *testing.T) {
 	geom := coherence.MustGeometry(64, 256, 4)
 	ds := &delaySender{}
-	dir := NewDirectory(0, geom, ds, DefaultOptions(), nil)
+	dir := NewDirectory(0, geom, ds, DefaultOptions())
 	addr := blockHomedAt(geom, 0)
 
 	// P1 reads: becomes a sharer.
@@ -87,7 +87,7 @@ func TestUpgradeRaceConvertsToFetch(t *testing.T) {
 func TestBusyDirectoryQueuesFIFO(t *testing.T) {
 	geom := coherence.MustGeometry(64, 256, 8)
 	ds := &delaySender{}
-	dir := NewDirectory(0, geom, ds, DefaultOptions(), nil)
+	dir := NewDirectory(0, geom, ds, DefaultOptions())
 	addr := blockHomedAt(geom, 0)
 
 	// P1 takes the block exclusive.
@@ -123,7 +123,7 @@ func TestBusyDirectoryQueuesFIFO(t *testing.T) {
 func TestWritebackRaceWithInvalidation(t *testing.T) {
 	geom := coherence.MustGeometry(64, 256, 4)
 	ds := &delaySender{}
-	dir := NewDirectory(0, geom, ds, DefaultOptions(), nil)
+	dir := NewDirectory(0, geom, ds, DefaultOptions())
 	addr := blockHomedAt(geom, 0)
 
 	dir.Deliver(coherence.Msg{Src: 1, Dst: 0, Type: coherence.GetRWReq, Addr: addr})
@@ -157,7 +157,7 @@ func TestWritebackRaceWithInvalidation(t *testing.T) {
 func TestUpgradeDegenerateCases(t *testing.T) {
 	geom := coherence.MustGeometry(64, 256, 4)
 	ds := &delaySender{}
-	dir := NewDirectory(0, geom, ds, DefaultOptions(), nil)
+	dir := NewDirectory(0, geom, ds, DefaultOptions())
 	addr := blockHomedAt(geom, 0)
 
 	// Upgrade to an idle block: grant data.

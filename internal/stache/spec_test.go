@@ -41,7 +41,7 @@ func dirIn(t *testing.T, state EntryState, msg coherence.MsgType) (*Directory, *
 	if msg == coherence.DowngradeResp {
 		opts.HalfMigratory = false
 	}
-	dir := NewDirectory(0, geom, ds, opts, nil)
+	dir := NewDirectory(0, geom, ds, opts)
 	addr := blockHomedAt(geom, 0)
 	deliver := func(src coherence.NodeID, mt coherence.MsgType) {
 		dir.Deliver(coherence.Msg{Src: src, Dst: 0, Type: mt, Addr: addr})
@@ -132,7 +132,7 @@ func cacheIn(t *testing.T, tr CacheTransition) (*Cache, *delaySender, coherence.
 	ds := &delaySender{}
 	opts := DefaultOptions()
 	opts.Speculation = true // SpecPush rows need a speculative cache
-	c := NewCache(1, geom, ds, nil, opts, nil)
+	c := NewCache(1, geom, ds, nil, opts)
 	addr := blockHomedAt(geom, 0)
 	fromHome := func(mt coherence.MsgType) {
 		c.Deliver(coherence.Msg{Src: 0, Dst: 1, Type: mt, Addr: addr})

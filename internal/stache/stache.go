@@ -25,9 +25,11 @@
 //     is resolved by converting a stale upgrade_request into a
 //     get_rw_request (see handleUpgrade).
 //
-// The package exposes observation hooks so that predictors and trace
-// writers can watch the exact stream of *incoming* messages at each
-// cache and directory — the stream Cosmos is trained on.
+// Predictors and trace writers watch the exact stream of *incoming*
+// messages at each cache and directory — the stream Cosmos is trained
+// on — through the caller of Deliver (internal/machine observes each
+// message before delivering it). The one predictor the protocol reads,
+// a directory's Oracle, is scored and trained by the directory itself.
 package stache
 
 import (
@@ -89,9 +91,13 @@ type Options struct {
 // each standard directory and cache module") feeds predictions into
 // the protocol. PredictNext returns the predicted <sender, type> of
 // the next message the directory will receive for the block, if the
-// predictor has one.
+// predictor has one. The directory owns the oracle's training: for
+// every message it receives it first scores the standing prediction
+// (Gate.Observe), then calls Train with the message's tuple, before
+// any protocol processing.
 type Oracle interface {
 	PredictNext(addr coherence.Addr) (coherence.Tuple, bool)
+	Train(addr coherence.Addr, t coherence.Tuple)
 }
 
 // DefaultOptions returns the configuration the paper evaluated:
@@ -162,19 +168,6 @@ type Gate interface {
 // without a full machine.
 type Sender interface {
 	Send(msg coherence.Msg)
-}
-
-// Observer watches the incoming coherence message stream at a node.
-// ObserveCache fires when the node's cache controller receives a
-// message from a directory; ObserveDirectory fires when the node's
-// directory controller receives a message from a cache. Observation
-// happens at reception time, before any protocol processing (and in
-// particular before a busy directory queues the message), because that
-// is the stream a hardware predictor sitting beside the controller
-// would see.
-type Observer interface {
-	ObserveCache(node coherence.NodeID, msg coherence.Msg)
-	ObserveDirectory(node coherence.NodeID, msg coherence.Msg)
 }
 
 // nodeSet is a full-map sharer set over at most 64 nodes.
