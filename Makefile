@@ -36,13 +36,16 @@ test:
 # whatever bytes the CTRC trace decoder (Read), the CPSS container
 # decoder (DecodeCPSS), the core predictor snapshot decoder (Restore) or
 # WAL replay (less its torn tail) accepts must re-encode to exactly
-# those bytes, a chaos repro bundle ParseBundle accepts must carry a
-# config Validate accepts, and a predictor bank and one predictor per
-# configuration must report what a map-based reference Cosmos reports.
+# those bytes, the batched CTRC record decoder must agree with the
+# per-record reference on sealed arbitrary records (FuzzDecodeRecords),
+# a chaos repro bundle ParseBundle accepts must carry a config Validate
+# accepts, and a predictor bank and one predictor per configuration
+# must report what a map-based reference Cosmos reports.
 # -fuzzminimizetime 0 keeps the budget on executing inputs rather than
 # minimizing new ones. `go test` alone only replays the seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecords$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCPSS$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/core

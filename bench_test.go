@@ -8,6 +8,7 @@
 package cosmos_test
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -433,6 +434,30 @@ func BenchmarkTraceWrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := trace.Write(io.Discard, tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(tr.Records)), "records")
+}
+
+// BenchmarkTraceRead is BenchmarkTraceWrite's decode twin: each op
+// reads the dsmc benchmark-scale trace back with trace.Read from an
+// in-memory reader — header, batched record decode, checksum and
+// footer — without a filesystem. The trace is simulated and encoded
+// once, outside the timed loop.
+func BenchmarkTraceRead(b *testing.B) {
+	tr, err := fullSuite(b).Trace("dsmc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var enc bytes.Buffer
+	if err := trace.Write(&enc, tr); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := trace.Read(bytes.NewReader(enc.Bytes())); err != nil {
 			b.Fatal(err)
 		}
 	}

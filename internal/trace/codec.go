@@ -21,7 +21,7 @@ import (
 // Each record is 18 bytes little-endian: node i16, side u8, sender
 // i16, type u8, addr u64, iter u32. The wire order is not Record's
 // field order, and iter takes four bytes on the wire though a Record
-// holds two: the decoders reject an iter above MaxIter and a header
+// holds two: the decoder rejects an iter above MaxIter and a header
 // iterations above MaxIter+1.
 //
 // The v2 footer is 16 bytes: magic "CTRE" | payload length u64 |
@@ -89,25 +89,65 @@ func encodeRecord(b *[recordSize]byte, r Record) {
 	binary.LittleEndian.PutUint32(b[14:], uint32(r.Iter))
 }
 
-// decodeRecord unpacks b and validates everything an evaluator indexes
-// or encodes with: out-of-range nodes would index predictor slices out
-// of bounds; senders beyond 12 bits would panic tuple packing; an iter
-// above MaxIter does not fit Record.Iter. nodes is the header's node
-// count (0 when unknown).
-func decodeRecord(b *[recordSize]byte, nodes int) (Record, bool) {
+// unpackRecord writes b's fields into r from their fixed wire offsets
+// and returns the wire iter, of which r.Iter holds the low 16 bits.
+// It stores field by field: a Record built in a temporary and copied
+// whole is written as narrow stores and read back as one wide load,
+// which stalls store forwarding on every record.
+func unpackRecord(r *Record, b *[recordSize]byte) uint32 {
 	iter := binary.LittleEndian.Uint32(b[14:])
-	r := Record{
-		Node:   coherence.NodeID(int16(binary.LittleEndian.Uint16(b[0:]))),
-		Side:   Side(b[2]),
-		Sender: coherence.NodeID(int16(binary.LittleEndian.Uint16(b[3:]))),
-		Type:   coherence.MsgType(b[5]),
-		Addr:   coherence.Addr(binary.LittleEndian.Uint64(b[6:])),
-		Iter:   uint16(iter),
+	r.Addr = coherence.Addr(binary.LittleEndian.Uint64(b[6:]))
+	r.Node = coherence.NodeID(int16(binary.LittleEndian.Uint16(b[0:])))
+	r.Sender = coherence.NodeID(int16(binary.LittleEndian.Uint16(b[3:])))
+	r.Iter = uint16(iter)
+	r.Side = Side(b[2])
+	r.Type = coherence.MsgType(b[5])
+	return iter
+}
+
+// validMask is the codec's one validity test, covering everything an
+// evaluator indexes or encodes with: out-of-range nodes would index
+// predictor slices out of bounds; senders beyond 12 bits would panic
+// tuple packing; an iter above MaxIter does not fit Record.Iter. Its
+// result has the top bit set exactly when r, read with its wire iter,
+// is valid. Each field is one unsigned range compare, x < bound,
+// written as x - bound, which wraps and sets the top bit exactly when
+// x < bound (both are below 2^32); a negative node or sender is above
+// every bound as a uint16. The terms AND together without a branch,
+// so a batch of records folds into one word. nodeLim is the header's
+// node count capped at 0x8000, or 0x8000 when the header says 0
+// (unknown), so that a node lies in [0, nodes) or is any non-negative
+// NodeID.
+func validMask(r *Record, iter uint32, nodeLim uint64) uint64 {
+	return (uint64(uint16(r.Node)) - nodeLim) &
+		(uint64(r.Side) - uint64(numSides)) &
+		(uint64(uint16(r.Sender)) - 1<<12) &
+		(uint64(r.Type-1) - uint64(coherence.NumMsgTypes-1)) &
+		(uint64(iter) - (MaxIter + 1))
+}
+
+// decodeRecords unpacks len(dst) records from src, which holds at
+// least that many, into dst in one pass that folds every record's
+// validMask into one word. It returns -1 when all are valid. Only
+// when some record is not does it rescan the batch, returning the
+// index of the first invalid record; dst then holds the decoded batch,
+// that record and the ones after it included.
+func decodeRecords(dst []Record, src []byte, nodeLim uint64) int {
+	valid := ^uint64(0)
+	for k := range dst {
+		iter := unpackRecord(&dst[k], (*[recordSize]byte)(src[k*recordSize:]))
+		valid &= validMask(&dst[k], iter, nodeLim)
 	}
-	ok := r.Side < numSides && r.Type.Valid() &&
-		r.Node >= 0 && (nodes == 0 || int(r.Node) < nodes) &&
-		r.Sender >= 0 && r.Sender < 1<<12 && iter <= MaxIter
-	return r, ok
+	if valid>>63 == 1 {
+		return -1
+	}
+	for k := range dst {
+		iter := unpackRecord(&dst[k], (*[recordSize]byte)(src[k*recordSize:]))
+		if validMask(&dst[k], iter, nodeLim)>>63 == 0 {
+			return k
+		}
+	}
+	panic("trace: decodeRecords found no invalid record in a failed batch")
 }
 
 // encodeFooter builds the footer pinning the payload's length and

@@ -101,8 +101,8 @@ func TestMaxIterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodersRejectOverCap: both decoders refuse an iteration beyond
-// MaxIter, in a record or in the header, and Write refuses to encode a
+// TestDecodersRejectOverCap: Read and a StreamReader drain both refuse
+// an iteration beyond MaxIter, in a record or in the header, and Write refuses to encode a
 // header they would refuse.
 func TestDecodersRejectOverCap(t *testing.T) {
 	for name, b := range overCapEncodings(t) {

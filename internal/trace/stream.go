@@ -149,6 +149,8 @@ type StreamReader struct {
 	left uint64
 	idx  uint64
 	done bool
+	// nodeLim is validMask's node bound for n.
+	nodeLim uint64
 	// chunk is the decode buffer: Next reads up to chunkRecords
 	// records per call into the checksumming reader rather than one at
 	// a time. It lives on the struct for the same reason as
@@ -181,6 +183,10 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 		cr:  cr,
 		n:   int(binary.LittleEndian.Uint16(hdr[6:])),
 		its: int(binary.LittleEndian.Uint32(hdr[8:])),
+	}
+	sr.nodeLim = 0x8000
+	if sr.n != 0 && sr.n < 0x8000 {
+		sr.nodeLim = uint64(sr.n)
 	}
 	if sr.its > MaxIter+1 {
 		return nil, fmt.Errorf("trace: header counts %d iterations, more than the %d a record can number", sr.its, MaxIter+1)
@@ -218,6 +224,13 @@ func (s *StreamReader) Remaining() uint64 { return s.left }
 // wrote. It returns (0, io.EOF) once every record has been consumed
 // and the footer verified. buf may be empty only when no records
 // remain; that call verifies the footer.
+//
+// Records arrive chunkRecords at a time. Each chunk is decoded
+// straight into buf with one validity test for the whole chunk
+// (decodeRecords), and only a chunk that fails it is rescanned for its
+// first invalid record. That error reports the record and the count of
+// valid records before it, as a per-record decoder would, but buf past
+// that count may hold the rest of the failed chunk.
 func (s *StreamReader) Next(buf []Record) (int, error) {
 	if s.done {
 		return 0, io.EOF
@@ -229,15 +242,12 @@ func (s *StreamReader) Next(buf []Record) (int, error) {
 	for i := 0; i < want; {
 		b := s.chunk[:min(want-i, chunkRecords)*recordSize]
 		n, err := io.ReadFull(s.cr, b)
-		for off := 0; off+recordSize <= n; off += recordSize {
-			r, ok := decodeRecord((*[recordSize]byte)(b[off:]), s.n)
-			if !ok {
-				return i, fmt.Errorf("trace: corrupt record %d: %+v", s.idx, r)
-			}
-			buf[i] = r
-			i++
-			s.idx++
+		n /= recordSize
+		if k := decodeRecords(buf[i:i+n], b, s.nodeLim); k >= 0 {
+			return i + k, fmt.Errorf("trace: corrupt record %d: %+v", s.idx+uint64(k), buf[i+k])
 		}
+		i += n
+		s.idx += uint64(n)
 		if err != nil {
 			return i, fmt.Errorf("trace: reading record %d: %w", s.idx, err)
 		}

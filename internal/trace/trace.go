@@ -62,7 +62,7 @@ type Record struct {
 }
 
 // MaxIter is the largest application iteration a Record can carry. The
-// decoders reject a record beyond it and a header counting more than
+// decoder rejects a record beyond it and a header counting more than
 // MaxIter+1 iterations; capture helpers refuse, before simulating, a
 // run that would reach past it (CheckIterations).
 const MaxIter = math.MaxUint16
